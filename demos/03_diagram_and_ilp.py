@@ -8,6 +8,9 @@ and one cycle decomposition per edge; its objective mixes adjacency weights,
 the (negated) DCJ-indel distances, and a telomere penalty.
 """
 
+import os
+import tempfile
+
 from spp_dcj.diagram import ADJ, EXT, ID, MultiRelationalDiagram
 from spp_dcj.extract import decode
 from spp_dcj.genomes import (Adjacency, DegenerateGenome, Extremity,
@@ -46,8 +49,10 @@ tree = Phylogeny([("A", "B")])
 model = build_model(tree, {"A": a, "B": b}, FAM, alpha=0.5, beta=0.25)
 print("\nILP: %d variables, %d constraints"
       % (len(model.variables), len(model.constraints)))
-write_lp(model, "/tmp/demo_model.lp", "/tmp/demo_idmap.tsv")
-print("LP written to /tmp/demo_model.lp")
+tmp = tempfile.gettempdir()
+write_lp(model, os.path.join(tmp, "demo_model.lp"),
+         os.path.join(tmp, "demo_idmap.tsv"))
+print("LP written to %s" % os.path.join(tmp, "demo_model.lp"))
 
 result = solve_internal(model)
 print("\nsolved: %s, objective %.4f" % (result.status, result.objective))

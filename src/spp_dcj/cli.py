@@ -4,7 +4,8 @@ Subcommands wire the pipeline: ``linearize`` → ``build`` → ``solve`` →
 ``extract``, with ``distance``, ``simulate`` and ``evaluate`` as utilities.
 
 Exit codes: 0 ok, 1 usage, 2 parse error, 3 infeasible or out-of-scale
-input, 4 solver failure.
+input, 4 solver failure or a bad solution file (malformed line or objective
+header, missing variable, non-integral value).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import os
 import random
 import sys
 import time
-from typing import Dict, Optional
+from typing import Dict
 
 from . import __version__
 from . import io
@@ -26,8 +27,8 @@ from .genomes import FamilyAssignment, GenomeError, Phylogeny
 from .ilp import ModelError, build_model, write_lp
 from .linearize import augment, find_nonlinearizable_component
 from .sim import EVENT_HEADER, SimConfig, add_noise, event_rows, evolve
-from .solver import (SolverError, parse_solution, solve_external,
-                     solve_internal)
+from .solver import (SOLVER_ENV, SolverError, load_solution,
+                     run_solver_command, solve)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,8 +66,6 @@ def _model_flags(parser: _Parser):
                         help="omit the redundant strengthening constraints")
     parser.add_argument("--no-reduction", action="store_true",
                         help="keep all telomeric extremity edges")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="threads for per-edge diagram construction")
 
 
 def _load_families(path) -> FamilyAssignment:
@@ -90,8 +89,7 @@ def _build_from_args(args):
                 % (species, ", ".join(e.name for e in bad.component)))
     return build_model(tree, genomes, families, args.alpha, args.beta,
                        optional_constraints=not args.no_optional_constraints,
-                       reduce_telomeres=not args.no_reduction,
-                       jobs=args.jobs), genomes
+                       reduce_telomeres=not args.no_reduction), genomes
 
 
 def cmd_linearize(args) -> int:
@@ -117,21 +115,9 @@ def cmd_build(args) -> int:
 
 def cmd_solve(args) -> int:
     start = time.monotonic()
-    if args.solver_cmd or (not args.internal and "SPP_DCJ_SOLVER" in os.environ):
-        import subprocess
-        template = args.solver_cmd or os.environ["SPP_DCJ_SOLVER"]
-        if "{lp}" not in template or "{sol}" not in template:
-            raise SolverError("solver command must contain {lp} and {sol}")
-        fields = {"lp": args.model, "sol": args.output}
-        if "{time_limit}" in template:
-            fields["time_limit"] = args.time_limit or 0
-        proc = subprocess.run(template.format(**fields), shell=True,
-                              capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise SolverError("external solver failed (%d): %s"
-                              % (proc.returncode, proc.stderr.strip()[:500]))
-        if not os.path.exists(args.output):
-            raise SolverError("external solver produced no solution file")
+    if args.solver_cmd or (not args.internal and SOLVER_ENV in os.environ):
+        run_solver_command(args.solver_cmd or os.environ[SOLVER_ENV],
+                           args.model, args.output, args.time_limit)
     else:
         # in-process: hand the LP to the bundled HiGHS backend
         from . import milp_cli
@@ -161,17 +147,7 @@ def cmd_extract(args) -> int:
             raise ModelError(
                 "variable map does not match the rebuilt model; rerun "
                 "extract with the same flags used for build")
-    reported, raw = parse_solution(args.solution)
-    assignment = {}
-    for name, var in model.variables.items():
-        if name not in raw:
-            raise DecodeError("solution lacks variable %s" % name)
-        val = raw[name]
-        if var.kind in ("B", "I"):
-            if abs(val - round(val)) > 1e-6:
-                raise DecodeError("non-integral value %r for %s" % (val, name))
-            val = float(round(val))
-        assignment[name] = val
+    reported, assignment = load_solution(model, args.solution)
     decoded = decode(model, assignment)
     validate(model, decoded, genomes)
     if reported is not None:
@@ -212,7 +188,7 @@ def cmd_distance(args) -> int:
                        args.alpha, args.beta,
                        optional_constraints=not args.no_optional_constraints,
                        reduce_telomeres=not args.no_reduction)
-    result = solve_internal(model, time_limit=args.time_limit)
+    result = solve(model, time_limit=args.time_limit)
     if result.status == "infeasible":
         raise ModelError("no derived genome pair exists; run linearize first")
     decoded = decode(model, result.assignment)
@@ -298,7 +274,8 @@ def make_parser() -> _Parser:
     p.add_argument("model")
     p.add_argument("-o", "--output", required=True, help="solution file path")
     p.add_argument("--internal", action="store_true",
-                   help="force the bundled in-process backend")
+                   help="use the bundled in-process HiGHS backend, ignoring "
+                   "SPP_DCJ_SOLVER")
     p.add_argument("--solver-cmd", default=None,
                    help="external command template with {lp}/{sol}")
     p.add_argument("--time-limit", type=float, default=None)

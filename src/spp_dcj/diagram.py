@@ -8,20 +8,19 @@ families that are overrepresented on one side.  Telomere counts are balanced
 with capping telomeres paired by artificial adjacencies.
 
 This module also houses the run/indel-potential arithmetic, circular
-singleton candidate enumeration, the telomere classification that shrinks
-the telomeric extremity-edge set, and an exhaustive distance oracle used to
-validate the integer program on small instances.
+singleton candidate enumeration, the telomeric extremity-edge reduction,
+and an exhaustive distance oracle used to validate the integer program on
+small instances.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .genomes import (Adjacency, DegenerateGenome, Extremity, FamilyAssignment,
-                      GenomeError, HEAD, TAIL, TELO, check_family_consistency,
+                      HEAD, TAIL, TELO, check_family_consistency,
                       family_multiplicities)
 
 ADJ = "adj"
@@ -87,12 +86,6 @@ class DiagramEdge:
         return self.kind == EXT and self.u.is_telomere
 
 
-@dataclass
-class TelomereClass:
-    telomere: Extremity
-    partners: Dict[Extremity, bool]  # partner -> indel-free connection
-
-
 @dataclass(frozen=True)
 class CircularSingletonCandidate:
     side: str
@@ -128,7 +121,6 @@ class MultiRelationalDiagram:
         self.genome_a = genome_a
         self.genome_b = genome_b
         self.families = families
-        self.reduced = False
         check_family_consistency(genome_a, families)
         check_family_consistency(genome_b, families)
 
@@ -157,10 +149,8 @@ class MultiRelationalDiagram:
         self.edges: List[DiagramEdge] = []
         self._edges_at: Dict[Extremity, List[DiagramEdge]] = {}
         self._build_edges(counts_a, counts_b)
-        self.telomere_classes: Optional[List[TelomereClass]] = None
         if reduce_telomeres:
-            self.telomere_classes = self._reduce_telomeric_edges()
-            self.reduced = True
+            self._reduce_telomeric_edges()
 
     # -- construction -----------------------------------------------------
 
@@ -234,18 +224,10 @@ class MultiRelationalDiagram:
         """Constant of the full superposition; solutions use their own count."""
         return self.n + len(self.telomeric_nodes()) / 4.0
 
-    def dump(self) -> str:
-        """Debug text dump, one edge per line: ``type<TAB>u<TAB>v``."""
-        lines = []
-        for edge in self.edges:
-            kind = edge.kind if edge.side is None else edge.kind + edge.side
-            lines.append("%s\t%s\t%s" % (kind, edge.u, edge.v))
-        return "\n".join(lines) + "\n"
+    # -- telomeric extremity-edge reduction (search-space pruning) ---------
 
-    # -- telomere classification (search-space reduction) ------------------
-
-    def _reduce_telomeric_edges(self) -> List[TelomereClass]:
-        classes, direct, group2 = classify_interior_components(self)
+    def _reduce_telomeric_edges(self):
+        direct, group2 = classify_interior_components(self)
         keep = []
         removed = False
         for edge in self.edges:
@@ -263,17 +245,16 @@ class MultiRelationalDiagram:
             for edge in keep:
                 self._add_edge(edge.kind, edge.side, edge.u, edge.v,
                                edge.adjacency, edge.cap, edge.sibling_key)
-        return classes
 
 
 def classify_interior_components(diagram: MultiRelationalDiagram):
     """Group telomeres by the interior component (diagram minus telomeric
     extremity edges) they live in, flagging indel-free components.
 
-    Returns (classes, direct_pairs, group2) where direct_pairs are
-    cross-genome pairs of indel-free components and group2 is the all-vs-all
-    pool (members of indel-enclosing components, plus same-genome fellows of
-    indel-free ones).
+    Returns (direct_pairs, group2) where direct_pairs are cross-genome pairs
+    of indel-free components and group2 is the all-vs-all pool (members of
+    indel-enclosing components, plus same-genome fellows of indel-free
+    ones).
     """
     parent: Dict[Extremity, Extremity] = {node: node for node in diagram.nodes}
 
@@ -300,18 +281,13 @@ def classify_interior_components(diagram: MultiRelationalDiagram):
         if edge.kind == ID:
             has_indel[find(edge.u)] = True
 
-    classes: List[TelomereClass] = []
     direct: Set[FrozenSet[Extremity]] = set()
     group2: Set[Extremity] = set()
-    for root, nodes in sorted(members.items(), key=lambda kv: min(kv[1])):
-        telos = sorted(node for node in nodes if node.is_telomere)
+    for root, nodes in members.items():
+        telos = [node for node in nodes if node.is_telomere]
         if not telos:
             continue
-        indel_free = not has_indel.get(root, False)
-        for telo in telos:
-            classes.append(TelomereClass(
-                telo, {p: indel_free for p in telos if p != telo}))
-        if not indel_free:
+        if has_indel.get(root, False):
             group2.update(telos)
             continue
         sides = {}
@@ -323,13 +299,7 @@ def classify_interior_components(diagram: MultiRelationalDiagram):
         for side_telos in sides.values():
             if len(side_telos) > 1:
                 group2.update(side_telos)
-    return classes, direct, group2
-
-
-def classify_telomeres(diagram: MultiRelationalDiagram):
-    """Classification only, without rewriting the diagram."""
-    classes, _, _ = classify_interior_components(diagram)
-    return classes
+    return direct, group2
 
 
 # -- circular singleton candidates ----------------------------------------

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 from .diagram import (ADJ, DistanceBreakdown, breakdown_from_components,
                       decompose)
-from .genomes import Adjacency, DegenerateGenome, FamilyAssignment, is_derived
+from .genomes import DegenerateGenome, FamilyAssignment, is_derived
 from .ilp import EdgeContext, IlpModel
 
 

@@ -19,7 +19,7 @@ to the constant number of shared markers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .diagram import (ADJ, EXT, ID, DiagramEdge, MultiRelationalDiagram,
                       enumerate_circular_singletons)
@@ -102,9 +102,7 @@ class IlpModel:
 def build_model(tree: Phylogeny, genomes: Dict[str, DegenerateGenome],
                 families: FamilyAssignment, alpha: float, beta: float,
                 optional_constraints: bool = True,
-                reduce_telomeres: bool = True,
-                singleton_cap: int = 100000,
-                jobs: int = 1) -> IlpModel:
+                reduce_telomeres: bool = True) -> IlpModel:
     """Assemble the full model over all phylogeny edges."""
     if alpha < 0 or beta < 0 or alpha + beta > 1:
         raise ModelError("invalid mixture: need 0 <= alpha, beta and alpha+beta <= 1")
@@ -118,31 +116,15 @@ def build_model(tree: Phylogeny, genomes: Dict[str, DegenerateGenome],
     for species in sorted(tree.nodes):
         _declare_genome_vars(model, genomes[species])
 
-    diagrams = _build_diagrams(tree, genomes, families, reduce_telomeres, jobs)
-    for (a, b), diagram in diagrams:
-        ctx = _declare_edge_vars(model, a, b, diagram, singleton_cap)
-        model.contexts.append(ctx)
+    for a, b in tree.edges:
+        diagram = MultiRelationalDiagram(genomes[a], genomes[b], families,
+                                         reduce_telomeres=reduce_telomeres)
+        model.contexts.append(_declare_edge_vars(model, a, b, diagram))
 
     build_objective(model)
     for ctx in model.contexts:
         emit_constraints(model, ctx, optional_constraints)
     return model
-
-
-def _build_diagrams(tree, genomes, families, reduce_telomeres, jobs):
-    edges = list(tree.edges)
-
-    def build(pair):
-        a, b = pair
-        return pair, MultiRelationalDiagram(genomes[a], genomes[b], families,
-                                            reduce_telomeres=reduce_telomeres)
-
-    if jobs and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            built = dict(pool.map(build, edges))
-        return [(pair, built[pair]) for pair in edges]
-    return [build(pair) for pair in edges]
 
 
 def _declare_genome_vars(model: IlpModel, genome: DegenerateGenome):
@@ -170,8 +152,7 @@ def _edge_key(model: IlpModel, a: str, b: str) -> str:
 
 
 def _declare_edge_vars(model: IlpModel, a: str, b: str,
-                       diagram: MultiRelationalDiagram,
-                       singleton_cap: int) -> EdgeContext:
+                       diagram: MultiRelationalDiagram) -> EdgeContext:
     key = _edge_key(model, a, b)
     ctx = EdgeContext(key, a, b, diagram)
 
@@ -227,7 +208,7 @@ def _declare_edge_vars(model: IlpModel, a: str, b: str,
                            % (edge.u.name, edge.v.name, key))
         ctx.t_vars[edge.index] = tname
 
-    ctx.singletons = enumerate_circular_singletons(diagram, cap=singleton_cap)
+    ctx.singletons = enumerate_circular_singletons(diagram)
     for ci, cand in enumerate(ctx.singletons, start=1):
         name = "s_%s_%d" % (key, ci)
         model.add_variable(name, BINARY, 0, 1, ("s", key, ci - 1),
@@ -439,17 +420,11 @@ def _expr(terms) -> str:
     for name, coef in terms:
         if coef >= 0:
             sign = "+" if parts else ""
-            parts.append("%s %s %s" % (sign, _coef(coef), name) if parts
-                         else "%s %s" % (_coef(coef), name))
+            parts.append("%s %s %s" % (sign, _num(coef), name) if parts
+                         else "%s %s" % (_num(coef), name))
         else:
-            parts.append("- %s %s" % (_coef(-coef), name))
+            parts.append("- %s %s" % (_num(-coef), name))
     return " ".join(parts)
-
-
-def _coef(value: float) -> str:
-    if value == int(value):
-        return "%d" % int(value)
-    return repr(value)
 
 
 def recompute_objective(model: IlpModel, assignment: Dict[str, float]) -> float:

@@ -8,7 +8,6 @@ syntax ``<marker>_h``, ``<marker>_t``, ``t.<n>_o``.  Lines starting with
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .genomes import (Adjacency, DegenerateGenome, FamilyAssignment,

@@ -11,7 +11,7 @@ matching every extremity to its telomere is a witness derived genome.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from .genomes import (Adjacency, DegenerateGenome, Extremity, TELO,
                       TELOMERE_PREFIX)

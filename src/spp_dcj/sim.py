@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .genomes import (Adjacency, DegenerateGenome, Extremity,
-                      FamilyAssignment, GenomeError, HEAD, TAIL, TELO,
-                      Phylogeny, surfeit)
+                      FamilyAssignment, GenomeError, HEAD, TAIL, Phylogeny,
+                      surfeit)
 
 EVENT_TYPES = ("inversion", "transposition", "duplication", "deletion")
 

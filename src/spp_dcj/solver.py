@@ -13,17 +13,16 @@ Two interchangeable backends:
 
 from __future__ import annotations
 
-import math
 import os
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .diagram import ADJ, EXT, ID, DiagramError, decompose
-from .ilp import (BINARY, Constraint, EdgeContext, IlpModel, ModelError,
-                  recompute_objective, write_lp)
+from .diagram import ID, DiagramError, decompose
+from .ilp import (BINARY, INTEGER, EdgeContext, IlpModel, recompute_objective,
+                  write_lp)
 
 INTERNAL_VARIABLE_CAP = 5000
 BRANCH_CLASSES = ("adj", "capadj", "edge", "o", "capo")
@@ -342,7 +341,7 @@ def verify_assignment(model: IlpModel, assignment: Dict[str, float],
         if val < var.lb - tol or val > var.ub + tol:
             raise SolverError("variable %s=%r out of bounds [%r, %r]"
                               % (var.name, val, var.lb, var.ub))
-        if var.kind in (BINARY, "I") and abs(val - round(val)) > tol:
+        if var.kind in (BINARY, INTEGER) and abs(val - round(val)) > tol:
             raise SolverError("variable %s=%r not integral" % (var.name, val))
     for con in model.constraints:
         lhs = sum(coef * assignment.get(name, 0.0) for coef, name in con.terms)
@@ -360,49 +359,44 @@ def default_solver_command() -> str:
     return os.environ.get(SOLVER_ENV, "spp-dcj-milp {lp} {sol}")
 
 
-def solve_external(model: IlpModel, command: Optional[str] = None,
-                   workdir: Optional[str] = None,
-                   time_limit: Optional[float] = None) -> SolveResult:
-    """Solve via an external MILP solver invoked from a command template.
+def run_solver_command(command: str, lp_path, sol_path,
+                       time_limit: Optional[float] = None):
+    """Run a MILP solver from a command template on an LP file.
 
-    The template must contain ``{lp}`` and ``{sol}`` placeholders; the
-    solution file is expected to contain ``<variable> <value>`` lines and
-    optionally a ``# Objective value = <x>`` header.
+    The template must contain ``{lp}`` and ``{sol}`` placeholders and may
+    contain ``{time_limit}`` (0 when no limit is set).  Raises
+    ``SolverError`` when the command fails or writes no solution file.
     """
-    command = command or default_solver_command()
     if "{lp}" not in command or "{sol}" not in command:
         raise SolverError("solver command must contain {lp} and {sol}: %r"
                           % command)
+    fields = {"lp": lp_path, "sol": sol_path}
+    if "{time_limit}" in command:
+        fields["time_limit"] = time_limit or 0
+    proc = subprocess.run(command.format(**fields), shell=True,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SolverError("external solver failed (%d): %s"
+                          % (proc.returncode, proc.stderr.strip()[:500]))
+    if not os.path.exists(sol_path):
+        raise SolverError("external solver produced no solution file")
+
+
+def solve_external(model: IlpModel, command: Optional[str] = None,
+                   time_limit: Optional[float] = None) -> SolveResult:
+    """Solve via an external MILP solver invoked from a command template.
+
+    The template (default: ``default_solver_command()``) is run by
+    ``run_solver_command``; the solution file is read by ``load_solution``.
+    """
     start = time.monotonic()
-    with tempfile.TemporaryDirectory(dir=workdir) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         lp_path = os.path.join(tmp, "model.lp")
         sol_path = os.path.join(tmp, "model.sol")
         write_lp(model, lp_path)
-        fields = {"lp": lp_path, "sol": sol_path}
-        if "{time_limit}" in command:
-            fields["time_limit"] = time_limit if time_limit is not None else 0
-        cmd = command.format(**fields)
-        proc = subprocess.run(cmd, shell=True, capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise SolverError("external solver failed (%d): %s"
-                              % (proc.returncode, proc.stderr.strip()[:500]))
-        if not os.path.exists(sol_path):
-            raise SolverError("external solver produced no solution file")
-        reported, raw = parse_solution(sol_path)
-    assignment = {}
-    for name in model.variables:
-        if name not in raw:
-            raise SolverError("solution file lacks variable %s" % name)
-    for name, val in raw.items():
-        if name not in model.variables:
-            continue
-        var = model.variables[name]
-        if var.kind in (BINARY, "I"):
-            rounded = round(val)
-            if abs(val - rounded) > 1e-6:
-                raise SolverError("non-integral value %r for %s" % (val, name))
-            val = float(rounded)
-        assignment[name] = val
+        run_solver_command(command or default_solver_command(), lp_path,
+                           sol_path, time_limit)
+        reported, assignment = load_solution(model, sol_path)
     verify_assignment(model, assignment)
     objective = recompute_objective(model, assignment)
     if reported is not None and abs(reported - objective) > 1e-6:
@@ -413,6 +407,9 @@ def solve_external(model: IlpModel, command: Optional[str] = None,
 
 
 def parse_solution(path) -> Tuple[Optional[float], Dict[str, float]]:
+    """Read ``<variable> <value>`` lines and an optional
+    ``# Objective value = <x>`` header; raises ``SolverError`` on a
+    malformed line or objective header."""
     reported = None
     values: Dict[str, float] = {}
     with open(path, "r", encoding="utf-8") as handle:
@@ -425,7 +422,8 @@ def parse_solution(path) -> Tuple[Optional[float], Dict[str, float]]:
                     try:
                         reported = float(line.split("=", 1)[1])
                     except ValueError:
-                        pass
+                        raise SolverError("malformed objective header %r"
+                                          % line)
                 continue
             parts = line.split()
             if len(parts) != 2:
@@ -437,13 +435,37 @@ def parse_solution(path) -> Tuple[Optional[float], Dict[str, float]]:
     return reported, values
 
 
-def solve(model: IlpModel, internal: Optional[bool] = None,
-          command: Optional[str] = None,
-          time_limit: Optional[float] = None) -> SolveResult:
-    """Dispatch: explicit choice, else internal when small and no override."""
-    if internal is None:
-        internal = (SOLVER_ENV not in os.environ and command is None
-                    and len(model.variables) <= INTERNAL_VARIABLE_CAP)
-    if internal:
+def load_solution(model: IlpModel, path
+                  ) -> Tuple[Optional[float], Dict[str, float]]:
+    """Solution file values for every variable of ``model``.
+
+    Binary and integer values are rounded after a 1e-6 integrality check;
+    names the model does not declare are ignored.  Returns the reported
+    objective (or None) and the assignment; raises ``SolverError`` on a
+    missing variable or a non-integral value.
+    """
+    reported, raw = parse_solution(path)
+    assignment = {}
+    for name, var in model.variables.items():
+        if name not in raw:
+            raise SolverError("solution file lacks variable %s" % name)
+        val = raw[name]
+        if var.kind in (BINARY, INTEGER):
+            rounded = round(val)
+            if abs(val - rounded) > 1e-6:
+                raise SolverError("non-integral value %r for %s"
+                                  % (val, name))
+            val = float(rounded)
+        assignment[name] = val
+    return reported, assignment
+
+
+def solve(model: IlpModel, time_limit: Optional[float] = None
+          ) -> SolveResult:
+    """The internal branch-and-bound for models of at most
+    ``INTERNAL_VARIABLE_CAP`` variables, else the external solver; a set
+    ``SPP_DCJ_SOLVER`` sends every model to the external solver."""
+    if (SOLVER_ENV not in os.environ
+            and len(model.variables) <= INTERNAL_VARIABLE_CAP):
         return solve_internal(model, time_limit=time_limit)
-    return solve_external(model, command=command, time_limit=time_limit)
+    return solve_external(model, time_limit=time_limit)

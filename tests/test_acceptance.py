@@ -22,7 +22,7 @@ from spp_dcj.diagram import (EXT, MultiRelationalDiagram,
 from spp_dcj.extract import audit, decode, evaluate
 from spp_dcj.genomes import FamilyAssignment, Phylogeny
 from spp_dcj.ilp import build_model
-from spp_dcj.solver import parse_solution, solve_internal
+from spp_dcj.solver import load_solution, solve_internal
 
 from util import build_genome, invert_segment, random_degenerate_pair, \
     random_structure, seeded
@@ -238,10 +238,7 @@ def test_criterion_7_objective_audit_explicit(tmp_path):
     tree = io.read_tree(tmp_path / "sim" / "tree.tsv")
     genomes = io.read_adjacencies(lin)
     model = build_model(tree, genomes, FAM, alpha=0.5, beta=0.25)
-    reported, raw = parse_solution(sol)
-    assignment = {name: (round(v) if model.variables[name].kind in ("B", "I")
-                         else v)
-                  for name, v in raw.items() if name in model.variables}
+    reported, assignment = load_solution(model, sol)
     decoded = decode(model, assignment)
     assert reported is not None
     audit(model, decoded, reported, tol=1e-6)

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import pytest
 
@@ -9,7 +10,9 @@ from spp_dcj.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE, EXIT_SOLVER,
 from spp_dcj.extract import evaluate
 from spp_dcj.genomes import is_genome
 
-from util import build_genome
+from util import build_genome, invert_segment, seeded
+
+MILP_CMD = "%s -m spp_dcj.milp_cli {lp} {sol}" % sys.executable
 
 
 def run(*argv):
@@ -117,6 +120,25 @@ def test_distance_identity_and_output_file(tmp_path):
     assert table["distance"] == "0"
 
 
+def test_distance_large_pair_uses_external_solver(tmp_path, monkeypatch):
+    # 400 markers give 9622 variables, above the internal solver's cap,
+    # so the distance must come from the external solver
+    inversions = 20
+    chromosomes = [(["%d.1" % i for i in range(1, 401)], False)]
+    moved = chromosomes
+    rng = seeded(83)
+    for _ in range(inversions):
+        moved = invert_segment(moved, rng)
+    pa, pb = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    io.write_adjacencies({"A": build_genome("A", chromosomes)}, pa)
+    io.write_adjacencies({"B": build_genome("B", moved)}, pb)
+    monkeypatch.setenv("SPP_DCJ_SOLVER", MILP_CMD)
+    out = tmp_path / "dist.tsv"
+    assert run("distance", str(pa), str(pb), "-o", str(out)) == EXIT_OK
+    table = dict(line.split("\t") for line in out.read_text().splitlines())
+    assert int(table["distance"]) <= inversions
+
+
 def test_distance_rejects_multi_species(tmp_path):
     pair = write_pair(tmp_path)
     assert run("distance", str(pair), str(pair)) == EXIT_INFEASIBLE
@@ -205,3 +227,20 @@ def test_extract_idmap_mismatch(tmp_path):
              "--genomes-out", str(tmp_path / "g.tsv"),
              "--distances-out", str(tmp_path / "d.tsv"))
     assert rc == EXIT_INFEASIBLE
+
+
+def test_extract_rejects_incomplete_solution(tmp_path):
+    pair = write_pair(tmp_path)
+    tree = tmp_path / "tree.tsv"
+    tree.write_text("A\tB\n")
+    lp, sol = tmp_path / "m.lp", tmp_path / "m.sol"
+    assert run("build", str(tree), str(pair), "-o", str(lp)) == EXIT_OK
+    assert run("solve", str(lp), "-o", str(sol), "--internal") == EXIT_OK
+    lines = sol.read_text().splitlines()
+    dropped = next(i for i, line in enumerate(lines)
+                   if not line.startswith("#"))
+    sol.write_text("\n".join(lines[:dropped] + lines[dropped + 1:]) + "\n")
+    rc = run("extract", str(sol), str(tree), str(pair),
+             "--genomes-out", str(tmp_path / "g.tsv"),
+             "--distances-out", str(tmp_path / "d.tsv"))
+    assert rc == EXIT_SOLVER

@@ -190,9 +190,11 @@ def test_interior_component_classification():
     a = build_genome("A", [(["1.1"], False), (["2.1"], True)])
     b = build_genome("B", [(["1.1"], False)])
     d = MultiRelationalDiagram(a, b, FAM)
-    classes, direct, group2 = classify_interior_components(d)
-    assert classes  # every telomere classified
+    direct, group2 = classify_interior_components(d)
     assert direct  # indel-free cross pairs exist between the linear 1.1 ends
+    # every telomere keeps a candidate partner
+    paired = {node for pair in direct for node in pair} | group2
+    assert paired == set(d.telomeric_nodes())
     for pair in direct:
         pa, pb = sorted(pair)
         assert {d.side_of(pa), d.side_of(pb)} == {"A", "B"}

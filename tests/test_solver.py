@@ -6,8 +6,9 @@ from spp_dcj.diagram import brute_force_distance
 from spp_dcj.genomes import FamilyAssignment, Phylogeny
 from spp_dcj.ilp import build_model
 from spp_dcj.solver import (INTERNAL_VARIABLE_CAP, SolverError, _Propagator,
-                            complete_assignment, parse_solution, solve,
-                            solve_external, solve_internal, verify_assignment)
+                            complete_assignment, load_solution,
+                            parse_solution, solve, solve_external,
+                            solve_internal, verify_assignment)
 
 from util import build_genome, random_degenerate_pair, seeded
 
@@ -144,6 +145,35 @@ def test_parse_solution(tmp_path):
     path.write_text("too many columns here\n")
     with pytest.raises(SolverError):
         parse_solution(path)
+    path.write_text("# Objective value = abc\nx_s0_1 1\n")
+    with pytest.raises(SolverError):
+        parse_solution(path)
+
+
+def test_load_solution(tmp_path):
+    a = build_genome("A", [(["1.1"], True)])
+    b = build_genome("B", [(["1.1"], True)])
+    model = pair_model(a, b)
+    result = solve_internal(model)
+    values = {name: result.assignment.get(name, 0.0)
+              for name in model.variables}
+    path = tmp_path / "model.sol"
+
+    def write(values, extra=""):
+        path.write_text("# Objective value = %r\n%s" % (result.objective, extra)
+                        + "".join("%s %r\n" % kv for kv in values.items()))
+
+    binary = next(name for name, v in model.variables.items() if v.kind == "B")
+    write(dict(values, **{binary: values[binary] + 1e-9}), "undeclared 7\n")
+    reported, assignment = load_solution(model, path)
+    assert reported == result.objective
+    assert assignment == values  # rounded, undeclared name ignored
+    write(dict(values, **{binary: 0.5}))
+    with pytest.raises(SolverError):
+        load_solution(model, path)
+    write({k: v for k, v in values.items() if k != binary})
+    with pytest.raises(SolverError):
+        load_solution(model, path)
 
 
 def test_solve_dispatch(monkeypatch):
