@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -245,6 +246,15 @@ def add_noise(genome: DegenerateGenome, target_surfeit: float,
     Adversarial adjacencies connect extremities whose (family, kind) pair
     signature already occurs in the reference genome, mimicking conserved
     false positives; the remainder is sampled uniformly.
+
+    Sampling contract: the candidates are the pairs ``(i, j)``, ``i < j``,
+    of the sorted non-telomeric extremities that join two markers and are
+    not already adjacent.  The draws are exactly those of ``rng.sample``
+    over the adversarial candidates, then of ``rng.sample`` over the uniform
+    candidates in lexicographic ``(i, j)`` order followed by the adversarial
+    candidates not chosen.  Only indices into these pools are drawn and
+    mapped back to pairs, so the cost is linear in extremities times
+    excluded partners (mate, adjacent, adversarial), not quadratic.
     """
     if families is None:
         families = FamilyAssignment()
@@ -256,42 +266,72 @@ def add_noise(genome: DegenerateGenome, target_surfeit: float,
     if need <= 0:
         return genome, NoiseReport(0, 0, 0, 0)
 
-    existing: Set[Adjacency] = set(genome.adjacencies)
-    signatures = set()
+    # (family, kind) keys paired by some adjacency of the reference
+    partner_keys: Dict[Tuple[str, str], Set[Tuple[str, str]]] = {}
     for adj in reference.adjacencies:
         a, b = adj.ends
         if a.is_telomere or b.is_telomere:
             continue
-        signatures.add(frozenset(((families.of(a), a.kind),
-                                  (families.of(b), b.kind))))
+        key_a, key_b = (families.of(a), a.kind), (families.of(b), b.kind)
+        partner_keys.setdefault(key_a, set()).add(key_b)
+        partner_keys.setdefault(key_b, set()).add(key_a)
 
-    def signature(a, b):
-        return frozenset(((families.of(a), a.kind), (families.of(b), b.kind)))
+    n = len(extremities)
+    index = {ext: i for i, ext in enumerate(extremities)}
+    keys = [(families.of(ext), ext.kind) for ext in extremities]
+    by_key: Dict[Tuple[str, str], List[int]] = {}
+    for i, key in enumerate(keys):
+        by_key.setdefault(key, []).append(i)
+    # per row i, the columns j > i never drawn: the mate, existing partners
+    excluded: List[Set[int]] = [set() for _ in extremities]
+    for i, ext in enumerate(extremities):
+        mate = index[ext.mate()]
+        if mate > i:
+            excluded[i].add(mate)
+    for adj in genome.adjacencies:
+        a, b = adj.ends
+        if a.is_telomere or b.is_telomere:
+            continue
+        i, j = sorted((index[a], index[b]))
+        excluded[i].add(j)
 
-    adversarial_pool = []
-    uniform_pool = []
-    for i, a in enumerate(extremities):
-        for b in extremities[i + 1:]:
-            if a.marker == b.marker:
-                continue
-            adj = Adjacency((a, b), 1.0)
-            if adj in existing:
-                continue
-            if signature(a, b) in signatures:
-                adversarial_pool.append(adj)
-            else:
-                uniform_pool.append(adj)
+    adversarial_pool: List[Tuple[int, int]] = []
+    skips: List[List[int]] = []  # per row, sorted columns j > i not uniform
+    uniform_ends: List[int] = []  # uniform candidates in rows 0..i
+    n_uniform = 0
+    for i in range(n):
+        adversarial = sorted({j for key in partner_keys.get(keys[i], ())
+                              for j in by_key.get(key, ()) if j > i}
+                             - excluded[i])
+        adversarial_pool.extend((i, j) for j in adversarial)
+        skips.append(sorted(excluded[i].union(adversarial)))
+        n_uniform += n - 1 - i - len(skips[i])
+        uniform_ends.append(n_uniform)
+
+    def uniform_pair(u: int) -> Tuple[int, int]:
+        i = bisect_right(uniform_ends, u)
+        j = i + 1 + u - (uniform_ends[i - 1] if i else 0)
+        for skip in skips[i]:
+            if skip > j:
+                break
+            j += 1
+        return i, j
+
+    def adjacency(pair: Tuple[int, int]) -> Adjacency:
+        return Adjacency((extremities[pair[0]], extremities[pair[1]]), 1.0)
 
     want_adv = round(need * adversarial_fraction)
     take_adv = min(want_adv, len(adversarial_pool))
     fallback = want_adv - take_adv
-    take_uni = need - take_adv
-    if take_uni > len(uniform_pool) + len(adversarial_pool) - take_adv:
-        take_uni = len(uniform_pool) + len(adversarial_pool) - take_adv
-    chosen = rng.sample(adversarial_pool, take_adv)
-    remaining_uniform = uniform_pool + [
-        adj for adj in adversarial_pool if adj not in set(chosen)]
-    extra = rng.sample(remaining_uniform, min(take_uni, len(remaining_uniform)))
+    picked = rng.sample(range(len(adversarial_pool)), take_adv)
+    taken = set(picked)
+    leftover = [pair for k, pair in enumerate(adversarial_pool)
+                if k not in taken]
+    remaining = n_uniform + len(leftover)
+    drawn = rng.sample(range(remaining), min(need - take_adv, remaining))
+    chosen = [adjacency(adversarial_pool[k]) for k in picked]
+    extra = [adjacency(uniform_pair(u) if u < n_uniform
+                       else leftover[u - n_uniform]) for u in drawn]
     noisy = DegenerateGenome(genome.species,
                              list(genome.adjacencies) + chosen + extra)
     report = NoiseReport(len(chosen) + len(extra), take_adv, len(extra),

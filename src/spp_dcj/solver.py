@@ -13,6 +13,7 @@ Two interchangeable backends:
 
 from __future__ import annotations
 
+import contextlib
 import os
 import subprocess
 import tempfile
@@ -364,8 +365,10 @@ def run_solver_command(command: str, lp_path, sol_path,
     """Run a MILP solver from a command template on an LP file.
 
     The template must contain ``{lp}`` and ``{sol}`` placeholders and may
-    contain ``{time_limit}`` (0 when no limit is set).  Raises
-    ``SolverError`` when the command fails or writes no solution file.
+    contain ``{time_limit}`` (0 when no limit is set).  Any existing file
+    at ``sol_path`` is removed first, so a stale solution is never taken
+    for a fresh one.  Raises ``SolverError`` when the command fails or
+    writes no solution file.
     """
     if "{lp}" not in command or "{sol}" not in command:
         raise SolverError("solver command must contain {lp} and {sol}: %r"
@@ -373,6 +376,8 @@ def run_solver_command(command: str, lp_path, sol_path,
     fields = {"lp": lp_path, "sol": sol_path}
     if "{time_limit}" in command:
         fields["time_limit"] = time_limit or 0
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(sol_path)
     proc = subprocess.run(command.format(**fields), shell=True,
                           capture_output=True, text=True)
     if proc.returncode != 0:

@@ -198,6 +198,20 @@ def test_solver_failure_exit_code(tmp_path):
                "--solver-cmd", "false {lp} {sol}") == EXIT_SOLVER
 
 
+def test_solve_rejects_stale_solution_file(tmp_path):
+    pair = write_pair(tmp_path)
+    tree = tmp_path / "tree.tsv"
+    tree.write_text("A\tB\n")
+    lp, sol = tmp_path / "m.lp", tmp_path / "m.sol"
+    assert run("build", str(tree), str(pair), "-o", str(lp)) == EXIT_OK
+    assert run("solve", str(lp), "-o", str(sol), "--internal") == EXIT_OK
+    assert sol.exists()
+    # a solver that succeeds without writing must not inherit the old file
+    assert run("solve", str(lp), "-o", str(sol),
+               "--solver-cmd", "true {lp} {sol}") == EXIT_SOLVER
+    assert not sol.exists()
+
+
 def test_solver_env_override(tmp_path, monkeypatch):
     pair = write_pair(tmp_path)
     tree = tmp_path / "tree.tsv"

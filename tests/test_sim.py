@@ -1,8 +1,13 @@
+import hashlib
+import math
+
 import pytest
 
-from spp_dcj.genomes import FamilyAssignment, GenomeError, is_genome, surfeit
-from spp_dcj.sim import (DEFAULT_RATES, EventRecord, SimConfig, _Evolver,
-                         _poisson, add_noise, chromosomes_to_genome,
+from spp_dcj.cli import EXIT_OK, main
+from spp_dcj.genomes import (Adjacency, DegenerateGenome, FamilyAssignment,
+                             GenomeError, is_genome, surfeit)
+from spp_dcj.sim import (DEFAULT_RATES, EventRecord, NoiseReport, SimConfig,
+                         _Evolver, _poisson, add_noise, chromosomes_to_genome,
                          event_rows, evolve, random_tree)
 
 from util import seeded
@@ -138,6 +143,117 @@ def test_add_noise_deterministic():
     n1, _ = add_noise(genome, 1.8, seeded(42), adversarial_fraction=0.5)
     n2, _ = add_noise(genome, 1.8, seeded(42), adversarial_fraction=0.5)
     assert n1 == n2
+
+
+def _reference_add_noise(genome, target_surfeit, rng,
+                         adversarial_fraction=0.0, reference=None,
+                         families=None):
+    """The pair-enumerating sampler that add_noise replaced, kept verbatim
+    to pin its noise stream: it builds every candidate pair, then samples."""
+    if families is None:
+        families = FamilyAssignment()
+    if reference is None:
+        reference = genome
+    extremities = genome.non_telomeric_extremities()
+    goal = math.ceil(target_surfeit * len(extremities) / 2.0)
+    need = goal - len(genome.adjacencies)
+    if need <= 0:
+        return genome, NoiseReport(0, 0, 0, 0)
+
+    existing = set(genome.adjacencies)
+    signatures = set()
+    for adj in reference.adjacencies:
+        a, b = adj.ends
+        if a.is_telomere or b.is_telomere:
+            continue
+        signatures.add(frozenset(((families.of(a), a.kind),
+                                  (families.of(b), b.kind))))
+
+    def signature(a, b):
+        return frozenset(((families.of(a), a.kind), (families.of(b), b.kind)))
+
+    adversarial_pool = []
+    uniform_pool = []
+    for i, a in enumerate(extremities):
+        for b in extremities[i + 1:]:
+            if a.marker == b.marker:
+                continue
+            adj = Adjacency((a, b), 1.0)
+            if adj in existing:
+                continue
+            if signature(a, b) in signatures:
+                adversarial_pool.append(adj)
+            else:
+                uniform_pool.append(adj)
+
+    want_adv = round(need * adversarial_fraction)
+    take_adv = min(want_adv, len(adversarial_pool))
+    fallback = want_adv - take_adv
+    take_uni = need - take_adv
+    if take_uni > len(uniform_pool) + len(adversarial_pool) - take_adv:
+        take_uni = len(uniform_pool) + len(adversarial_pool) - take_adv
+    chosen = rng.sample(adversarial_pool, take_adv)
+    remaining_uniform = uniform_pool + [
+        adj for adj in adversarial_pool if adj not in set(chosen)]
+    extra = rng.sample(remaining_uniform, min(take_uni, len(remaining_uniform)))
+    noisy = DegenerateGenome(genome.species,
+                             list(genome.adjacencies) + chosen + extra)
+    report = NoiseReport(len(chosen) + len(extra), take_adv, len(extra),
+                         fallback)
+    return noisy, report
+
+
+def _same_noise(genome, target, seed, **kwargs):
+    old_rng, new_rng = seeded(seed), seeded(seed)
+    old, old_report = _reference_add_noise(genome, target, old_rng, **kwargs)
+    new, new_report = add_noise(genome, target, new_rng, **kwargs)
+    assert new.adjacencies == old.adjacencies
+    assert vars(new_report) == vars(old_report)
+    assert new_rng.getstate() == old_rng.getstate()
+    return new_report
+
+
+def test_add_noise_matches_pair_enumeration():
+    # duplications repeat (family, kind) keys, so adversarial pairs exist
+    result = evolve(SimConfig(families=15, leaves=3, scale=4.0, seed=21,
+                              rates={"duplication": 0.8, "inversion": 0.4}))
+    reports = []
+    for seed, species in enumerate(sorted(result.genomes)):
+        genome = result.genomes[species]
+        for fraction in (0.0, 0.5, 1.0):
+            for target in (1.3, 2.0):
+                reports.append(_same_noise(genome, target, seed,
+                                           adversarial_fraction=fraction))
+    assert any(r.adversarial > 0 and r.uniform > 0 for r in reports)
+
+    # an explicit reference genome and an explicit family mapping
+    root = result.genomes[result.root]
+    leaf = result.genomes[sorted(result.tree.leaves())[0]]
+    merged = FamilyAssignment({m: "g%d" % (int(m.split(".")[0]) % 4)
+                               for g in (root, leaf) for m in g.markers()})
+    for fraction in (0.5, 1.0):
+        assert _same_noise(leaf, 1.8, 5, adversarial_fraction=fraction,
+                           reference=root).adversarial > 0
+        assert _same_noise(leaf, 1.8, 6, adversarial_fraction=fraction,
+                           reference=root, families=merged).adversarial > 0
+
+    # three markers: nine candidate pairs, so random.sample copies the pool
+    tiny = evolve(SimConfig(families=3, leaves=2, scale=0.0, seed=1))
+    genome = tiny.genomes[tiny.root]
+    assert _same_noise(genome, 1.5, 7, adversarial_fraction=0.5).added == 2
+    # a target beyond every candidate pair takes them all
+    report = _same_noise(genome, 9.0, 8)
+    assert report.added == 9 < math.ceil(9.0 * 6 / 2) - len(genome)
+
+
+def test_simulate_noise_stream_pinned(tmp_path):
+    out = tmp_path / "sim"
+    assert main(["simulate", str(out), "--seed", "1", "--families", "100",
+                 "--leaves", "10", "--scale", "3", "--surfeit", "2.0",
+                 "--adversarial", "1.0"]) == EXIT_OK
+    digest = hashlib.sha256((out / "degenerate.tsv").read_bytes()).hexdigest()
+    assert digest == ("df19a294952ec089012c783b2415c2463db317832ca64e98"
+                      "ed990b2ff5af01de")
 
 
 def test_event_rows():
