@@ -24,7 +24,7 @@ from .diagram import DiagramError, SingletonExplosion
 from .extract import (DISTANCE_HEADER, METRICS_HEADER, DecodeError, audit,
                       decode, distance_rows, evaluate, metrics_rows, validate)
 from .genomes import FamilyAssignment, GenomeError, Phylogeny
-from .ilp import ModelError, build_model, write_lp
+from .ilp import ModelError, build_model, read_idmap, write_lp
 from .linearize import augment, find_nonlinearizable_component
 from .sim import EVENT_HEADER, SimConfig, add_noise, event_rows, evolve
 from .solver import (SOLVER_ENV, SolverError, load_solution,
@@ -74,22 +74,11 @@ def _load_families(path) -> FamilyAssignment:
     return io.read_family_map(path)
 
 
-def _build_from_args(args):
-    tree = io.read_tree(args.tree)
-    genomes = io.read_adjacencies(args.adjacencies)
-    families = _load_families(args.families)
-    for species in sorted(tree.nodes):
-        if species not in genomes:
-            raise ModelError("no adjacencies for phylogeny node %s" % species)
-        bad = find_nonlinearizable_component(genomes[species])
-        if bad is not None:
-            raise ModelError(
-                "genome %s is not linearizable: component {%s} admits no "
-                "derived genome; run 'spp-dcj linearize' first"
-                % (species, ", ".join(e.name for e in bad.component)))
-    return build_model(tree, genomes, families, args.alpha, args.beta,
+def _build(args, tree, genomes):
+    return build_model(tree, genomes, _load_families(args.families),
+                       args.alpha, args.beta,
                        optional_constraints=not args.no_optional_constraints,
-                       reduce_telomeres=not args.no_reduction), genomes
+                       reduce_telomeres=not args.no_reduction)
 
 
 def cmd_linearize(args) -> int:
@@ -101,7 +90,17 @@ def cmd_linearize(args) -> int:
 
 def cmd_build(args) -> int:
     start = time.monotonic()
-    model, _ = _build_from_args(args)
+    tree = io.read_tree(args.tree)
+    genomes = io.read_adjacencies(args.adjacencies)
+    for species in tree.nodes:
+        bad = (find_nonlinearizable_component(genomes[species])
+               if species in genomes else None)
+        if bad is not None:
+            raise ModelError(
+                "genome %s is not linearizable: component {%s} admits no "
+                "derived genome; run 'spp-dcj linearize' first"
+                % (species, ", ".join(e.name for e in bad.component)))
+    model = _build(args, tree, genomes)
     built = time.monotonic()
     write_lp(model, args.output, args.idmap)
     _manifest(args.output + ".manifest.json", "build", {
@@ -119,13 +118,8 @@ def cmd_solve(args) -> int:
         run_solver_command(args.solver_cmd or os.environ[SOLVER_ENV],
                            args.model, args.output, args.time_limit)
     else:
-        # in-process: hand the LP to the bundled HiGHS backend
-        from . import milp_cli
-        rc = milp_cli.main([args.model, args.output]
-                           + (["--time-limit", str(args.time_limit)]
-                              if args.time_limit else []))
-        if rc != 0:
-            raise SolverError("bundled solver failed with exit code %d" % rc)
+        from . import milp_cli  # numpy and scipy load only when used
+        milp_cli.solve_file(args.model, args.output, args.time_limit)
     _manifest(args.output + ".manifest.json", "solve", {
         "model": args.model, "internal": args.internal,
         "solver_cmd": args.solver_cmd, "time_limit": args.time_limit,
@@ -135,18 +129,12 @@ def cmd_solve(args) -> int:
 
 def cmd_extract(args) -> int:
     start = time.monotonic()
-    model, genomes = _build_from_args(args)
-    if args.idmap:
-        declared = set()
-        with open(args.idmap, "r", encoding="utf-8") as handle:
-            for line in handle:
-                if line.startswith("#") or not line.strip():
-                    continue
-                declared.add(line.split("\t", 1)[0])
-        if declared != set(model.variables):
-            raise ModelError(
-                "variable map does not match the rebuilt model; rerun "
-                "extract with the same flags used for build")
+    tree = io.read_tree(args.tree)
+    genomes = io.read_adjacencies(args.adjacencies)
+    model = _build(args, tree, genomes)
+    if args.idmap and read_idmap(args.idmap) != set(model.variables):
+        raise ModelError("variable map does not match the rebuilt model; "
+                         "rerun extract with the same flags used for build")
     reported, assignment = load_solution(model, args.solution)
     decoded = decode(model, assignment)
     validate(model, decoded, genomes)
@@ -183,11 +171,7 @@ def cmd_distance(args) -> int:
         # comparing a genome against itself (or a same-named variant)
         sb = sa + "#2"
         gb = _rename_species(gb, sb)
-    families = _load_families(args.families)
-    model = build_model(Phylogeny([(sa, sb)]), {sa: ga, sb: gb}, families,
-                       args.alpha, args.beta,
-                       optional_constraints=not args.no_optional_constraints,
-                       reduce_telomeres=not args.no_reduction)
+    model = _build(args, Phylogeny([(sa, sb)]), {sa: ga, sb: gb})
     result = solve(model, time_limit=args.time_limit)
     if result.status == "infeasible":
         raise ModelError("no derived genome pair exists; run linearize first")
@@ -273,11 +257,12 @@ def make_parser() -> _Parser:
     p = sub.add_parser("solve", help="solve an LP model")
     p.add_argument("model")
     p.add_argument("-o", "--output", required=True, help="solution file path")
-    p.add_argument("--internal", action="store_true",
-                   help="use the bundled in-process HiGHS backend, ignoring "
-                   "SPP_DCJ_SOLVER")
-    p.add_argument("--solver-cmd", default=None,
-                   help="external command template with {lp}/{sol}")
+    backend = p.add_mutually_exclusive_group()
+    backend.add_argument("--internal", action="store_true",
+                         help="use the bundled in-process HiGHS backend, "
+                         "ignoring SPP_DCJ_SOLVER")
+    backend.add_argument("--solver-cmd", default=None,
+                         help="external command template with {lp}/{sol}")
     p.add_argument("--time-limit", type=float, default=None)
     p.set_defaults(func=cmd_solve)
 
@@ -330,7 +315,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (io.ParseError, OSError) as exc:
+    except (io.ParseError, OSError, UnicodeDecodeError) as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
     except (GenomeError, ModelError, DiagramError, SingletonExplosion,

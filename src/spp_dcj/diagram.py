@@ -517,7 +517,7 @@ def _telomere_matchings(ta: List[Extremity], tb: List[Extremity],
 
 def brute_force_distance(genome_a: DegenerateGenome, genome_b: DegenerateGenome,
                          families: FamilyAssignment,
-                         weights=None, alpha: float = 1.0, beta: float = 0.0,
+                         alpha: float = 1.0, beta: float = 0.0,
                          max_extremities: int = 24) -> OracleResult:
     """Exhaustive optimum of the weighted degenerate DCJ-indel objective.
 
@@ -536,8 +536,6 @@ def brute_force_distance(genome_a: DegenerateGenome, genome_b: DegenerateGenome,
         raise DiagramError("oracle scale: %d extremities > %d"
                            % (total_ext, max_extremities))
     diagram = MultiRelationalDiagram(genome_a, genome_b, families)
-    if weights is None:
-        weights = lambda adj: adj.weight
 
     caps_a, caps_b = diagram.caps_a, diagram.caps_b
     best: Optional[OracleResult] = None
@@ -561,8 +559,8 @@ def brute_force_distance(genome_a: DegenerateGenome, genome_b: DegenerateGenome,
                 use_caps_b = -deficit
             ta = telos_a + caps_a[:use_caps_a]
             tb = telos_b + caps_b[:use_caps_b]
-            weight_sum = (sum(weights(adj) for adj in sel_a)
-                          + sum(weights(adj) for adj in sel_b))
+            weight_sum = (sum(adj.weight for adj in sel_a)
+                          + sum(adj.weight for adj in sel_b))
             for marker_pairs in matchings:
                 base_edges = _oracle_edges(diagram, sel_a, sel_b, marker_pairs,
                                            use_caps_a, use_caps_b)

@@ -18,6 +18,8 @@ from .diagram import (ADJ, DistanceBreakdown, breakdown_from_components,
 from .genomes import DegenerateGenome, FamilyAssignment, is_derived
 from .ilp import EdgeContext, IlpModel
 
+TOL = 1e-6
+
 
 class DecodeError(ValueError):
     pass
@@ -104,10 +106,10 @@ def _structural_objective(model: IlpModel, genomes, distances) -> float:
     return value
 
 
-def audit(model: IlpModel, decoded: DecodedSolution, reported: float,
-          tol: float = 1e-6):
-    """Compare the structural objective with the solver-reported one."""
-    if abs(decoded.objective - reported) > tol:
+def audit(model: IlpModel, decoded: DecodedSolution, reported: float):
+    """Compare the structural objective with the solver-reported one, to
+    within ``TOL``."""
+    if abs(decoded.objective - reported) > TOL:
         raise DecodeError(
             "objective audit failed: structural %r vs reported %r"
             % (decoded.objective, reported))

@@ -98,19 +98,6 @@ class FamilyAssignment:
     def of(self, ext: Extremity) -> str:
         return self.family(ext.marker)
 
-    def is_resolved(self, genomes: Iterable["DegenerateGenome"]) -> bool:
-        """True iff every family has multiplicity <= 1 in every genome."""
-        for g in genomes:
-            seen: Set[Tuple[str, str]] = set()
-            for ext in g.extremities():
-                if ext.is_telomere:
-                    continue
-                key = (self.family(ext.marker), ext.kind)
-                if key in seen:
-                    return False
-                seen.add(key)
-        return True
-
 
 @dataclass(frozen=True)
 class Adjacency:
@@ -233,18 +220,6 @@ class DegenerateGenome:
         return best
 
 
-def multiplicity(genome: DegenerateGenome, family: str, kind: str,
-                 f: FamilyAssignment) -> int:
-    """Number of extremities of the given family and kind in the genome."""
-    if kind not in (TAIL, HEAD):
-        raise GenomeError("multiplicity kind must be tail or head")
-    count = 0
-    for ext in genome.non_telomeric_extremities():
-        if f.family(ext.marker) == family and ext.kind == kind:
-            count += 1
-    return count
-
-
 def family_multiplicities(genome: DegenerateGenome,
                           f: FamilyAssignment) -> Dict[Tuple[str, str], int]:
     """Per (family, kind) extremity counts of a genome."""
@@ -325,6 +300,3 @@ class Phylogeny:
             deg[a] += 1
             deg[b] += 1
         return [n for n in self.nodes if deg[n] == 1]
-
-    def degree(self, node: str) -> int:
-        return sum(1 for a, b in self.edges if node in (a, b))

@@ -19,7 +19,7 @@ to the constant number of shared markers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
 from .diagram import (ADJ, EXT, ID, DiagramEdge, MultiRelationalDiagram,
                       enumerate_circular_singletons)
@@ -407,6 +407,13 @@ def write_lp(model: IlpModel, lp_path, idmap_path=None):
             for var in model.variables.values():
                 handle.write("%s\t%s\t%s\n" % (var.name, var.kind,
                                                var.description))
+
+
+def read_idmap(path) -> Set[str]:
+    """Variable names declared in a map written by ``write_lp``."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return {line.split("\t", 1)[0] for line in handle
+                if line.strip() and not line.startswith("#")}
 
 
 def _num(value: float) -> str:

@@ -1,9 +1,8 @@
 """Bundled MILP backend: solve an LP-format model with scipy's HiGHS.
 
 Understands the LP dialect this package writes (single-line constraints,
-explicit coefficients, Maximize objective) and emits a plain solution file
-of ``<variable> <value>`` lines with an objective header, which is exactly
-what the external-solver bridge consumes.
+explicit coefficients, Maximize objective) and writes the solution with
+``solver.write_solution``, the format the external-solver bridge reads.
 """
 
 from __future__ import annotations
@@ -14,8 +13,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .io import ParseError
+from .solver import SolverError, write_solution
 
-class LpFormatError(ValueError):
+
+class LpFormatError(ParseError):
     pass
 
 
@@ -53,9 +55,9 @@ def _parse_expr(problem: LpProblem, tokens: List[str]) -> Dict[int, float]:
         try:
             coef = float(tok)
         except ValueError:
-            raise LpFormatError("expected coefficient, got %r" % tok)
+            raise ValueError("expected coefficient, got %r" % tok)
         if pos + 1 >= len(tokens):
-            raise LpFormatError("dangling coefficient %r" % tok)
+            raise ValueError("dangling coefficient %r" % tok)
         name = tokens[pos + 1]
         vi = problem.var(name)
         terms[vi] = terms.get(vi, 0.0) + sign * coef
@@ -65,10 +67,12 @@ def _parse_expr(problem: LpProblem, tokens: List[str]) -> Dict[int, float]:
 
 
 def parse_lp(path) -> LpProblem:
+    """Read an LP file; raises ``LpFormatError`` with the path and line
+    number of the first malformed line."""
     problem = LpProblem()
     section = None
     with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
+        for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("\\"):
                 continue
@@ -77,55 +81,61 @@ def parse_lp(path) -> LpProblem:
                            "binaries", "binary", "generals", "general", "end"):
                 section = lowered
                 continue
-            if section in ("maximize", "minimize"):
-                body = line.split(":", 1)[1] if ":" in line else line
-                terms = _parse_expr(problem, body.split())
-                scale = 1.0 if section == "maximize" else -1.0
-                for vi, coef in terms.items():
-                    problem.objective[vi] = (problem.objective.get(vi, 0.0)
-                                             + scale * coef)
-            elif section == "subject to":
-                if ":" not in line:
-                    raise LpFormatError("unnamed constraint: %r" % line)
-                body = line.split(":", 1)[1].split()
-                sense_pos = next((i for i, tok in enumerate(body)
-                                  if tok in ("<=", ">=", "=")), None)
-                if sense_pos is None or sense_pos != len(body) - 2:
-                    raise LpFormatError("malformed constraint: %r" % line)
-                terms = _parse_expr(problem, body[:sense_pos])
-                problem.constraints.append(
-                    (terms, body[sense_pos], float(body[-1])))
-            elif section == "bounds":
-                parts = line.split()
-                if len(parts) == 5 and parts[1] == "<=" and parts[3] == "<=":
-                    vi = problem.var(parts[2])
-                    problem.lower[vi] = float(parts[0])
-                    problem.upper[vi] = float(parts[4])
-                elif len(parts) == 3 and parts[1] in ("<=", ">=", "="):
-                    vi = problem.var(parts[0])
-                    val = float(parts[2])
-                    if parts[1] in ("<=",):
-                        problem.upper[vi] = val
-                    elif parts[1] == ">=":
-                        problem.lower[vi] = val
-                    else:
-                        problem.lower[vi] = problem.upper[vi] = val
-                else:
-                    raise LpFormatError("malformed bound: %r" % line)
-            elif section in ("binaries", "binary"):
-                for name in line.split():
-                    vi = problem.var(name)
-                    problem.integer.add(vi)
-                    problem.lower.setdefault(vi, 0.0)
-                    problem.upper.setdefault(vi, 1.0)
-            elif section in ("generals", "general"):
-                for name in line.split():
-                    problem.integer.add(problem.var(name))
-            elif section == "end":
-                raise LpFormatError("content after End: %r" % line)
-            else:
-                raise LpFormatError("line outside any section: %r" % line)
+            try:
+                _parse_line(problem, section, line)
+            except ValueError as exc:
+                raise LpFormatError(path, lineno, str(exc))
     return problem
+
+
+def _parse_line(problem: LpProblem, section: Optional[str], line: str):
+    if section in ("maximize", "minimize"):
+        body = line.split(":", 1)[1] if ":" in line else line
+        terms = _parse_expr(problem, body.split())
+        scale = 1.0 if section == "maximize" else -1.0
+        for vi, coef in terms.items():
+            problem.objective[vi] = (problem.objective.get(vi, 0.0)
+                                     + scale * coef)
+    elif section == "subject to":
+        if ":" not in line:
+            raise ValueError("unnamed constraint: %r" % line)
+        body = line.split(":", 1)[1].split()
+        sense_pos = next((i for i, tok in enumerate(body)
+                          if tok in ("<=", ">=", "=")), None)
+        if sense_pos is None or sense_pos != len(body) - 2:
+            raise ValueError("malformed constraint: %r" % line)
+        terms = _parse_expr(problem, body[:sense_pos])
+        problem.constraints.append((terms, body[sense_pos], float(body[-1])))
+    elif section == "bounds":
+        parts = line.split()
+        if len(parts) == 5 and parts[1] == "<=" and parts[3] == "<=":
+            vi = problem.var(parts[2])
+            problem.lower[vi] = float(parts[0])
+            problem.upper[vi] = float(parts[4])
+        elif len(parts) == 3 and parts[1] in ("<=", ">=", "="):
+            vi = problem.var(parts[0])
+            val = float(parts[2])
+            if parts[1] in ("<=",):
+                problem.upper[vi] = val
+            elif parts[1] == ">=":
+                problem.lower[vi] = val
+            else:
+                problem.lower[vi] = problem.upper[vi] = val
+        else:
+            raise ValueError("malformed bound: %r" % line)
+    elif section in ("binaries", "binary"):
+        for name in line.split():
+            vi = problem.var(name)
+            problem.integer.add(vi)
+            problem.lower.setdefault(vi, 0.0)
+            problem.upper.setdefault(vi, 1.0)
+    elif section in ("generals", "general"):
+        for name in line.split():
+            problem.integer.add(problem.var(name))
+    elif section == "end":
+        raise ValueError("content after End: %r" % line)
+    else:
+        raise ValueError("line outside any section: %r" % line)
 
 
 def solve(problem: LpProblem, time_limit: Optional[float] = None):
@@ -166,7 +176,24 @@ def solve(problem: LpProblem, time_limit: Optional[float] = None):
     return result
 
 
+def solve_file(lp_path, sol_path, time_limit: Optional[float] = None):
+    """Parse an LP file, solve it with HiGHS and write the solution file.
+
+    Raises ``OSError`` or ``LpFormatError`` on an unreadable or malformed
+    LP and ``SolverError`` when HiGHS ends without an optimal solution.
+    """
+    problem = parse_lp(lp_path)
+    result = solve(problem, time_limit=time_limit)
+    if not result.success:
+        raise SolverError("solver status %s: %s"
+                          % (result.status, result.message))
+    integer = {problem.variables[vi] for vi in problem.integer}
+    write_solution(sol_path, -result.fun, zip(problem.variables, result.x),
+                   integer)
+
+
 def main(argv=None) -> int:
+    """``spp-dcj-milp``: exit 0 solved, 1 no optimal solution, 2 bad input."""
     parser = argparse.ArgumentParser(
         description="Solve an LP-format MILP with HiGHS (via scipy)")
     parser.add_argument("lp", help="input model in LP format")
@@ -174,25 +201,14 @@ def main(argv=None) -> int:
     parser.add_argument("--time-limit", type=float, default=None,
                         help="solver time limit in seconds")
     args = parser.parse_args(argv)
-
     try:
-        problem = parse_lp(args.lp)
-    except (OSError, LpFormatError, ValueError) as exc:
+        solve_file(args.lp, args.sol, time_limit=args.time_limit)
+    except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    result = solve(problem, time_limit=args.time_limit)
-    if not result.success:
-        print("error: solver status %s: %s" % (result.status, result.message),
-              file=sys.stderr)
+    except SolverError as exc:
+        print("error: %s" % exc, file=sys.stderr)
         return 1
-    objective = -result.fun
-    with open(args.sol, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("# Objective value = %.12g\n" % objective)
-        for name, value in zip(problem.variables, result.x):
-            if name in problem.index and \
-                    problem.index[name] in problem.integer:
-                value = round(value)
-            handle.write("%s %.12g\n" % (name, value))
     return 0
 
 

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .genomes import (Adjacency, DegenerateGenome, Extremity,
-                      FamilyAssignment, GenomeError, HEAD, TAIL, Phylogeny,
-                      surfeit)
+                      FamilyAssignment, GenomeError, HEAD, TAIL, Phylogeny)
 
 EVENT_TYPES = ("inversion", "transposition", "duplication", "deletion")
 

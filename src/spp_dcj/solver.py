@@ -9,6 +9,9 @@ Two interchangeable backends:
 * a bridge that shells out to any MILP solver via a command template
   operating on an LP file (``{lp}``/``{sol}`` placeholders), configurable
   through the ``SPP_DCJ_SOLVER`` environment variable.
+
+The solution-file format is written by ``write_solution`` and read by
+``parse_solution`` and ``load_solution``.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .ilp import (BINARY, INTEGER, EdgeContext, IlpModel, recompute_objective,
                   write_lp)
 
 INTERNAL_VARIABLE_CAP = 5000
+TOL = 1e-6  # feasibility, integrality and objective tolerance
 BRANCH_CLASSES = ("adj", "capadj", "edge", "o", "capo")
 
 SOLVER_ENV = "SPP_DCJ_SOLVER"
@@ -334,21 +338,21 @@ def _assign_runs(ctx: EdgeContext, comp, nodes, assignment):
         assignment[ctx.t_vars[comp.edges[pos].index]] = 1.0
 
 
-def verify_assignment(model: IlpModel, assignment: Dict[str, float],
-                      tol: float = 1e-6):
-    """Numerically check every constraint, bound and integrality condition."""
+def verify_assignment(model: IlpModel, assignment: Dict[str, float]):
+    """Numerically check every constraint, bound and integrality condition
+    to within ``TOL``."""
     for var in model.variables.values():
         val = assignment.get(var.name, 0.0)
-        if val < var.lb - tol or val > var.ub + tol:
+        if val < var.lb - TOL or val > var.ub + TOL:
             raise SolverError("variable %s=%r out of bounds [%r, %r]"
                               % (var.name, val, var.lb, var.ub))
-        if var.kind in (BINARY, INTEGER) and abs(val - round(val)) > tol:
+        if var.kind in (BINARY, INTEGER) and abs(val - round(val)) > TOL:
             raise SolverError("variable %s=%r not integral" % (var.name, val))
     for con in model.constraints:
         lhs = sum(coef * assignment.get(name, 0.0) for coef, name in con.terms)
-        ok = {"<=": lhs <= con.rhs + tol,
-              ">=": lhs >= con.rhs - tol,
-              "=": abs(lhs - con.rhs) <= tol}[con.sense]
+        ok = {"<=": lhs <= con.rhs + TOL,
+              ">=": lhs >= con.rhs - TOL,
+              "=": abs(lhs - con.rhs) <= TOL}[con.sense]
         if not ok:
             raise SolverError("constraint %s violated: %r %s %r"
                               % (con.name, lhs, con.sense, con.rhs))
@@ -404,11 +408,23 @@ def solve_external(model: IlpModel, command: Optional[str] = None,
         reported, assignment = load_solution(model, sol_path)
     verify_assignment(model, assignment)
     objective = recompute_objective(model, assignment)
-    if reported is not None and abs(reported - objective) > 1e-6:
+    if reported is not None and abs(reported - objective) > TOL:
         raise SolverError("objective mismatch: solver reported %r, "
                           "recomputed %r" % (reported, objective))
     return SolveResult("optimal", objective, assignment,
                        wall_time=time.monotonic() - start)
+
+
+def write_solution(path, objective: float, values, integer):
+    """Write ``(name, value)`` pairs under an objective header, rounding
+    the values of the names in ``integer``; the format ``parse_solution``
+    reads."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("# Objective value = %.12g\n" % objective)
+        for name, value in values:
+            if name in integer:
+                value = round(value)
+            handle.write("%s %.12g\n" % (name, value))
 
 
 def parse_solution(path) -> Tuple[Optional[float], Dict[str, float]]:
@@ -444,7 +460,7 @@ def load_solution(model: IlpModel, path
                   ) -> Tuple[Optional[float], Dict[str, float]]:
     """Solution file values for every variable of ``model``.
 
-    Binary and integer values are rounded after a 1e-6 integrality check;
+    Binary and integer values are rounded after a ``TOL`` integrality check;
     names the model does not declare are ignored.  Returns the reported
     objective (or None) and the assignment; raises ``SolverError`` on a
     missing variable or a non-integral value.
@@ -457,7 +473,7 @@ def load_solution(model: IlpModel, path
         val = raw[name]
         if var.kind in (BINARY, INTEGER):
             rounded = round(val)
-            if abs(val - rounded) > 1e-6:
+            if abs(val - rounded) > TOL:
                 raise SolverError("non-integral value %r for %s"
                                   % (val, name))
             val = float(rounded)

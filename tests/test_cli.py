@@ -4,11 +4,13 @@ import sys
 
 import pytest
 
-from spp_dcj import io
+from spp_dcj import cli, io
 from spp_dcj.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE, EXIT_SOLVER,
-                         main)
+                         EXIT_USAGE, main)
 from spp_dcj.extract import evaluate
-from spp_dcj.genomes import is_genome
+from spp_dcj.genomes import FamilyAssignment, Phylogeny, is_genome
+from spp_dcj.ilp import build_model
+from spp_dcj.solver import write_solution
 
 from util import build_genome, invert_segment, seeded
 
@@ -163,8 +165,9 @@ def test_parse_error_exit_codes(tmp_path):
                str(tmp_path / "o.tsv")) == EXIT_PARSE
 
 
-def test_build_rejects_nonlinearizable(tmp_path):
-    # triangle component admits no derived genome
+def write_triangle(tmp_path):
+    """A pair whose genome A has a triangle component, which admits no
+    derived genome, and a tree joining A and B."""
     tri = tmp_path / "tri.tsv"
     tri.write_text("\n".join([
         "A\t1.1_t\t1.1_h\t1",
@@ -176,8 +179,50 @@ def test_build_rejects_nonlinearizable(tmp_path):
     ]) + "\n")
     tree = tmp_path / "tree.tsv"
     tree.write_text("A\tB\n")
+    return tri, tree
+
+
+def test_build_rejects_nonlinearizable(tmp_path):
+    tri, tree = write_triangle(tmp_path)
     rc = run("build", str(tree), str(tri), "-o", str(tmp_path / "m.lp"))
     assert rc == EXIT_INFEASIBLE
+
+
+def test_extract_rejects_nonlinearizable(tmp_path):
+    # extract no longer runs the linearizability check: validate must
+    # reject any solution, here the all-zero one
+    tri, tree = write_triangle(tmp_path)
+    model = build_model(Phylogeny([("A", "B")]), io.read_adjacencies(tri),
+                        FamilyAssignment(), 0.5, 0.25)
+    sol = tmp_path / "m.sol"
+    write_solution(sol, 0.0, ((name, 0.0) for name in model.variables), ())
+    genomes = tmp_path / "g.tsv"
+    rc = run("extract", str(sol), str(tree), str(tri),
+             "--genomes-out", str(genomes),
+             "--distances-out", str(tmp_path / "d.tsv"))
+    assert rc != EXIT_OK
+    assert not genomes.exists()
+
+
+def test_pipeline_checks_linearizability_once(tmp_path, monkeypatch):
+    calls = []
+    check = cli.find_nonlinearizable_component
+
+    def counted(genome):
+        calls.append(genome.species)
+        return check(genome)
+
+    monkeypatch.setattr(cli, "find_nonlinearizable_component", counted)
+    pair = write_pair(tmp_path)
+    tree = tmp_path / "tree.tsv"
+    tree.write_text("A\tB\n")
+    lp, sol = tmp_path / "m.lp", tmp_path / "m.sol"
+    assert run("build", str(tree), str(pair), "-o", str(lp)) == EXIT_OK
+    assert run("solve", str(lp), "-o", str(sol), "--internal") == EXIT_OK
+    assert run("extract", str(sol), str(tree), str(pair),
+               "--genomes-out", str(tmp_path / "g.tsv"),
+               "--distances-out", str(tmp_path / "d.tsv")) == EXIT_OK
+    assert sorted(calls) == ["A", "B"]
 
 
 def test_build_rejects_missing_node_genome(tmp_path):
@@ -196,6 +241,28 @@ def test_solver_failure_exit_code(tmp_path):
     assert run("build", str(tree), str(pair), "-o", str(lp)) == EXIT_OK
     assert run("solve", str(lp), "-o", str(tmp_path / "m.sol"),
                "--solver-cmd", "false {lp} {sol}") == EXIT_SOLVER
+
+
+def test_solve_internal_bad_model_is_parse_error(tmp_path, capsys):
+    sol = tmp_path / "m.sol"
+    assert run("solve", str(tmp_path / "nope.lp"), "-o", str(sol),
+               "--internal") == EXIT_PARSE
+    bad = tmp_path / "bad.lp"
+    bad.write_text("Maximize\n obj: 1 x\nSubject To\n c1: 1 x <= one\nEnd\n")
+    capsys.readouterr()
+    assert run("solve", str(bad), "-o", str(sol), "--internal") == EXIT_PARSE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "bad.lp:4:" in err[0]
+    bad.write_bytes(b"Maximize\n obj: 1 x\n\xff\n")
+    assert run("solve", str(bad), "-o", str(sol), "--internal") == EXIT_PARSE
+    assert not sol.exists()
+
+
+def test_solve_backend_flags_exclusive(tmp_path):
+    with pytest.raises(SystemExit) as err:
+        run("solve", str(tmp_path / "m.lp"), "-o", str(tmp_path / "m.sol"),
+            "--internal", "--solver-cmd", MILP_CMD)
+    assert err.value.code == EXIT_USAGE
 
 
 def test_solve_rejects_stale_solution_file(tmp_path):

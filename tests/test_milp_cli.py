@@ -3,7 +3,8 @@ import pytest
 from spp_dcj import milp_cli
 from spp_dcj.genomes import FamilyAssignment, Phylogeny
 from spp_dcj.ilp import build_model, write_lp
-from spp_dcj.solver import parse_solution, solve_internal
+from spp_dcj.io import ParseError
+from spp_dcj.solver import SolverError, parse_solution, solve_internal
 
 from util import random_degenerate_pair, seeded
 
@@ -36,17 +37,23 @@ def test_parse_lp(tmp_path):
     assert problem.upper[0] == 1.0 and problem.upper[2] == 2.0
 
 
-@pytest.mark.parametrize("text", [
-    "Maximize\n obj: 3 x\nSubject To\n c: 3 x 1\nEnd\n",   # no sense token
-    "Maximize\n obj: x\nEnd\n",                            # bare variable
-    "Subject To\n 1 x <= 1\nEnd\n",                        # unnamed row
-    "stray line\n",                                        # outside sections
-])
+BAD_LP = {  # text -> number of the first malformed line
+    "Maximize\n obj: 3 x\nSubject To\n c: 3 x 1\nEnd\n": 4,  # no sense
+    "Maximize\n obj: x\nEnd\n": 2,  # bare variable
+    "Subject To\n 1 x <= 1\nEnd\n": 2,  # unnamed row
+    "Subject To\n c: 1 x <= one\nEnd\n": 2,  # bad number
+    "stray line\n": 1,  # outside sections
+}
+
+
+@pytest.mark.parametrize("text", list(BAD_LP))
 def test_parse_lp_errors(tmp_path, text):
     path = tmp_path / "m.lp"
     path.write_text(text)
-    with pytest.raises((milp_cli.LpFormatError, ValueError)):
+    with pytest.raises(milp_cli.LpFormatError) as err:
         milp_cli.parse_lp(path)
+    assert isinstance(err.value, ParseError)
+    assert (err.value.path, err.value.lineno) == (path, BAD_LP[text])
 
 
 def test_solve_small(tmp_path):
@@ -70,6 +77,9 @@ def test_main_exit_codes(tmp_path):
     infeasible.write_text("Maximize\n obj: 1 x\nSubject To\n"
                           " c1: 1 x >= 2\nBinaries\n x\nEnd\n")
     assert milp_cli.main([str(infeasible), str(tmp_path / "o.sol")]) == 1
+    with pytest.raises(SolverError):
+        milp_cli.solve_file(infeasible, tmp_path / "o.sol")
+    assert not (tmp_path / "o.sol").exists()
 
 
 def test_round_trip_with_model(tmp_path):

@@ -8,7 +8,8 @@ from spp_dcj.ilp import build_model
 from spp_dcj.solver import (INTERNAL_VARIABLE_CAP, SolverError, _Propagator,
                             complete_assignment, load_solution,
                             parse_solution, solve, solve_external,
-                            solve_internal, verify_assignment)
+                            solve_internal, verify_assignment,
+                            write_solution)
 
 from util import build_genome, random_degenerate_pair, seeded
 
@@ -131,6 +132,16 @@ def test_external_bridge_bad_command():
         solve_external(model, command="no-placeholders")
     with pytest.raises(SolverError):
         solve_external(model, command="false {lp} {sol}")
+
+
+def test_write_solution_format(tmp_path):
+    path = tmp_path / "model.sol"
+    write_solution(path, 2.0, [("x", 0.9999999999996), ("y", 1 / 3),
+                               ("z", 7.0)], {"x", "z"})
+    assert path.read_text() == ("# Objective value = 2\nx 1\n"
+                                "y 0.333333333333\nz 7\n")
+    assert parse_solution(path) == (2.0, {"x": 1.0, "y": 0.333333333333,
+                                          "z": 7.0})
 
 
 def test_parse_solution(tmp_path):
