@@ -8,7 +8,7 @@ superposition of candidate gene orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import total_ordering
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
@@ -26,22 +26,42 @@ class GenomeError(ValueError):
 
 
 @total_ordering
-@dataclass(frozen=True)
 class Extremity:
-    species: str
-    marker: str
-    kind: str  # TAIL, HEAD or TELO
+    """Immutable ``(species, marker, kind)`` value, kind TAIL, HEAD or TELO.
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise GenomeError("invalid extremity kind %r" % (self.kind,))
-        if self.is_telomere != (self.kind == TELO):
+    Equality, hashing and order are those of the ``(species, marker, kind)``
+    tuple.  Models hold hundreds of thousands of extremities in sets, dict
+    keys and sorted lists, so the key, its hash and ``is_telomere`` are
+    computed once, in the constructor.
+    """
+
+    __slots__ = ("species", "marker", "kind", "is_telomere", "_key", "_hash")
+
+    def __init__(self, species: str, marker: str, kind: str):
+        if kind not in KINDS:
+            raise GenomeError("invalid extremity kind %r" % (kind,))
+        is_telomere = (marker.startswith(TELOMERE_PREFIX)
+                       or marker.startswith("cap."))
+        if is_telomere != (kind == TELO):
             raise GenomeError(
-                "telomere naming mismatch for %s_%s" % (self.marker, self.kind))
+                "telomere naming mismatch for %s_%s" % (marker, kind))
+        key = (species, marker, kind)
+        init = object.__setattr__
+        init(self, "species", species)
+        init(self, "marker", marker)
+        init(self, "kind", kind)
+        init(self, "is_telomere", is_telomere)
+        init(self, "_key", key)
+        init(self, "_hash", hash(key))
 
-    @property
-    def is_telomere(self) -> bool:
-        return self.marker.startswith(TELOMERE_PREFIX) or self.marker.startswith("cap.")
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return Extremity, self._key
 
     @property
     def name(self) -> str:
@@ -53,11 +73,16 @@ class Extremity:
             raise GenomeError("telomere %s has a single extremity" % self.name)
         return Extremity(self.species, self.marker, HEAD if self.kind == TAIL else TAIL)
 
-    def sort_key(self):
-        return (self.species, self.marker, self.kind)
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not Extremity:
+            return NotImplemented
+        return self is other or self._key == other._key
 
     def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
+        return self._key < other._key
 
     def __repr__(self):
         return "%s:%s" % (self.species, self.name)

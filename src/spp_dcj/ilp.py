@@ -18,6 +18,8 @@ to the constant number of shared markers.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
@@ -35,7 +37,7 @@ class ModelError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Variable:
     name: str
     kind: str  # BINARY, CONTINUOUS or INTEGER
@@ -45,7 +47,7 @@ class Variable:
     description: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Constraint:
     name: str
     terms: List[Tuple[float, str]]  # (coefficient, variable name)
@@ -99,6 +101,25 @@ class IlpModel:
         self.objective[var] = self.objective.get(var, 0.0) + coef
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, restoring the caller's state; also
+    usable as a decorator.
+
+    The model builders allocate hundreds of thousands of acyclic records
+    (variables, rows, terms, extremities) that stay alive; every automatic
+    collection would rescan all of them and free nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_gc_paused()
 def build_model(tree: Phylogeny, genomes: Dict[str, DegenerateGenome],
                 families: FamilyAssignment, alpha: float, beta: float,
                 optional_constraints: bool = True,
@@ -222,7 +243,7 @@ def build_objective(model: IlpModel):
     """Populate the objective from the declared variables."""
     alpha, beta = model.alpha, model.beta
     wcoef = 1 - alpha - beta
-    for species, adj_vars in sorted(model.adjacency_vars.items()):
+    for _, adj_vars in sorted(model.adjacency_vars.items()):
         for adj, name in adj_vars.items():
             if wcoef != 0 and adj.weight != 0:
                 model.add_objective(name, wcoef * adj.weight)

@@ -54,7 +54,6 @@ def _components(g: DegenerateGenome) -> List[List[Extremity]]:
 
 
 def _classify(g: DegenerateGenome, comp: List[Extremity]) -> str:
-    nodes = set(comp)
     edges = {adj for node in comp for adj in g.incident(node)}
     if len(comp) % 2 != 0:
         return NEEDS_AUGMENTATION

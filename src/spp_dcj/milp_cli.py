@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
+from .ilp import _gc_paused
 from .io import ParseError
 from .solver import SolverError, write_solution
 
@@ -22,50 +23,60 @@ class LpFormatError(ParseError):
 
 
 class LpProblem:
+    """An LP model in the form the HiGHS call takes: columns numbered in
+    order of first appearance, the constraint matrix as parallel
+    (row, column, value) lists and one [lower, upper] range per row."""
+
     def __init__(self):
         self.variables: List[str] = []
         self.index: Dict[str, int] = {}
         self.objective: Dict[int, float] = {}
-        self.constraints: List[Tuple[Dict[int, float], str, float]] = []
+        self.rows: List[int] = []
+        self.cols: List[int] = []
+        self.values: List[float] = []
+        self.row_lower: List[float] = []
+        self.row_upper: List[float] = []
         self.lower: Dict[int, float] = {}
         self.upper: Dict[int, float] = {}
         self.integer: set = set()
 
     def var(self, name: str) -> int:
-        if name not in self.index:
-            self.index[name] = len(self.variables)
+        vi = self.index.get(name)
+        if vi is None:
+            vi = self.index[name] = len(self.variables)
             self.variables.append(name)
-        return self.index[name]
+        return vi
 
 
-def _parse_expr(problem: LpProblem, tokens: List[str]) -> Dict[int, float]:
-    terms: Dict[int, float] = {}
+_SENSES = frozenset(("<=", ">=", "="))
+
+
+def _parse_terms(problem: LpProblem, tokens: List[str], cols: List[int],
+                 values: List[float]):
+    """Append the column and signed coefficient of every ``[+|-] coef name``
+    term to ``cols`` and ``values``."""
     sign = 1.0
-    pos = 0
-    while pos < len(tokens):
-        tok = tokens[pos]
+    tokens = iter(tokens)
+    for tok in tokens:
         if tok == "+":
             sign = 1.0
-            pos += 1
             continue
         if tok == "-":
             sign = -1.0
-            pos += 1
             continue
         try:
             coef = float(tok)
         except ValueError:
             raise ValueError("expected coefficient, got %r" % tok)
-        if pos + 1 >= len(tokens):
+        name = next(tokens, None)
+        if name is None:
             raise ValueError("dangling coefficient %r" % tok)
-        name = tokens[pos + 1]
-        vi = problem.var(name)
-        terms[vi] = terms.get(vi, 0.0) + sign * coef
+        cols.append(problem.var(name))
+        values.append(sign * coef)
         sign = 1.0
-        pos += 2
-    return terms
 
 
+@_gc_paused()
 def parse_lp(path) -> LpProblem:
     """Read an LP file; raises ``LpFormatError`` with the path and line
     number of the first malformed line."""
@@ -89,30 +100,37 @@ def parse_lp(path) -> LpProblem:
 
 
 def _parse_line(problem: LpProblem, section: Optional[str], line: str):
-    if section in ("maximize", "minimize"):
+    if section == "subject to":
+        _, colon, body = line.partition(":")
+        if not colon:
+            raise ValueError("unnamed constraint: %r" % line)
+        tokens = body.split()
+        if (len(tokens) < 2 or tokens[-2] not in _SENSES
+                or not _SENSES.isdisjoint(tokens[:-2])):
+            raise ValueError("malformed constraint: %r" % line)
+        start = len(problem.cols)
+        _parse_terms(problem, tokens[:-2], problem.cols, problem.values)
+        sense, rhs = tokens[-2], float(tokens[-1])
+        problem.rows.extend([len(problem.row_lower)]
+                            * (len(problem.cols) - start))
+        problem.row_lower.append(-np.inf if sense == "<=" else rhs)
+        problem.row_upper.append(np.inf if sense == ">=" else rhs)
+    elif section in ("maximize", "minimize"):
         body = line.split(":", 1)[1] if ":" in line else line
-        terms = _parse_expr(problem, body.split())
+        cols: List[int] = []
+        values: List[float] = []
+        _parse_terms(problem, body.split(), cols, values)
         scale = 1.0 if section == "maximize" else -1.0
-        for vi, coef in terms.items():
+        for vi, coef in zip(cols, values):
             problem.objective[vi] = (problem.objective.get(vi, 0.0)
                                      + scale * coef)
-    elif section == "subject to":
-        if ":" not in line:
-            raise ValueError("unnamed constraint: %r" % line)
-        body = line.split(":", 1)[1].split()
-        sense_pos = next((i for i, tok in enumerate(body)
-                          if tok in ("<=", ">=", "=")), None)
-        if sense_pos is None or sense_pos != len(body) - 2:
-            raise ValueError("malformed constraint: %r" % line)
-        terms = _parse_expr(problem, body[:sense_pos])
-        problem.constraints.append((terms, body[sense_pos], float(body[-1])))
     elif section == "bounds":
         parts = line.split()
         if len(parts) == 5 and parts[1] == "<=" and parts[3] == "<=":
             vi = problem.var(parts[2])
             problem.lower[vi] = float(parts[0])
             problem.upper[vi] = float(parts[4])
-        elif len(parts) == 3 and parts[1] in ("<=", ">=", "="):
+        elif len(parts) == 3 and parts[1] in _SENSES:
             vi = problem.var(parts[0])
             val = float(parts[2])
             if parts[1] in ("<=",):
@@ -139,7 +157,7 @@ def _parse_line(problem: LpProblem, section: Optional[str], line: str):
 
 
 def solve(problem: LpProblem, time_limit: Optional[float] = None):
-    from scipy.optimize import LinearConstraint, milp
+    from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csr_matrix
 
     nvar = len(problem.variables)
@@ -156,21 +174,13 @@ def solve(problem: LpProblem, time_limit: Optional[float] = None):
     for vi in problem.integer:
         integrality[vi] = 1
 
-    rows, cols, data, clo, cup = [], [], [], [], []
-    for ri, (terms, sense, rhs) in enumerate(problem.constraints):
-        for vi, coef in terms.items():
-            rows.append(ri)
-            cols.append(vi)
-            data.append(coef)
-        clo.append(rhs if sense in (">=", "=") else -np.inf)
-        cup.append(rhs if sense in ("<=", "=") else np.inf)
-    matrix = csr_matrix((data, (rows, cols)),
-                        shape=(len(problem.constraints), nvar))
+    matrix = csr_matrix((problem.values, (problem.rows, problem.cols)),
+                        shape=(len(problem.row_lower), nvar))
     options = {"mip_rel_gap": 0.0}
     if time_limit:
         options["time_limit"] = time_limit
-    from scipy.optimize import Bounds
-    result = milp(c, constraints=LinearConstraint(matrix, clo, cup),
+    result = milp(c, constraints=LinearConstraint(matrix, problem.row_lower,
+                                                  problem.row_upper),
                   integrality=integrality, bounds=Bounds(lb, ub),
                   options=options)
     return result

@@ -142,7 +142,6 @@ def solve_internal(model: IlpModel, time_limit: Optional[float] = None
     for ctx in model.contexts:
         per_side = {}
         for side in ("A", "B"):
-            genome = ctx.diagram.genome_a if side == "A" else ctx.diagram.genome_b
             non_telo = [n for n in ctx.diagram.nodes
                         if not n.is_telomere and ctx.diagram.side_of(n) == side]
             telo = [n for n in ctx.diagram.telomeric_nodes()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import sys
@@ -223,6 +224,28 @@ def test_pipeline_checks_linearizability_once(tmp_path, monkeypatch):
                "--genomes-out", str(tmp_path / "g.tsv"),
                "--distances-out", str(tmp_path / "d.tsv")) == EXIT_OK
     assert sorted(calls) == ["A", "B"]
+
+
+def test_build_model_bytes_pinned(tmp_path):
+    """The LP and the variable map of a fixed instance, byte for byte.
+
+    HiGHS's branch-and-bound path depends on the row and column order, so
+    any change to either shows here.  Digests measured with Python 3.11.7;
+    the instance has every row block but C.11 (its genomes have no
+    telomeres).
+    """
+    out = tmp_path / "sim"
+    assert run("simulate", str(out), "--seed", "1", "--families", "20",
+               "--leaves", "5", "--scale", "3", "--surfeit", "1.5",
+               "--adversarial", "0.5") == EXIT_OK
+    lp, idmap = tmp_path / "model.lp", tmp_path / "idmap.tsv"
+    assert run("build", str(out / "tree.tsv"), str(out / "degenerate.tsv"),
+               "-o", str(lp), "--idmap", str(idmap)) == EXIT_OK
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (lp, idmap)]
+    assert digests == [
+        "dcb06c3b3584e12c1bd457da2db52ad8f1be5e8904003121142e575d215d2572",
+        "c33b779121769223a9d42bcfb5187042e325b899ff82043419787fbfc12d2724"]
 
 
 def test_build_rejects_missing_node_genome(tmp_path):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from spp_dcj.genomes import (Adjacency, DegenerateGenome, Extremity,
@@ -32,6 +35,47 @@ def test_extremity_validation():
         Extremity("A", "t.1", TAIL)  # telomere marker, marker kind
     with pytest.raises(GenomeError):
         Extremity("A", "5.1", TELO)  # marker name, telomere kind
+    with pytest.raises(GenomeError):
+        Extremity("A", "cap.1", HEAD)  # capping telomere, marker kind
+
+
+def test_extremity_value_contract():
+    keys = [("B", "1.1", TAIL), ("A", "2.1", HEAD), ("A", "1.1", TAIL),
+            ("A", "1.1", HEAD), ("A", "t.1", TELO), ("A", "cap.2", TELO)]
+    first = [Extremity(*key) for key in keys]
+    second = [Extremity(*key) for key in keys]  # equal, not identical
+    for x, kx in zip(first, keys):
+        assert hash(x) == hash(kx)
+        assert x.is_telomere == (kx[2] == TELO)
+        assert x != kx  # a plain tuple is not an extremity
+        for y, ky in zip(second, keys):
+            assert (x == y) == (kx == ky)
+            assert (x != y) == (kx != ky)
+            assert (x < y) == (kx < ky)
+            assert (x <= y) == (kx <= ky)
+            assert (x > y) == (kx > ky)
+            assert (x >= y) == (kx >= ky)
+    assert sorted(first) == [Extremity(*key) for key in sorted(keys)]
+    assert len(set(first) | set(second)) == len(keys)
+    table = dict(zip(first, range(len(keys))))
+    assert [table[e] for e in second] == list(range(len(keys)))
+    e = first[0]
+    assert pickle.loads(pickle.dumps(e)) == e
+    assert copy.deepcopy(e) == e
+
+
+def test_extremity_is_immutable():
+    e = ext("5.1", TAIL)
+    with pytest.raises(AttributeError):
+        e.kind = HEAD
+    with pytest.raises(AttributeError):
+        e.is_telomere = True
+    with pytest.raises(AttributeError):
+        e.label = "new"
+    with pytest.raises(AttributeError):
+        del e.marker
+    assert (e.species, e.marker, e.kind, e.is_telomere) == ("A", "5.1", TAIL,
+                                                            False)
 
 
 def test_parse_extremity():

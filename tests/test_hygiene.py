@@ -1,4 +1,5 @@
-"""Source hygiene: every name a ``spp_dcj`` module imports is used there."""
+"""Source hygiene: every name a ``spp_dcj`` module imports is used there,
+and every local a function assigns is read somewhere in it."""
 
 import ast
 import pathlib
@@ -48,3 +49,45 @@ def test_no_unused_imports(path):
               for name, line in _imported(tree) if name not in used]
     assert not unused, "%s imports unused names: %s" % (path.name,
                                                          ", ".join(unused))
+
+
+def _dead_locals(tree):
+    """(function, name, line) of every local that a function (or a function
+    nested in it) stores but never reads.  Names starting with ``_`` are
+    deliberate throwaways; ``global``/``nonlocal`` names count as read."""
+    dead = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, read = {}, set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Store):
+                    stored.setdefault(node.id, node.lineno)
+                else:
+                    read.add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+        dead.update((func.name, name, line) for name, line in stored.items()
+                    if name not in read and not name.startswith("_"))
+    return sorted(dead, key=lambda entry: entry[2])
+
+
+def test_dead_local_check_catches_unread_names():
+    tree = ast.parse("def f(xs):\n"
+                     "    unused = len(xs)\n"
+                     "    for key, value in xs:\n"
+                     "        total = value\n"
+                     "    _, kept = xs\n"
+                     "    return kept\n")
+    assert _dead_locals(tree) == [("f", "unused", 2), ("f", "key", 3),
+                                  ("f", "total", 4)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_locals(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    dead = ["%s in %s (line %d)" % (name, func, line)
+            for func, name, line in _dead_locals(tree)]
+    assert not dead, "%s assigns locals it never reads: %s" % (
+        path.name, ", ".join(dead))

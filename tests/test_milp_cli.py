@@ -1,8 +1,10 @@
+import math
+
 import pytest
 
 from spp_dcj import milp_cli
 from spp_dcj.genomes import FamilyAssignment, Phylogeny
-from spp_dcj.ilp import build_model, write_lp
+from spp_dcj.ilp import BINARY, INTEGER, build_model, write_lp
 from spp_dcj.io import ParseError
 from spp_dcj.solver import SolverError, parse_solution, solve_internal
 
@@ -30,9 +32,12 @@ def test_parse_lp(tmp_path):
     problem = milp_cli.parse_lp(path)
     assert problem.variables == ["x", "y", "z"]
     assert problem.objective == {0: 3.0, 1: 2.0, 2: -1.0}
-    assert len(problem.constraints) == 2
-    terms, sense, rhs = problem.constraints[0]
-    assert (terms, sense, rhs) == ({0: 1.0, 1: 1.0}, "<=", 1.0)
+    # c1: x + y <= 1, c2: y + z >= 1, as (row, column, value) entries
+    assert problem.rows == [0, 0, 1, 1]
+    assert problem.cols == [0, 1, 1, 2]
+    assert problem.values == [1.0, 1.0, 1.0, 1.0]
+    assert problem.row_lower == [-math.inf, 1.0]
+    assert problem.row_upper == [1.0, math.inf]
     assert problem.integer == {0, 1, 2}
     assert problem.upper[0] == 1.0 and problem.upper[2] == 2.0
 
@@ -95,3 +100,45 @@ def test_round_trip_with_model(tmp_path):
     reported, _ = parse_solution(sol)
     internal = solve_internal(model)
     assert reported == pytest.approx(internal.objective, abs=1e-6)
+
+
+def _rows_of(problem):
+    """Per row: ({variable: coefficient}, lower, upper)."""
+    terms = [{} for _ in problem.row_lower]
+    for row, col, value in zip(problem.rows, problem.cols, problem.values):
+        name = problem.variables[col]
+        terms[row][name] = terms[row].get(name, 0.0) + value
+    return list(zip(terms, problem.row_lower, problem.row_upper))
+
+
+@pytest.mark.parametrize("seed", [83, 84, 85, 86])
+def test_write_then_parse_returns_the_model(tmp_path, seed):
+    rng = seeded(seed)
+    a, b = random_degenerate_pair(rng, extra_linear=True)
+    model = build_model(Phylogeny([("A", "B")]), {"A": a, "B": b},
+                        FamilyAssignment(), alpha=0.5, beta=0.25)
+    lp = tmp_path / "m.lp"
+    write_lp(model, lp)
+    problem = milp_cli.parse_lp(lp)
+
+    assert sorted(problem.variables) == sorted(model.variables)
+    assert {problem.variables[vi]: coef
+            for vi, coef in problem.objective.items()} == {
+        name: coef for name, coef in model.objective.items() if coef != 0}
+    assert {problem.variables[vi] for vi in problem.integer} == {
+        var.name for var in model.variables.values()
+        if var.kind in (BINARY, INTEGER)}
+    for var in model.variables.values():
+        vi = problem.index[var.name]
+        assert (problem.lower[vi], problem.upper[vi]) == (var.lb, var.ub)
+
+    rows = _rows_of(problem)
+    assert len(rows) == len(model.constraints)
+    for con, (terms, lower, upper) in zip(model.constraints, rows):
+        expected = {}
+        for coef, name in con.terms:
+            expected[name] = expected.get(name, 0.0) + coef
+        assert terms == expected, con.name
+        bounds = {"<=": (-math.inf, con.rhs), ">=": (con.rhs, math.inf),
+                  "=": (con.rhs, con.rhs)}[con.sense]
+        assert (lower, upper) == bounds, con.name
