@@ -374,7 +374,10 @@ class Component:
 
 
 def decompose(selected: Sequence[DiagramEdge]) -> List[Component]:
-    """Split a selected edge set whose nodes all have degree 2 into cycles."""
+    """Split a selected edge set whose nodes all have degree 2 into cycles.
+
+    Each cycle starts at its lowest-indexed edge; cycles come in the order
+    of those edges."""
     at: Dict[Extremity, List[DiagramEdge]] = {}
     for edge in selected:
         at.setdefault(edge.u, []).append(edge)
@@ -383,18 +386,19 @@ def decompose(selected: Sequence[DiagramEdge]) -> List[Component]:
         if len(incident) != 2:
             raise DiagramError("node %s has degree %d in solution"
                                % (node, len(incident)))
-    remaining = {e.index: e for e in selected}
+    used: Set[int] = set()
     components = []
-    while remaining:
-        start_edge = remaining[min(remaining)]
+    for start_edge in sorted(selected, key=lambda e: e.index):
+        if start_edge.index in used:
+            continue
         ordered = [start_edge]
-        del remaining[start_edge.index]
+        used.add(start_edge.index)
         head = start_edge.v
         origin = start_edge.u
         while head != origin:
-            nxt = next(e for e in at[head] if e.index in remaining)
+            nxt = next(e for e in at[head] if e.index not in used)
             ordered.append(nxt)
-            del remaining[nxt.index]
+            used.add(nxt.index)
             head = nxt.other(head)
         components.append(Component(ordered, closed=True))
     return components

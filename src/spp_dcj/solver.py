@@ -4,8 +4,8 @@ Two interchangeable backends:
 
 * an internal exact branch-and-bound that only branches on the structural
   binaries (adjacency, extremity/indel edge and presence variables) and
-  derives all counting variables per leaf from the induced cycle
-  decomposition, and
+  scores each leaf from the induced cycle decomposition on integer tables
+  built once per solve, and
 * a bridge that shells out to any MILP solver via a command template
   operating on an LP file (``{lp}``/``{sol}`` placeholders), configurable
   through the ``SPP_DCJ_SOLVER`` environment variable.
@@ -46,6 +46,7 @@ class SolveResult:
     assignment: Dict[str, float]
     gap: float = 0.0
     wall_time: float = 0.0
+    leaves: int = 0  # branch-and-bound leaves evaluated; 0 for external
 
 
 # -- internal branch and bound ----------------------------------------------
@@ -121,6 +122,180 @@ class _Propagator:
             self.value[trail.pop()] = -1
 
 
+def _branch_variables(model: IlpModel) -> List[str]:
+    """The structural binaries the branch-and-bound branches on."""
+    return [name for name, var in model.variables.items()
+            if var.kind == BINARY and var.meaning[0] in BRANCH_CLASSES]
+
+
+class _ContextTables:
+    """Integer view of one edge context, indexed by branch variable."""
+
+    def __init__(self, model: IlpModel, ctx: EdgeContext,
+                 var_index: Dict[str, int]):
+        d = ctx.diagram
+        idx = d.node_index
+        self.size = len(d.nodes) + 1  # node indices start at 1
+        self.num_z = len(ctx.z_vars)  # nodes 1..num_z carry a z variable
+        self.us = [idx[e.u] for e in d.edges]
+        self.vs = [idx[e.v] for e in d.edges]
+        self.bis = [var_index[ctx.edge_vars[e.index]] for e in d.edges]
+        # genome side of each indel edge, None for the other kinds
+        self.indel = [e.side if e.kind == ID else None for e in d.edges]
+        self.singletons = [[var_index[ctx.edge_vars[ei]] for ei in cand.edges]
+                           for cand in ctx.singletons]
+        # telomere presence per side that has a C.11 row
+        self.telomere_groups = [
+            [var_index[ctx.o_vars[n]] for n in d.telomeric_nodes()
+             if d.side_of(n) == side]
+            for side in ("A", "B")
+            if "a_%s_%s" % (ctx.key, side) in model.variables]
+        # z-count bound: the indel-edge variables at each non-telomeric
+        # node and the presence variable of each telomere, per side
+        self.bound_sides = []
+        for side in ("A", "B"):
+            id_vars: Dict[int, List[int]] = {}
+            for e in d.edges:
+                if e.kind == ID and e.side == side:
+                    for node in (e.u, e.v):
+                        id_vars.setdefault(idx[node], []).append(
+                            var_index[ctx.edge_vars[e.index]])
+            non_telo = [id_vars.get(idx[n], []) for n in d.nodes
+                        if not n.is_telomere and d.side_of(n) == side]
+            telo = [var_index.get(ctx.o_vars[n]) for n in d.telomeric_nodes()
+                    if d.side_of(n) == side]
+            self.bound_sides.append((non_telo, telo))
+
+    def counts(self, value: List[int]) -> Optional[Tuple[int, int, int]]:
+        """(indel-free cycles, transitions, full singletons) of a leaf, or
+        None where ``complete_assignment`` raises ``DiagramError``."""
+        us, vs, bis, indel = self.us, self.vs, self.bis, self.indel
+        first = [-1] * self.size  # incident selected edges per node
+        second = [-1] * self.size
+        selected = [k for k, bi in enumerate(bis) if value[bi] == 1]
+        for k in selected:
+            for node in (us[k], vs[k]):
+                if first[node] < 0:
+                    first[node] = k
+                elif second[node] < 0:
+                    second[node] = k
+                else:
+                    return None  # degree above 2
+        for k in selected:
+            if second[us[k]] < 0 or second[vs[k]] < 0:
+                return None  # degree 1
+
+        cycles = transitions = 0
+        used = [False] * len(bis)
+        for k in selected:
+            if used[k]:
+                continue
+            used[k] = True
+            origin, head = us[k], vs[k]
+            low = min(origin, head)
+            start_side = last_side = indel[k]
+            changes = 0
+            cur = k
+            while head != origin:
+                cur = first[head] if first[head] != cur else second[head]
+                used[cur] = True
+                head = vs[cur] if us[cur] == head else us[cur]
+                if head < low:
+                    low = head
+                side = indel[cur]
+                if side is not None:
+                    if last_side is None:
+                        start_side = side
+                    elif side != last_side:
+                        changes += 1
+                    last_side = side
+            if last_side is None:
+                if low > self.num_z:
+                    return None  # indel-free cycle labelled by a telomere
+                cycles += 1
+                continue
+            runs = changes + 1
+            if runs > 1 and start_side == last_side:
+                runs -= 1
+            if runs >= 2:
+                transitions += runs
+
+        for group in self.telomere_groups:
+            if sum(value[i] for i in group) % 2:
+                return None  # odd telomere usage
+        singles = sum(1 for cand in self.singletons
+                      if all(value[i] == 1 for i in cand))
+        return cycles, transitions, singles
+
+    def z_bound(self, value: List[int]) -> int:
+        """Upper bound on the indel-free cycles any completion can close."""
+        alive = []
+        for non_telo, telo in self.bound_sides:
+            count = 0
+            for ids in non_telo:
+                if not any(value[v] == 1 for v in ids):
+                    count += 1
+            for ov in telo:
+                if ov is None or value[ov] != 0:
+                    count += 1
+            alive.append(count)
+        return min(min(alive) // 2, self.num_z)
+
+
+class _Scorer:
+    """Leaf values and node bounds of the branch-and-bound, read from the
+    propagator's 0/1/-1 values through tables built once per solve.
+
+    A leaf scores ``sum(coef * x) + alpha * (cycles - transitions / 2 -
+    singletons)`` over the objective's branch-variable terms, which equals
+    ``complete_assignment`` on the objective ``ilp.build_objective`` writes.
+    """
+
+    def __init__(self, model: IlpModel, var_index: Dict[str, int]):
+        self.alpha = model.alpha
+        self.contexts = [_ContextTables(model, ctx, var_index)
+                         for ctx in model.contexts]
+        z_names = set()
+        for ctx in model.contexts:
+            z_names.update(ctx.z_vars.values())
+        # objective terms in model order: (branch index or None, coef,
+        # whether an unfixed term may gain coef); z is bounded apart
+        self.terms = []
+        for name, coef in model.objective.items():
+            gain = name not in z_names and coef > 0
+            i = var_index.get(name)
+            if i is not None or gain:
+                self.terms.append((i, coef, gain))
+        self.branch_terms = [(i, coef) for i, coef, _ in self.terms
+                             if i is not None]
+
+    def leaf_value(self, value: List[int]) -> Optional[float]:
+        """Objective of a leaf, or None for a leaf that is no solution."""
+        cycles = transitions = singles = 0
+        for tables in self.contexts:
+            counts = tables.counts(value)
+            if counts is None:
+                return None
+            cycles += counts[0]
+            transitions += counts[1]
+            singles += counts[2]
+        return (sum(coef for i, coef in self.branch_terms if value[i] == 1)
+                + self.alpha * (cycles - transitions / 2 - singles))
+
+    def upper_bound(self, value: List[int]) -> float:
+        """Bound on the objective of every leaf below a node: fixed terms
+        at their value, free terms at their best, z by ``z_bound``."""
+        ub = 0.0
+        for i, coef, gain in self.terms:
+            if i is not None and value[i] != -1:
+                ub += coef * value[i]
+            elif gain:
+                ub += coef
+        for tables in self.contexts:
+            ub += self.alpha * tables.z_bound(value)
+        return ub
+
+
 def solve_internal(model: IlpModel, time_limit: Optional[float] = None
                    ) -> SolveResult:
     """Exact deterministic branch-and-bound over the structural binaries."""
@@ -130,76 +305,24 @@ def solve_internal(model: IlpModel, time_limit: Optional[float] = None
             "use an external solver" % (len(model.variables),
                                         INTERNAL_VARIABLE_CAP))
     start = time.monotonic()
-    branch_vars = [name for name, var in model.variables.items()
-                   if var.kind == BINARY and var.meaning[0] in BRANCH_CLASSES]
+    branch_vars = _branch_variables(model)
     prop = _Propagator(model, branch_vars)
     var_index = {name: i for i, name in enumerate(branch_vars)}
     one_first = {i for name, i in var_index.items()
                  if model.variables[name].meaning[0] == "adj"}
+    scorer = _Scorer(model, var_index)
 
-    # static per-context data for the z-count part of the bound
-    zbound_data = []
-    for ctx in model.contexts:
-        per_side = {}
-        for side in ("A", "B"):
-            non_telo = [n for n in ctx.diagram.nodes
-                        if not n.is_telomere and ctx.diagram.side_of(n) == side]
-            telo = [n for n in ctx.diagram.telomeric_nodes()
-                    if ctx.diagram.side_of(n) == side]
-            id_vars = {}
-            for e in ctx.diagram.edges:
-                if e.kind == ID and e.side == side:
-                    for node in (e.u, e.v):
-                        id_vars.setdefault(node, []).append(
-                            var_index[ctx.edge_vars[e.index]])
-            per_side[side] = (non_telo, telo, id_vars)
-        zbound_data.append((ctx, per_side))
-
-    base_gain = {}  # free-variable positive objective gain, z handled apart
-    z_names = set()
-    for ctx in model.contexts:
-        z_names.update(ctx.z_vars.values())
-    for name, coef in model.objective.items():
-        if name not in z_names and coef > 0:
-            base_gain[name] = coef
-
-    best: List[Optional[Tuple[float, Dict[str, float]]]] = [None]
+    best: List[Optional[Tuple[float, List[int]]]] = [None]
+    leaves = [0]
     timed_out = [False]
 
-    def upper_bound() -> float:
-        ub = 0.0
-        for name, coef in model.objective.items():
-            i = var_index.get(name)
-            if i is not None and prop.value[i] != -1:
-                ub += coef * prop.value[i]
-            elif name in base_gain:
-                ub += base_gain[name]
-        for ctx, per_side in zbound_data:
-            alive = []
-            for side in ("A", "B"):
-                non_telo, telo, id_vars = per_side[side]
-                count = 0
-                for node in non_telo:
-                    if not any(prop.value[v] == 1
-                               for v in id_vars.get(node, ())):
-                        count += 1
-                for node in telo:
-                    ov = var_index.get(ctx.o_vars[node])
-                    if ov is None or prop.value[ov] != 0:
-                        count += 1
-                alive.append(count)
-            ub += model.alpha * min(min(alive) // 2, len(ctx.z_vars))
-        return ub
-
     def leaf():
-        assignment = {name: float(prop.value[var_index[name]])
-                      for name in branch_vars}
-        try:
-            value = complete_assignment(model, assignment)
-        except DiagramError:
+        leaves[0] += 1
+        value = scorer.leaf_value(prop.value)
+        if value is None:
             return
         if best[0] is None or value > best[0][0] + 1e-9:
-            best[0] = (value, assignment)
+            best[0] = (value, list(prop.value))
 
     def dfs(next_var: int):
         if timed_out[0]:
@@ -212,7 +335,8 @@ def solve_internal(model: IlpModel, time_limit: Optional[float] = None
         if next_var == len(branch_vars):
             leaf()
             return
-        if best[0] is not None and upper_bound() <= best[0][0] + 1e-9:
+        if (best[0] is not None
+                and scorer.upper_bound(prop.value) <= best[0][0] + 1e-9):
             return
         order = (1, 0) if next_var in one_first else (0, 1)
         for val in order:
@@ -228,12 +352,18 @@ def solve_internal(model: IlpModel, time_limit: Optional[float] = None
     if best[0] is None:
         if timed_out[0]:
             raise SolverError("time limit reached without a feasible solution")
-        return SolveResult("infeasible", float("-inf"), {}, wall_time=wall)
-    value, assignment = best[0]
-    complete_assignment(model, assignment)  # fill counting variables
+        return SolveResult("infeasible", float("-inf"), {}, wall_time=wall,
+                           leaves=leaves[0])
+    value, values = best[0]
+    assignment = {name: float(v) for name, v in zip(branch_vars, values)}
+    objective = complete_assignment(model, assignment)  # fill counting vars
+    if abs(objective - value) > TOL:
+        raise SolverError("leaf scored %r, its completion %r"
+                          % (value, objective))
     verify_assignment(model, assignment)
     status = "feasible" if timed_out[0] else "optimal"
-    return SolveResult(status, value, assignment, wall_time=wall)
+    return SolveResult(status, objective, assignment, wall_time=wall,
+                       leaves=leaves[0])
 
 
 def complete_assignment(model: IlpModel, assignment: Dict[str, float]) -> float:

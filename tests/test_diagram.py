@@ -131,6 +131,22 @@ def test_decompose_and_breakdown():
     assert bd.distance == d.n - bd.indel_free_cycles
 
 
+def test_decompose_ignores_input_order():
+    a = build_genome("A", [(["1.1", "2.1", "3.1", "4.1", "5.1"], True)])
+    b = build_genome("B", [(["1.1", "2.1", "-4.1", "3.1", "5.1"], True)])
+    d = MultiRelationalDiagram(a, b, FAM)
+    shuffled = list(d.edges)
+    seeded(5).shuffle(shuffled)
+
+    def cycles(edges):
+        return [[e.index for e in c.edges] for c in decompose(edges)]
+
+    expected = cycles(d.edges)
+    assert len(expected) >= 3
+    assert [c[0] for c in expected] == sorted(c[0] for c in expected)
+    assert cycles(shuffled) == expected
+
+
 def test_decompose_rejects_bad_degree():
     a, b = simple_pair()
     d = MultiRelationalDiagram(a, b, FAM)

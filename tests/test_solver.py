@@ -1,21 +1,23 @@
+import hashlib
 import sys
 
 import pytest
 
-from spp_dcj.diagram import brute_force_distance
+from spp_dcj.diagram import DiagramError, brute_force_distance
 from spp_dcj.genomes import FamilyAssignment, Phylogeny
 from spp_dcj.ilp import build_model
 from spp_dcj.solver import (INTERNAL_VARIABLE_CAP, SolverError, _Propagator,
-                            complete_assignment, load_solution,
-                            parse_solution, solve, solve_external,
-                            solve_internal, verify_assignment,
-                            write_solution)
+                            _Scorer, _branch_variables, complete_assignment,
+                            load_solution, parse_solution, solve,
+                            solve_external, solve_internal,
+                            verify_assignment, write_solution)
 
 from util import build_genome, random_degenerate_pair, seeded
 
 FAM = FamilyAssignment()
 
 MILP_CMD = "%s -m spp_dcj.milp_cli {lp} {sol}" % sys.executable
+MIXTURES = [(1.0, 0.0), (0.5, 0.0), (0.5, 0.25)]
 
 
 def pair_model(a, b, alpha=0.5, beta=0.25, **kwargs):
@@ -28,7 +30,7 @@ def test_internal_matches_oracle_sample():
     rng = seeded(59)
     for i in range(12):
         a, b = random_degenerate_pair(rng)
-        alpha, beta = [(1.0, 0.0), (0.5, 0.0), (0.5, 0.25)][i % 3]
+        alpha, beta = MIXTURES[i % 3]
         oracle = brute_force_distance(a, b, FAM, alpha=alpha, beta=beta)
         model = pair_model(a, b, alpha=alpha, beta=beta)
         result = solve_internal(model)
@@ -72,13 +74,105 @@ def test_internal_reports_infeasible():
     assert result.status == "infeasible"
 
 
+def test_internal_leaf_counts_pinned():
+    # measured as complete_assignment calls inside solve_internal, less the
+    # final fill-in, before leaves were scored on integer tables
+    rng = seeded(97)
+    counts = []
+    for i in range(24):
+        a, b = random_degenerate_pair(rng)
+        counts.append(solve_internal(pair_model(a, b, *MIXTURES[i % 3])).leaves)
+    assert counts == [4, 2, 2, 2, 4, 4, 12, 4, 4, 2, 4, 4,
+                      4, 4, 6, 6, 2, 4, 4, 2, 4, 1, 2, 8]
+
+
+def test_internal_outcomes_pinned():
+    # status, objective and assignment of 40 solves, measured before leaves
+    # were scored on integer tables: another optimal leaf changes the digest
+    rng = seeded(103)
+    digest = hashlib.sha256()
+    for i in range(40):
+        a, b = random_degenerate_pair(rng)
+        result = solve_internal(pair_model(a, b, *MIXTURES[i % 3]))
+        digest.update(repr((result.status, result.objective,
+                            sorted(result.assignment.items()))).encode())
+    assert digest.hexdigest() == ("4a08f18ab7f85bc9a9c1a1202a45ff54"
+                                  "8d520bc1756376fe989d09a6277e44d8")
+
+
+def _all_leaves(model, branch):
+    """Every full assignment the propagator admits, without bounding."""
+    prop = _Propagator(model, branch)
+    leaves = []
+
+    def dfs(k):
+        while k < len(branch) and prop.value[k] != -1:
+            k += 1
+        if k == len(branch):
+            leaves.append(list(prop.value))
+            return
+        for val in (0, 1):
+            trail = []
+            if prop.assign(k, val, trail):
+                dfs(k + 1)
+            prop.undo(trail, 0)
+
+    dfs(0)
+    return leaves
+
+
+def _without_telomere_degree_rows(model):
+    """The model less its C.02 rows at telomeres, so that leaves with bad
+    degrees, all-telomere cycles and odd telomere usage appear."""
+    (ctx,) = model.contexts
+    model.constraints = [
+        con for con in model.constraints
+        if con.tag != "C.02" or int(con.name.rsplit("_", 1)[1])
+        <= ctx.diagram.num_non_telomeric]
+    return model
+
+
+def _scorer_cases():
+    rng = seeded(103)
+    for i in range(9):
+        a, b = random_degenerate_pair(rng, extra_linear=i % 2 == 1)
+        yield pair_model(a, b, *MIXTURES[i % 3])
+        yield _without_telomere_degree_rows(
+            pair_model(a, b, *MIXTURES[i % 3], reduce_telomeres=False))
+    # three copies of family 1 in A, two of family 2 in B: a cycle can hold
+    # indel runs A, B, A whose ends merge around it
+    a = build_genome("A", [(["1.1", "1.2", "2.1", "1.3"], True)])
+    b = build_genome("B", [(["1.1", "2.1", "2.2"], True)])
+    for mixture in MIXTURES:
+        yield pair_model(a, b, *mixture)
+
+
+def test_leaf_scorer_matches_complete_assignment():
+    scored = with_c11 = 0
+    rejected = {"degree": 0, "telomeric": 0, "odd": 0}
+    for model in _scorer_cases():
+        with_c11 += any(con.tag == "C.11" for con in model.constraints)
+        branch = _branch_variables(model)
+        scorer = _Scorer(model, {name: k for k, name in enumerate(branch)})
+        for leaf in _all_leaves(model, branch):
+            value = scorer.leaf_value(leaf)
+            assignment = {name: float(v) for name, v in zip(branch, leaf)}
+            try:
+                expected = complete_assignment(model, assignment)
+            except DiagramError as exc:
+                assert value is None, exc
+                rejected[next(k for k in rejected if k in str(exc))] += 1
+                continue
+            assert value == pytest.approx(expected, abs=1e-9)
+            scored += 1
+    assert scored and with_c11 and all(rejected.values()), rejected
+
+
 def test_propagator_forces_values():
     a = build_genome("A", [(["1.1"], True)])
     b = build_genome("B", [(["1.1"], True)])
     model = pair_model(a, b)
-    branch = [name for name, var in model.variables.items()
-              if var.kind == "B" and var.meaning[0] in
-              ("adj", "capadj", "edge", "o", "capo")]
+    branch = _branch_variables(model)
     prop = _Propagator(model, branch)
     index = {name: i for i, name in enumerate(branch)}
     # deselecting A's only adjacency forces its (non-telomeric) endpoints'
