@@ -41,9 +41,10 @@ for node, genome in sorted(truth.genomes.items()):
         inputs[node] = augment(noisy)
         print("  %s: +%d noise adjacencies" % (node, report.added))
 
-# 3. build and solve the joint ILP; at this size the model is beyond the
-#    structural branch-and-bound's cap, so hand it to the bundled HiGHS
-#    backend through the external-solver bridge
+# 3. build and solve the joint ILP; at this size the structural
+#    branch-and-bound runs out of its work budget, so hand the model
+#    straight to the bundled HiGHS backend through the external-solver
+#    bridge
 model = build_model(truth.tree, inputs, FAM, alpha=0.5, beta=0.25)
 print("\nILP: %d variables, %d constraints"
       % (len(model.variables), len(model.constraints)))

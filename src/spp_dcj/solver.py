@@ -5,7 +5,7 @@ Two interchangeable backends:
 * an internal exact branch-and-bound that only branches on the structural
   binaries (adjacency, extremity/indel edge and presence variables) and
   scores each leaf from the induced cycle decomposition on integer tables
-  built once per solve, and
+  built once per solve, under a fixed work budget, and
 * a bridge that shells out to any MILP solver via a command template
   operating on an LP file (``{lp}``/``{sol}`` placeholders), configurable
   through the ``SPP_DCJ_SOLVER`` environment variable.
@@ -28,7 +28,12 @@ from .diagram import ID, DiagramError, decompose
 from .ilp import (BINARY, INTEGER, EdgeContext, IlpModel, recompute_objective,
                   write_lp)
 
-INTERNAL_VARIABLE_CAP = 5000
+# Work the branch-and-bound may do before ``solve`` hands the model to the
+# external solver.  Each value tried at a search node costs one unit per
+# branch variable, as propagation and bounding scale with the model; one
+# unit takes about 0.2 us, so the budget is about 0.5 s of search, near the
+# fixed cost of one external solve.
+WORK_BUDGET = 2_500_000
 TOL = 1e-6  # feasibility, integrality and objective tolerance
 BRANCH_CLASSES = ("adj", "capadj", "edge", "o", "capo")
 
@@ -37,6 +42,11 @@ SOLVER_ENV = "SPP_DCJ_SOLVER"
 
 class SolverError(RuntimeError):
     pass
+
+
+class BudgetExhausted(SolverError):
+    """The branch-and-bound used up ``WORK_BUDGET`` before proving an
+    optimum."""
 
 
 @dataclass
@@ -298,12 +308,11 @@ class _Scorer:
 
 def solve_internal(model: IlpModel, time_limit: Optional[float] = None
                    ) -> SolveResult:
-    """Exact deterministic branch-and-bound over the structural binaries."""
-    if len(model.variables) > INTERNAL_VARIABLE_CAP:
-        raise SolverError(
-            "model has %d variables, more than the internal solver cap of %d; "
-            "use an external solver" % (len(model.variables),
-                                        INTERNAL_VARIABLE_CAP))
+    """Exact deterministic branch-and-bound over the structural binaries.
+
+    Raises ``BudgetExhausted`` once the search would pass ``WORK_BUDGET``
+    units of work, whatever the time limit.
+    """
     start = time.monotonic()
     branch_vars = _branch_variables(model)
     prop = _Propagator(model, branch_vars)
@@ -315,6 +324,7 @@ def solve_internal(model: IlpModel, time_limit: Optional[float] = None
     best: List[Optional[Tuple[float, List[int]]]] = [None]
     leaves = [0]
     timed_out = [False]
+    work = [0]
 
     def leaf():
         leaves[0] += 1
@@ -340,6 +350,11 @@ def solve_internal(model: IlpModel, time_limit: Optional[float] = None
             return
         order = (1, 0) if next_var in one_first else (0, 1)
         for val in order:
+            work[0] += len(branch_vars)
+            if work[0] > WORK_BUDGET:
+                raise BudgetExhausted(
+                    "branch-and-bound passed its budget of %d work units "
+                    "after %d leaves" % (WORK_BUDGET, leaves[0]))
             trail: List[int] = []
             if prop.assign(next_var, val, trail):
                 dfs(next_var + 1)
@@ -612,10 +627,19 @@ def load_solution(model: IlpModel, path
 
 def solve(model: IlpModel, time_limit: Optional[float] = None
           ) -> SolveResult:
-    """The internal branch-and-bound for models of at most
-    ``INTERNAL_VARIABLE_CAP`` variables, else the external solver; a set
-    ``SPP_DCJ_SOLVER`` sends every model to the external solver."""
-    if (SOLVER_ENV not in os.environ
-            and len(model.variables) <= INTERNAL_VARIABLE_CAP):
+    """The internal branch-and-bound, or the external solver when the
+    branch-and-bound exhausts ``WORK_BUDGET``; a set ``SPP_DCJ_SOLVER``
+    sends every model to the external solver.
+
+    The external solver gets what is left of ``time_limit``.
+    """
+    if SOLVER_ENV in os.environ:
+        return solve_external(model, time_limit=time_limit)
+    start = time.monotonic()
+    try:
         return solve_internal(model, time_limit=time_limit)
-    return solve_external(model, time_limit=time_limit)
+    except BudgetExhausted:
+        if time_limit is not None:
+            # a floor keeps the limit set: a template reads 0 as no limit
+            time_limit = max(time_limit - (time.monotonic() - start), 1e-3)
+        return solve_external(model, time_limit=time_limit)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from spp_dcj import cli, io
+from spp_dcj import cli, io, solver
 from spp_dcj.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_PARSE, EXIT_SOLVER,
                          EXIT_USAGE, main)
 from spp_dcj.extract import evaluate
@@ -123,10 +123,9 @@ def test_distance_identity_and_output_file(tmp_path):
     assert table["distance"] == "0"
 
 
-def test_distance_large_pair_uses_external_solver(tmp_path, monkeypatch):
-    # 400 markers give 9622 variables, above the internal solver's cap,
-    # so the distance must come from the external solver
-    inversions = 20
+def write_large_pair(tmp_path, inversions):
+    """A 400-marker pair (9622 variables) that differs by ``inversions``
+    random inversions; returns the two genome files."""
     chromosomes = [(["%d.1" % i for i in range(1, 401)], False)]
     moved = chromosomes
     rng = seeded(83)
@@ -135,7 +134,30 @@ def test_distance_large_pair_uses_external_solver(tmp_path, monkeypatch):
     pa, pb = tmp_path / "a.tsv", tmp_path / "b.tsv"
     io.write_adjacencies({"A": build_genome("A", chromosomes)}, pa)
     io.write_adjacencies({"B": build_genome("B", moved)}, pb)
+    return pa, pb
+
+
+def test_distance_large_pair_uses_external_solver(tmp_path, monkeypatch):
+    # the branch-and-bound would solve this pair within its budget; the set
+    # SPP_DCJ_SOLVER sends it to the external solver instead
+    inversions = 20
+    pa, pb = write_large_pair(tmp_path, inversions)
     monkeypatch.setenv("SPP_DCJ_SOLVER", MILP_CMD)
+    out = tmp_path / "dist.tsv"
+    assert run("distance", str(pa), str(pb), "-o", str(out)) == EXIT_OK
+    table = dict(line.split("\t") for line in out.read_text().splitlines())
+    assert int(table["distance"]) <= inversions
+
+
+def test_distance_large_pair_stays_internal(tmp_path, monkeypatch):
+    inversions = 20
+    pa, pb = write_large_pair(tmp_path, inversions)
+    monkeypatch.delenv("SPP_DCJ_SOLVER", raising=False)
+
+    def no_external(*args, **kwargs):
+        raise AssertionError("the external solver was called")
+
+    monkeypatch.setattr(solver, "run_solver_command", no_external)
     out = tmp_path / "dist.tsv"
     assert run("distance", str(pa), str(pb), "-o", str(out)) == EXIT_OK
     table = dict(line.split("\t") for line in out.read_text().splitlines())

@@ -3,10 +3,11 @@ import sys
 
 import pytest
 
+from spp_dcj import solver
 from spp_dcj.diagram import DiagramError, brute_force_distance
 from spp_dcj.genomes import FamilyAssignment, Phylogeny
 from spp_dcj.ilp import build_model
-from spp_dcj.solver import (INTERNAL_VARIABLE_CAP, SolverError, _Propagator,
+from spp_dcj.solver import (BudgetExhausted, SolverError, _Propagator,
                             _Scorer, _branch_variables, complete_assignment,
                             load_solution, parse_solution, solve,
                             solve_external, solve_internal,
@@ -50,17 +51,33 @@ def test_internal_assignment_is_feasible_and_complete():
     assert value == pytest.approx(result.objective)
 
 
-def test_internal_variable_cap():
+def test_work_budget_hands_model_to_external(monkeypatch):
     rng = seeded(67)
     a, b = random_degenerate_pair(rng)
     model = pair_model(a, b)
-    # fake an oversized model
-    saved = model.variables
-    model.variables = dict(saved)
-    for i in range(INTERNAL_VARIABLE_CAP + 1):
-        model.variables["pad_%d" % i] = next(iter(saved.values()))
-    with pytest.raises(SolverError):
+    full = solve_internal(model)
+    monkeypatch.setattr(solver, "WORK_BUDGET", 1)
+    with pytest.raises(BudgetExhausted):
         solve_internal(model)
+    monkeypatch.delenv("SPP_DCJ_SOLVER", raising=False)
+    monkeypatch.setattr(solver, "default_solver_command", lambda: MILP_CMD)
+    result = solve(model)
+    assert result.leaves == 0  # the external solver answered
+    assert result.objective == pytest.approx(full.objective, abs=1e-6)
+
+
+def test_budget_fallback_gets_remaining_time(tmp_path, monkeypatch):
+    rng = seeded(67)
+    a, b = random_degenerate_pair(rng)
+    record = tmp_path / "time_limit.txt"
+    command = "echo {time_limit} > %s && %s" % (record, MILP_CMD)
+    monkeypatch.setattr(solver, "WORK_BUDGET", 1)
+    monkeypatch.delenv("SPP_DCJ_SOLVER", raising=False)
+    monkeypatch.setattr(solver, "default_solver_command", lambda: command)
+    solve(pair_model(a, b), time_limit=60)
+    assert 0 < float(record.read_text()) < 60
+    solve(pair_model(a, b))
+    assert float(record.read_text()) == 0  # no limit
 
 
 def test_internal_reports_infeasible():
