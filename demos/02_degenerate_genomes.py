@@ -8,9 +8,9 @@ weight-0 telomeres so that at least one concrete genome can be carved out of
 every component.
 """
 
-from spp_dcj.diagram import enumerate_derived
 from spp_dcj.genomes import (Adjacency, DegenerateGenome, Extremity, HEAD,
-                             TAIL, is_derived, is_genome, surfeit)
+                             TAIL, enumerate_derived, is_derived, is_genome,
+                             surfeit)
 from spp_dcj.linearize import (augment, classify_components,
                                find_nonlinearizable_component)
 

@@ -54,7 +54,7 @@ print("status %s, objective %.4f" % (result.status, result.objective))
 
 # 4. decode and score
 decoded = decode(model, result.assignment)
-validate(model, decoded, inputs)
+validate(decoded, inputs)
 total = sum(pd.distance for pd in decoded.distances)
 print("summed DCJ-indel distance over the tree: %d" % total)
 

@@ -137,7 +137,7 @@ def cmd_extract(args) -> int:
                          "rerun extract with the same flags used for build")
     reported, assignment = load_solution(model, args.solution)
     decoded = decode(model, assignment)
-    validate(model, decoded, genomes)
+    validate(decoded, genomes)
     if reported is not None:
         audit(model, decoded, reported)
     io.write_adjacencies(decoded.genomes, args.genomes_out)

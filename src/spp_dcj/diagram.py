@@ -21,7 +21,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .genomes import (Adjacency, DegenerateGenome, Extremity, FamilyAssignment,
                       HEAD, TAIL, TELO, check_family_consistency,
-                      family_multiplicities)
+                      enumerate_derived, family_multiplicities)
 
 ADJ = "adj"
 EXT = "ext"
@@ -45,13 +45,11 @@ def indel_potential(run_count: int) -> int:
     return (run_count + 2) // 2  # ceil((run_count + 1) / 2)
 
 
-def count_runs(edge_kinds: Sequence[Tuple[str, Optional[str]]],
-               closed: bool = True, side: Optional[str] = None) -> int:
-    """Number of maximal same-side indel runs along a path or cycle.
+def count_runs(edge_kinds: Sequence[Tuple[str, Optional[str]]]) -> int:
+    """Number of maximal same-side indel runs around a cycle.
 
-    ``edge_kinds`` is the ordered (kind, side) sequence of the component's
-    edges; ``closed`` marks cycles.  With ``side`` given, only runs of that
-    genome are counted.
+    ``edge_kinds`` is the ordered (kind, side) sequence of the cycle's
+    edges; the first and last runs join when they are of one side.
     """
     sides = [s for kind, s in edge_kinds if kind == ID]
     if not sides:
@@ -60,10 +58,8 @@ def count_runs(edge_kinds: Sequence[Tuple[str, Optional[str]]],
     for s in sides[1:]:
         if s != blocks[-1]:
             blocks.append(s)
-    if closed and len(blocks) > 1 and blocks[0] == blocks[-1]:
+    if len(blocks) > 1 and blocks[0] == blocks[-1]:
         blocks.pop()
-    if side is not None:
-        return sum(1 for b in blocks if b == side)
     return len(blocks)
 
 
@@ -219,11 +215,6 @@ class MultiRelationalDiagram:
     def telomeric_nodes(self) -> List[Extremity]:
         return [node for node in self.nodes if node.is_telomere]
 
-    @property
-    def n_prime(self) -> float:
-        """Constant of the full superposition; solutions use their own count."""
-        return self.n + len(self.telomeric_nodes()) / 4.0
-
     # -- telomeric extremity-edge reduction (search-space pruning) ---------
 
     def _reduce_telomeric_edges(self):
@@ -355,11 +346,9 @@ def enumerate_circular_singletons(diagram: MultiRelationalDiagram,
 
 @dataclass
 class Component:
+    """One cycle of a selected edge set."""
     edges: List[DiagramEdge]  # in traversal order
-    closed: bool
-
-    def edge_kinds(self):
-        return [(e.kind, e.side) for e in self.edges]
+    nodes: List[Extremity]  # nodes[k] is where edges[k] starts
 
     @property
     def has_ext(self) -> bool:
@@ -370,7 +359,7 @@ class Component:
         return any(e.kind == ID for e in self.edges)
 
     def runs(self) -> int:
-        return count_runs(self.edge_kinds(), closed=self.closed)
+        return count_runs([(e.kind, e.side) for e in self.edges])
 
 
 def decompose(selected: Sequence[DiagramEdge]) -> List[Component]:
@@ -395,12 +384,14 @@ def decompose(selected: Sequence[DiagramEdge]) -> List[Component]:
         used.add(start_edge.index)
         head = start_edge.v
         origin = start_edge.u
+        nodes = [origin]
         while head != origin:
+            nodes.append(head)
             nxt = next(e for e in at[head] if e.index not in used)
             ordered.append(nxt)
             used.add(nxt.index)
             head = nxt.other(head)
-        components.append(Component(ordered, closed=True))
+        components.append(Component(ordered, nodes))
     return components
 
 
@@ -427,32 +418,6 @@ class OracleResult:
     genome_b: DegenerateGenome
     matching: Tuple[Tuple[str, str], ...]  # resolved marker pairing
     breakdown: DistanceBreakdown
-
-
-def enumerate_derived(genome: DegenerateGenome):
-    """Yield all derived genomes as frozensets of adjacencies."""
-    targets = genome.non_telomeric_extremities()
-
-    def search(pos: int, used: Set[Extremity], chosen: List[Adjacency]):
-        while pos < len(targets) and targets[pos] in used:
-            pos += 1
-        if pos == len(targets):
-            yield frozenset(chosen)
-            return
-        ext = targets[pos]
-        for adj in genome.incident(ext):
-            other = adj.other(ext)
-            if other in used:
-                continue
-            used.add(ext)
-            used.add(other)
-            chosen.append(adj)
-            yield from search(pos + 1, used, chosen)
-            chosen.pop()
-            used.discard(ext)
-            used.discard(other)
-
-    yield from search(0, set(), [])
 
 
 def _family_matchings(diagram: MultiRelationalDiagram):
@@ -544,6 +509,8 @@ def brute_force_distance(genome_a: DegenerateGenome, genome_b: DegenerateGenome,
     caps_a, caps_b = diagram.caps_a, diagram.caps_b
     best: Optional[OracleResult] = None
 
+    lookup = {(edge.kind, frozenset((edge.u, edge.v))): edge
+              for edge in diagram.edges}
     derived_b_all = list(enumerate_derived(genome_b))
     matchings = list(_family_matchings(diagram))
     for sel_a in enumerate_derived(genome_a):
@@ -566,14 +533,15 @@ def brute_force_distance(genome_a: DegenerateGenome, genome_b: DegenerateGenome,
             weight_sum = (sum(adj.weight for adj in sel_a)
                           + sum(adj.weight for adj in sel_b))
             for marker_pairs in matchings:
-                base_edges = _oracle_edges(diagram, sel_a, sel_b, marker_pairs,
-                                           use_caps_a, use_caps_b)
+                base_edges = _oracle_edges(diagram, lookup, sel_a, sel_b,
+                                           marker_pairs, use_caps_a,
+                                           use_caps_b)
                 if base_edges is None:
                     continue
                 for telo_pairs in _telomere_matchings(ta, tb):
                     edges = list(base_edges)
                     for pa, pb in telo_pairs:
-                        edges.append(_oracle_ext_edge(diagram, pa, pb))
+                        edges.append(lookup[(EXT, frozenset((pa, pb)))])
                     components = decompose(edges)
                     bd = breakdown_from_components(diagram.n, components,
                                                    len(ta) + len(tb))
@@ -593,19 +561,10 @@ def brute_force_distance(genome_a: DegenerateGenome, genome_b: DegenerateGenome,
     return best
 
 
-def _edge_lookup(diagram: MultiRelationalDiagram):
-    table = {}
-    for edge in diagram.edges:
-        table[(edge.kind, frozenset((edge.u, edge.v)))] = edge
-    return table
-
-
-def _oracle_edges(diagram, sel_a, sel_b, marker_pairs, use_caps_a, use_caps_b):
-    """Adjacency, extremity and indel edges of one oracle candidate."""
-    lookup = getattr(diagram, "_oracle_lookup", None)
-    if lookup is None:
-        lookup = _edge_lookup(diagram)
-        diagram._oracle_lookup = lookup
+def _oracle_edges(diagram, lookup, sel_a, sel_b, marker_pairs, use_caps_a,
+                  use_caps_b):
+    """Adjacency, extremity and indel edges of one oracle candidate;
+    ``lookup`` maps ``(kind, frozenset of ends)`` to the diagram edge."""
     edges = []
     for sel in (sel_a, sel_b):
         for adj in sel:
@@ -634,7 +593,3 @@ def _oracle_edges(diagram, sel_a, sel_b, marker_pairs, use_caps_a, use_caps_b):
             edges.append(edge)
     return edges
 
-
-def _oracle_ext_edge(diagram, pa, pb):
-    lookup = diagram._oracle_lookup
-    return lookup[(EXT, frozenset((pa, pb)))]

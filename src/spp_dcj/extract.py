@@ -65,7 +65,7 @@ def decode(model: IlpModel, assignment: Mapping[str, float]) -> DecodedSolution:
     return DecodedSolution(genomes, distances, objective)
 
 
-def validate(model: IlpModel, decoded: DecodedSolution,
+def validate(decoded: DecodedSolution,
              inputs: Mapping[str, DegenerateGenome]):
     """Check that every decoded genome is derived from its input."""
     for species, genome in decoded.genomes.items():
@@ -106,9 +106,9 @@ def _structural_objective(model: IlpModel, genomes, distances) -> float:
     return value
 
 
-def audit(model: IlpModel, decoded: DecodedSolution, reported: float):
+def audit(_model: IlpModel, decoded: DecodedSolution, reported: float):
     """Compare the structural objective with the solver-reported one, to
-    within ``TOL``."""
+    within ``TOL``.  The model argument is not read."""
     if abs(decoded.objective - reported) > TOL:
         raise DecodeError(
             "objective audit failed: structural %r vs reported %r"

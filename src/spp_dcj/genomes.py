@@ -106,18 +106,14 @@ class FamilyAssignment:
     never assigned families.
     """
 
-    def __init__(self, explicit: Optional[Mapping[str, str]] = None,
-                 use_default: bool = True):
+    def __init__(self, explicit: Optional[Mapping[str, str]] = None):
         self.explicit: Dict[str, str] = dict(explicit or {})
-        self.use_default = use_default
 
     def family(self, marker: str) -> str:
         if marker.startswith(TELOMERE_PREFIX) or marker.startswith("cap."):
             raise GenomeError("telomere %s has no family" % marker)
         if marker in self.explicit:
             return self.explicit[marker]
-        if not self.use_default:
-            raise GenomeError("unassigned marker %s" % marker)
         return marker.split(".", 1)[0]
 
     def of(self, ext: Extremity) -> str:
@@ -215,12 +211,6 @@ class DegenerateGenome:
     def incident(self, ext: Extremity) -> List[Adjacency]:
         return list(self._index.get(ext, ()))
 
-    def weight_of(self, adj: Adjacency) -> float:
-        for cand in self._index.get(adj.ends[0], ()):
-            if cand == adj:
-                return cand.weight
-        raise KeyError(adj)
-
     def __contains__(self, adj: Adjacency) -> bool:
         return any(cand == adj for cand in self._index.get(adj.ends[0], ()))
 
@@ -287,6 +277,32 @@ def is_derived(child: DegenerateGenome, parent: DegenerateGenome) -> bool:
         if adj not in parent:
             return False
     return child.non_telomeric_extremities() == parent.non_telomeric_extremities()
+
+
+def enumerate_derived(genome: DegenerateGenome):
+    """Yield all derived genomes as frozensets of adjacencies."""
+    targets = genome.non_telomeric_extremities()
+
+    def search(pos: int, used: Set[Extremity], chosen: List[Adjacency]):
+        while pos < len(targets) and targets[pos] in used:
+            pos += 1
+        if pos == len(targets):
+            yield frozenset(chosen)
+            return
+        ext = targets[pos]
+        for adj in genome.incident(ext):
+            other = adj.other(ext)
+            if other in used:
+                continue
+            used.add(ext)
+            used.add(other)
+            chosen.append(adj)
+            yield from search(pos + 1, used, chosen)
+            chosen.pop()
+            used.discard(ext)
+            used.discard(other)
+
+    yield from search(0, set(), [])
 
 
 class Phylogeny:

@@ -31,8 +31,12 @@ def _rows(path):
 
 
 def read_adjacencies(path) -> Dict[str, DegenerateGenome]:
-    """Read an adjacency TSV into one degenerate genome per species."""
+    """Read an adjacency TSV into one degenerate genome per species.
+
+    An adjacency listed twice, in either orientation, is a ``ParseError``.
+    """
     per_species: Dict[str, List[Adjacency]] = {}
+    first_line: Dict[Adjacency, int] = {}
     for lineno, cols in _rows(path):
         if len(cols) not in (3, 4):
             raise ParseError(path, lineno, "expected 3 or 4 columns, got %d" % len(cols))
@@ -48,6 +52,10 @@ def read_adjacencies(path) -> Dict[str, DegenerateGenome]:
                              parse_extremity(species, e2)), weight)
         except GenomeError as exc:
             raise ParseError(path, lineno, str(exc))
+        first = first_line.setdefault(adj, lineno)
+        if first != lineno:
+            raise ParseError(path, lineno, "adjacency %s %r repeats line %d"
+                             % (species, adj, first))
         per_species.setdefault(species, []).append(adj)
     genomes = {}
     for species, adjs in per_species.items():
@@ -58,19 +66,15 @@ def read_adjacencies(path) -> Dict[str, DegenerateGenome]:
     return genomes
 
 
-def write_adjacencies(genomes: Mapping[str, DegenerateGenome], path,
-                      header: str = ""):
-    lines = []
-    for species in sorted(genomes):
-        for adj in genomes[species].adjacencies:
-            a, b = adj.ends
-            lines.append((species, a.name, b.name, adj.weight))
-    lines.sort(key=lambda row: (row[0], row[1], row[2]))
+def write_adjacencies(genomes: Mapping[str, DegenerateGenome], path):
+    """Write genomes in canonical order: by species, then in each genome's
+    own (canonical) adjacency order."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        if header:
-            handle.write("# %s\n" % header)
-        for species, e1, e2, weight in lines:
-            handle.write("%s\t%s\t%s\t%s\n" % (species, e1, e2, _fmt_weight(weight)))
+        for species in sorted(genomes):
+            for adj in genomes[species].adjacencies:
+                a, b = adj.ends
+                handle.write("%s\t%s\t%s\t%s\n" % (
+                    species, a.name, b.name, _fmt_weight(adj.weight)))
 
 
 def _fmt_weight(w: float) -> str:

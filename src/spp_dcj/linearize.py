@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, Set, Tuple
 
 from .genomes import (Adjacency, DegenerateGenome, Extremity, TELO,
-                      TELOMERE_PREFIX)
+                      TELOMERE_PREFIX, enumerate_derived)
 
 EVEN_CYCLE = "even-cycle"
 EVEN_PATH = "even-path"
@@ -141,27 +141,6 @@ def find_nonlinearizable_component(g: DegenerateGenome
 
 def is_linearizable_bruteforce(g: DegenerateGenome, limit: int = 16) -> bool:
     """Exhaustively search for a derived genome; only for small instances."""
-    targets = g.non_telomeric_extremities()
-    if len(targets) > limit:
+    if len(g.non_telomeric_extremities()) > limit:
         raise ValueError("brute-force linearizability limited to %d extremities" % limit)
-    order = sorted(targets)
-
-    def search(pos: int, used: Set[Extremity]) -> bool:
-        while pos < len(order) and order[pos] in used:
-            pos += 1
-        if pos == len(order):
-            return True
-        ext = order[pos]
-        for adj in g.incident(ext):
-            other = adj.other(ext)
-            if other in used:
-                continue
-            used.add(ext)
-            used.add(other)
-            if search(pos + 1, used):
-                return True
-            used.discard(ext)
-            used.discard(other)
-        return False
-
-    return search(0, set())
+    return next(enumerate_derived(g), None) is not None

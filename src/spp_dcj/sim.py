@@ -13,7 +13,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from .genomes import (Adjacency, DegenerateGenome, Extremity,
                       FamilyAssignment, GenomeError, HEAD, TAIL, Phylogeny)
@@ -236,14 +236,12 @@ class NoiseReport:
 
 
 def add_noise(genome: DegenerateGenome, target_surfeit: float,
-              rng: random.Random, adversarial_fraction: float = 0.0,
-              reference: Optional[DegenerateGenome] = None,
-              families: Optional[FamilyAssignment] = None
+              rng: random.Random, adversarial_fraction: float = 0.0
               ) -> Tuple[DegenerateGenome, NoiseReport]:
     """Add random weight-1 adjacencies until the target surfeit is reached.
 
     Adversarial adjacencies connect extremities whose (family, kind) pair
-    signature already occurs in the reference genome, mimicking conserved
+    signature already occurs in the genome itself, mimicking conserved
     false positives; the remainder is sampled uniformly.
 
     Sampling contract: the candidates are the pairs ``(i, j)``, ``i < j``,
@@ -255,19 +253,16 @@ def add_noise(genome: DegenerateGenome, target_surfeit: float,
     mapped back to pairs, so the cost is linear in extremities times
     excluded partners (mate, adjacent, adversarial), not quadratic.
     """
-    if families is None:
-        families = FamilyAssignment()
-    if reference is None:
-        reference = genome
+    families = FamilyAssignment()
     extremities = genome.non_telomeric_extremities()
     goal = math.ceil(target_surfeit * len(extremities) / 2.0)
     need = goal - len(genome.adjacencies)
     if need <= 0:
         return genome, NoiseReport(0, 0, 0, 0)
 
-    # (family, kind) keys paired by some adjacency of the reference
+    # (family, kind) keys paired by some adjacency of the genome
     partner_keys: Dict[Tuple[str, str], Set[Tuple[str, str]]] = {}
-    for adj in reference.adjacencies:
+    for adj in genome.adjacencies:
         a, b = adj.ends
         if a.is_telomere or b.is_telomere:
             continue

@@ -62,20 +62,23 @@ class SolveResult:
 # -- internal branch and bound ----------------------------------------------
 
 class _Propagator:
-    """0/1 bound propagation over rows whose variables are all branchable."""
+    """0/1 bound propagation over the C.01-C.03 equalities, whose variables
+    are all branchable."""
 
     def __init__(self, model: IlpModel, branch_vars: Sequence[str]):
-        index = {name: i for i, name in enumerate(branch_vars)}
-        self.names = list(branch_vars)
+        self.index = {name: i for i, name in enumerate(branch_vars)}
         self.value = [-1] * len(branch_vars)  # -1 = free
-        self.rows: List[Tuple[List[Tuple[float, int]], str, float]] = []
+        self.rows: List[Tuple[List[Tuple[float, int]], float]] = []
         self.rows_of: List[List[int]] = [[] for _ in branch_vars]
         for con in model.constraints:
             if con.tag not in ("C.01", "C.02", "C.03"):
                 continue
-            terms = [(coef, index[var]) for coef, var in con.terms]
+            if con.sense != "=":
+                raise SolverError("row %s of block %s is not an equality"
+                                  % (con.name, con.tag))
+            terms = [(coef, self.index[var]) for coef, var in con.terms]
             ri = len(self.rows)
-            self.rows.append((terms, con.sense, con.rhs))
+            self.rows.append((terms, con.rhs))
             for _, vi in terms:
                 self.rows_of[vi].append(ri)
 
@@ -97,7 +100,9 @@ class _Propagator:
         return True
 
     def _examine(self, ri: int, queue) -> bool:
-        terms, sense, rhs = self.rows[ri]
+        """False if the row cannot hold; where its reachable range ends at
+        the right-hand side, queue every free term at that end."""
+        terms, rhs = self.rows[ri]
         lo = hi = 0.0
         free = []
         for coef, vi in terms:
@@ -111,24 +116,18 @@ class _Propagator:
             else:
                 lo += coef * val
                 hi += coef * val
-        if sense in ("=", "<=") and lo > rhs + 1e-9:
+        if lo > rhs + 1e-9 or hi < rhs - 1e-9:
             return False
-        if sense in ("=", ">=") and hi < rhs - 1e-9:
-            return False
-        for coef, vi in free:
-            # if a value makes the row unsatisfiable, force the other one
-            for val in (0, 1):
-                nlo = lo - (coef if coef < 0 else 0) + coef * val
-                nhi = hi - (coef if coef > 0 else 0) + coef * val
-                bad = ((sense in ("=", "<=") and nlo > rhs + 1e-9)
-                       or (sense in ("=", ">=") and nhi < rhs - 1e-9))
-                if bad:
-                    queue.append((vi, 1 - val))
-                    break
+        if hi < rhs + 1e-9:  # every free term at its upper value
+            for coef, vi in free:
+                queue.append((vi, 1 if coef > 0 else 0))
+        elif lo > rhs - 1e-9:  # every free term at its lower value
+            for coef, vi in free:
+                queue.append((vi, 0 if coef > 0 else 1))
         return True
 
-    def undo(self, trail: List[int], mark: int):
-        while len(trail) > mark:
+    def undo(self, trail: List[int]):
+        while trail:
             self.value[trail.pop()] = -1
 
 
@@ -172,7 +171,7 @@ class _ContextTables:
                             var_index[ctx.edge_vars[e.index]])
             non_telo = [id_vars.get(idx[n], []) for n in d.nodes
                         if not n.is_telomere and d.side_of(n) == side]
-            telo = [var_index.get(ctx.o_vars[n]) for n in d.telomeric_nodes()
+            telo = [var_index[ctx.o_vars[n]] for n in d.telomeric_nodes()
                     if d.side_of(n) == side]
             self.bound_sides.append((non_telo, telo))
 
@@ -246,7 +245,7 @@ class _ContextTables:
                 if not any(value[v] == 1 for v in ids):
                     count += 1
             for ov in telo:
-                if ov is None or value[ov] != 0:
+                if value[ov] != 0:
                     count += 1
             alive.append(count)
         return min(min(alive) // 2, self.num_z)
@@ -316,10 +315,9 @@ def solve_internal(model: IlpModel, time_limit: Optional[float] = None
     start = time.monotonic()
     branch_vars = _branch_variables(model)
     prop = _Propagator(model, branch_vars)
-    var_index = {name: i for i, name in enumerate(branch_vars)}
-    one_first = {i for name, i in var_index.items()
+    one_first = {i for name, i in prop.index.items()
                  if model.variables[name].meaning[0] == "adj"}
-    scorer = _Scorer(model, var_index)
+    scorer = _Scorer(model, prop.index)
 
     best: List[Optional[Tuple[float, List[int]]]] = [None]
     leaves = [0]
@@ -358,7 +356,7 @@ def solve_internal(model: IlpModel, time_limit: Optional[float] = None
             trail: List[int] = []
             if prop.assign(next_var, val, trail):
                 dfs(next_var + 1)
-            prop.undo(trail, 0)
+            prop.undo(trail)
             if timed_out[0]:
                 return
 
@@ -410,15 +408,9 @@ def _complete_context(model: IlpModel, ctx: EdgeContext,
 
     components = decompose(selected)  # raises DiagramError on bad degrees
     for comp in components:
-        nodes = [comp.edges[0].u, comp.edges[0].v]
-        head = comp.edges[0].v
-        for e in comp.edges[1:]:
-            head = e.other(head)
-            nodes.append(head)
-        nodes.pop()  # closing node equals the origin
         if not comp.has_indel:
-            ymin = min(idx[n] for n in nodes)
-            for n in nodes:
+            ymin = min(idx[n] for n in comp.nodes)
+            for n in comp.nodes:
                 assignment[ctx.y_vars[idx[n]]] = float(ymin)
             zname = ctx.z_vars.get(ymin)
             if zname is None:
@@ -426,7 +418,7 @@ def _complete_context(model: IlpModel, ctx: EdgeContext,
                     "indel-free cycle labelled by telomeric node %d" % ymin)
             assignment[zname] = 1.0
             continue
-        _assign_runs(ctx, comp, nodes, assignment)
+        _assign_runs(ctx, comp, assignment)
 
     for ci, cand in enumerate(ctx.singletons):
         full = all(assignment.get(ctx.edge_vars[ei], 0) > 0.5
@@ -443,13 +435,14 @@ def _complete_context(model: IlpModel, ctx: EdgeContext,
             assignment[aname] = used / 2.0
 
 
-def _assign_runs(ctx: EdgeContext, comp, nodes, assignment):
+def _assign_runs(ctx: EdgeContext, comp, assignment):
     """Run labels and transition edges for one indel-containing cycle.
 
     Label flips are placed on the adjacency edge next to an indel-edge
     endpoint of genome A, which keeps the optional transition-restricting
     constraints satisfiable.
     """
+    nodes = comp.nodes
     length = len(nodes)
     idx = ctx.diagram.node_index
     forced: Dict[int, int] = {}

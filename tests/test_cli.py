@@ -188,6 +188,17 @@ def test_parse_error_exit_codes(tmp_path):
                str(tmp_path / "o.tsv")) == EXIT_PARSE
 
 
+def test_build_rejects_repeated_adjacency(tmp_path):
+    pair = write_pair(tmp_path)
+    with open(pair, "a", encoding="utf-8") as handle:
+        handle.write(pair.read_text().splitlines()[0] + "\n")
+    tree = tmp_path / "tree.tsv"
+    tree.write_text("A\tB\n")
+    assert run("build", str(tree), str(pair), "-o",
+               str(tmp_path / "m.lp")) == EXIT_PARSE
+    assert not (tmp_path / "m.lp").exists()
+
+
 def write_triangle(tmp_path):
     """A pair whose genome A has a triangle component, which admits no
     derived genome, and a tree joining A and B."""

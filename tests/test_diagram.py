@@ -5,9 +5,10 @@ from spp_dcj.diagram import (ADJ, EXT, ID, DiagramError,
                              breakdown_from_components, brute_force_distance,
                              classify_interior_components, count_runs,
                              decompose, enumerate_circular_singletons,
-                             enumerate_derived, indel_potential)
+                             indel_potential)
 from spp_dcj.genomes import (Adjacency, DegenerateGenome, Extremity,
-                             FamilyAssignment, HEAD, TAIL, TELO)
+                             FamilyAssignment, HEAD, TAIL, TELO,
+                             enumerate_derived)
 
 from util import build_genome, random_degenerate_pair, random_structure, seeded
 
@@ -23,12 +24,10 @@ def test_indel_potential_table():
 def test_count_runs():
     assert count_runs([(ADJ, "A"), (EXT, None)]) == 0
     seq = [(ID, "A"), (ADJ, "A"), (ID, "A"), (ADJ, None), (ID, "B")]
-    assert count_runs(seq, closed=False) == 2
-    assert count_runs(seq, closed=False, side="A") == 1
+    assert count_runs(seq) == 2
     # cyclic merge: first and last blocks of the same side join up
     cyc = [(ID, "A"), (ID, "B"), (ID, "A")]
-    assert count_runs(cyc, closed=True) == 2
-    assert count_runs(cyc, closed=False) == 3
+    assert count_runs(cyc) == 2
 
 
 def simple_pair():
@@ -48,7 +47,7 @@ def test_diagram_shape_resolved():
     assert kinds[ADJ] == 4  # two per genome
     assert kinds[EXT] == 4  # tail+head per shared family
     assert ID not in kinds
-    assert d.n_prime == d.n  # no telomeres anywhere
+    assert not d.telomeric_nodes()
 
 
 def test_diagram_indel_edges_and_duplicates():
@@ -76,7 +75,7 @@ def test_diagram_capping():
     # telomeric extremity edges: all caps x all B telomeres
     telo_ext = [e for e in d.edges if e.is_telomeric_ext]
     assert len(telo_ext) == 4
-    assert d.n_prime == d.n + 1.0  # 4 telomeric nodes / 4
+    assert len(d.telomeric_nodes()) == 4  # two caps, two B telomeres
 
 
 def test_diagram_rejects_same_species():
@@ -124,7 +123,10 @@ def test_decompose_and_breakdown():
     a, b = simple_pair()
     d = MultiRelationalDiagram(a, b, FAM)
     comps = decompose(d.edges)  # every node has degree 2 here
-    assert all(c.closed for c in comps)
+    for c in comps:  # each cycle's nodes are its edges' start points
+        assert len(c.nodes) == len(c.edges)
+        assert all({n, nxt} == {e.u, e.v} for n, nxt, e in
+                   zip(c.nodes, c.nodes[1:] + c.nodes[:1], c.edges))
     covered = {n for c in comps for e in c.edges for n in (e.u, e.v)}
     assert covered == set(d.nodes)
     bd = breakdown_from_components(d.n, comps, 0)

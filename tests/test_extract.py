@@ -30,7 +30,7 @@ def test_decode_round_trip():
     for species, genome in decoded.genomes.items():
         assert is_genome(genome)
         assert is_derived(genome, genomes[species])
-    validate(model, decoded, genomes)
+    validate(decoded, genomes)
     assert decoded.objective == pytest.approx(result.objective, abs=1e-9)
     audit(model, decoded, result.objective)
     pd = decoded.distances[0]

@@ -100,9 +100,6 @@ def test_family_assignment_default_and_explicit():
     explicit = FamilyAssignment({"g17": "12"})
     assert explicit.family("g17") == "12"
     assert explicit.family("12.7") == "12"  # default still applies
-    strict = FamilyAssignment({"g17": "12"}, use_default=False)
-    with pytest.raises(GenomeError):
-        strict.family("12.7")
     with pytest.raises(GenomeError):
         fam.family("t.3")
 

@@ -91,3 +91,47 @@ def test_no_dead_locals(path):
             for func, name, line in _dead_locals(tree)]
     assert not dead, "%s assigns locals it never reads: %s" % (
         path.name, ", ".join(dead))
+
+
+def _unused_parameters(tree):
+    """(function, parameter, line) of every parameter a function (or a
+    function nested in it) never reads.  ``self``, ``cls``, dunder methods
+    and names starting with ``_`` are exempt."""
+    unused = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if func.name.startswith("__") and func.name.endswith("__"):
+            continue
+        args = func.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [arg for arg in (args.vararg, args.kwarg) if arg]
+        read = {node.id for stmt in func.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name)
+                and not isinstance(node.ctx, ast.Store)}
+        unused.update((func.name, arg.arg, arg.lineno) for arg in params
+                      if arg.arg not in read
+                      and arg.arg not in ("self", "cls")
+                      and not arg.arg.startswith("_"))
+    return sorted(unused, key=lambda entry: (entry[2], entry[1]))
+
+
+def test_unused_parameter_check_catches_unread_names():
+    tree = ast.parse("class C:\n"
+                     "    def __init__(self, x):\n"
+                     "        pass\n"
+                     "    def m(self, a, b=1, *rest, _c, **extra):\n"
+                     "        def inner(d):\n"
+                     "            return a + d\n"
+                     "        return inner\n")
+    assert _unused_parameters(tree) == [("m", "b", 4), ("m", "extra", 4),
+                                        ("m", "rest", 4)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    unused = ["%s of %s (line %d)" % (name, func, line)
+              for func, name, line in _unused_parameters(tree)]
+    assert not unused, "%s has parameters it never reads: %s" % (
+        path.name, ", ".join(unused))

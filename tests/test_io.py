@@ -14,13 +14,13 @@ def test_adjacency_round_trip(tmp_path):
             species, random_structure(rng, rng.randint(2, 6)),
             weight=round(rng.random(), 3))
     path = tmp_path / "adj.tsv"
-    io.write_adjacencies(genomes, path, header="round trip")
+    io.write_adjacencies(genomes, path)
     back = io.read_adjacencies(path)
     assert set(back) == set(genomes)
     for species in genomes:
         assert back[species] == genomes[species]
-        for adj in genomes[species].adjacencies:
-            assert back[species].weight_of(adj) == adj.weight
+        assert ([adj.weight for adj in back[species].adjacencies]
+                == [adj.weight for adj in genomes[species].adjacencies])
 
 
 def test_adjacency_default_weight(tmp_path):
@@ -57,6 +57,21 @@ def test_adjacency_genome_error_reported(tmp_path):
     with pytest.raises(io.ParseError) as err:
         io.read_adjacencies(path)  # 2.1_h has no mate
     assert "genome A" in str(err.value)
+
+
+def test_repeated_adjacency_rejected(tmp_path):
+    path = tmp_path / "adj.tsv"
+    path.write_text("A\t1.1_t\t1.1_h\t1\n"
+                    "A\t1.1_h\t2.1_t\t0.3\n"
+                    "A\t2.1_t\t2.1_h\t1\n"
+                    "# the same adjacency in the other orientation\n"
+                    "A\t2.1_t\t1.1_h\t0.9\n")
+    with pytest.raises(io.ParseError, match="repeats line 2") as info:
+        io.read_adjacencies(path)
+    assert info.value.lineno == 5
+    # one adjacency pair in two species is no repeat
+    path.write_text("A\t1.1_t\t1.1_h\nB\t1.1_t\t1.1_h\n")
+    assert set(io.read_adjacencies(path)) == {"A", "B"}
 
 
 def test_write_is_canonical(tmp_path):

@@ -3,8 +3,8 @@ import itertools
 import pytest
 
 from spp_dcj.genomes import (Adjacency, DegenerateGenome, Extremity,
-                             GenomeError, HEAD, TAIL, TELO, is_derived,
-                             is_genome)
+                             GenomeError, HEAD, TAIL, TELO,
+                             enumerate_derived, is_derived, is_genome)
 from spp_dcj.linearize import (EVEN_CLIQUE, EVEN_CYCLE, EVEN_PATH,
                                NEEDS_AUGMENTATION, augment,
                                classify_components,
@@ -95,6 +95,15 @@ def test_augmentable_but_already_coverable():
     assert is_linearizable_bruteforce(square)
 
 
+def test_bruteforce_size_guard():
+    markers = ["%d.1" % f for f in range(1, 10)]
+    at_limit = build_genome("A", [(markers[:8], False)])  # 16 extremities
+    assert is_linearizable_bruteforce(at_limit)
+    over = build_genome("A", [(markers, False)])  # 18 extremities
+    with pytest.raises(ValueError, match="limited to 16"):
+        is_linearizable_bruteforce(over)
+
+
 def _random_degenerate(rng, max_markers=4):
     markers = ["%d.1" % f for f in range(1, rng.randint(1, max_markers) + 1)]
     pool = [ext(m, k) for m in markers for k in (TAIL, HEAD)]
@@ -133,7 +142,6 @@ def test_augmented_genomes_admit_derived_genomes():
         fixed = augment(g)
         assert find_nonlinearizable_component(fixed) is None
         # witness: genomes really are derivable
-        from spp_dcj.diagram import enumerate_derived
         witness = next(enumerate_derived(fixed))
         derived = DegenerateGenome("A", witness)
         assert is_genome(derived)

@@ -105,8 +105,9 @@ def test_add_noise_reaches_target_surfeit():
     assert report.added == len(noisy.adjacencies) - len(genome.adjacencies)
     assert set(genome.adjacencies) <= set(noisy.adjacencies)
     # all original adjacencies keep their weight
+    weights = {adj: adj.weight for adj in noisy.adjacencies}
     for adj in genome.adjacencies:
-        assert noisy.weight_of(adj) == adj.weight
+        assert weights[adj] == adj.weight
 
 
 def test_add_noise_noop_when_target_met():
@@ -146,14 +147,10 @@ def test_add_noise_deterministic():
 
 
 def _reference_add_noise(genome, target_surfeit, rng,
-                         adversarial_fraction=0.0, reference=None,
-                         families=None):
-    """The pair-enumerating sampler that add_noise replaced, kept verbatim
-    to pin its noise stream: it builds every candidate pair, then samples."""
-    if families is None:
-        families = FamilyAssignment()
-    if reference is None:
-        reference = genome
+                         adversarial_fraction=0.0):
+    """The pair-enumerating sampler that add_noise replaced, kept to pin
+    its noise stream: it builds every candidate pair, then samples."""
+    families = FamilyAssignment()
     extremities = genome.non_telomeric_extremities()
     goal = math.ceil(target_surfeit * len(extremities) / 2.0)
     need = goal - len(genome.adjacencies)
@@ -162,7 +159,7 @@ def _reference_add_noise(genome, target_surfeit, rng,
 
     existing = set(genome.adjacencies)
     signatures = set()
-    for adj in reference.adjacencies:
+    for adj in genome.adjacencies:
         a, b = adj.ends
         if a.is_telomere or b.is_telomere:
             continue
@@ -225,17 +222,6 @@ def test_add_noise_matches_pair_enumeration():
                 reports.append(_same_noise(genome, target, seed,
                                            adversarial_fraction=fraction))
     assert any(r.adversarial > 0 and r.uniform > 0 for r in reports)
-
-    # an explicit reference genome and an explicit family mapping
-    root = result.genomes[result.root]
-    leaf = result.genomes[sorted(result.tree.leaves())[0]]
-    merged = FamilyAssignment({m: "g%d" % (int(m.split(".")[0]) % 4)
-                               for g in (root, leaf) for m in g.markers()})
-    for fraction in (0.5, 1.0):
-        assert _same_noise(leaf, 1.8, 5, adversarial_fraction=fraction,
-                           reference=root).adversarial > 0
-        assert _same_noise(leaf, 1.8, 6, adversarial_fraction=fraction,
-                           reference=root, families=merged).adversarial > 0
 
     # three markers: nine candidate pairs, so random.sample copies the pool
     tiny = evolve(SimConfig(families=3, leaves=2, scale=0.0, seed=1))

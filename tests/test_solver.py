@@ -132,7 +132,7 @@ def _all_leaves(model, branch):
             trail = []
             if prop.assign(k, val, trail):
                 dfs(k + 1)
-            prop.undo(trail, 0)
+            prop.undo(trail)
 
     dfs(0)
     return leaves
@@ -205,6 +205,19 @@ def test_propagator_forces_values():
         assert prop.value[index[over]] == 0
     else:
         assert not ok  # direct conflict is also acceptable
+
+
+@pytest.mark.parametrize("tag", ["C.01", "C.02", "C.03"])
+def test_propagator_rejects_inequality_rows(tag):
+    # the propagator's single rule is sound for equalities only
+    a = build_genome("A", [(["1.1", "2.1"], True)])
+    b = build_genome("B", [(["1.1", "2.1"], True)])
+    model = pair_model(a, b)
+    con = next(con for con in model.constraints if con.tag == tag)
+    con.sense = "<="
+    with pytest.raises(SolverError, match="not an equality") as info:
+        solve_internal(model)
+    assert not isinstance(info.value, BudgetExhausted)
 
 
 def test_verify_assignment_catches_violations():
