@@ -62,10 +62,6 @@ def _model_flags(parser: _Parser):
                         help="penalty per used telomere (default 0.25)")
     parser.add_argument("--families", metavar="TSV", default=None,
                         help="marker-to-family map; default: marker prefix")
-    parser.add_argument("--no-optional-constraints", action="store_true",
-                        help="omit the redundant strengthening constraints")
-    parser.add_argument("--no-reduction", action="store_true",
-                        help="keep all telomeric extremity edges")
 
 
 def _load_families(path) -> FamilyAssignment:
@@ -76,9 +72,7 @@ def _load_families(path) -> FamilyAssignment:
 
 def _build(args, tree, genomes):
     return build_model(tree, genomes, _load_families(args.families),
-                       args.alpha, args.beta,
-                       optional_constraints=not args.no_optional_constraints,
-                       reduce_telomeres=not args.no_reduction)
+                       args.alpha, args.beta)
 
 
 def cmd_linearize(args) -> int:
@@ -106,8 +100,6 @@ def cmd_build(args) -> int:
     _manifest(args.output + ".manifest.json", "build", {
         "tree": args.tree, "adjacencies": args.adjacencies,
         "alpha": args.alpha, "beta": args.beta, "families": args.families,
-        "optional_constraints": not args.no_optional_constraints,
-        "reduction": not args.no_reduction,
     }, {"build": built - start, "write": time.monotonic() - built})
     return EXIT_OK
 
@@ -134,7 +126,8 @@ def cmd_extract(args) -> int:
     model = _build(args, tree, genomes)
     if args.idmap and read_idmap(args.idmap) != set(model.variables):
         raise ModelError("variable map does not match the rebuilt model; "
-                         "rerun extract with the same flags used for build")
+                         "rerun extract with the inputs and --families used "
+                         "for build")
     reported, assignment = load_solution(model, args.solution)
     decoded = decode(model, assignment)
     validate(decoded, genomes)
@@ -146,8 +139,6 @@ def cmd_extract(args) -> int:
         "solution": args.solution, "idmap": args.idmap, "tree": args.tree,
         "adjacencies": args.adjacencies, "alpha": args.alpha,
         "beta": args.beta,
-        "optional_constraints": not args.no_optional_constraints,
-        "reduction": not args.no_reduction,
     }, {"extract": time.monotonic() - start})
     return EXIT_OK
 

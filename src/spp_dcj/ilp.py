@@ -70,6 +70,7 @@ class EdgeContext:
     z_vars: Dict[int, str] = field(default_factory=dict)
     t_vars: Dict[int, str] = field(default_factory=dict)  # edge index -> var
     s_vars: List[str] = field(default_factory=list)
+    a_vars: Dict[str, str] = field(default_factory=dict)  # side -> var
     singletons: List = field(default_factory=list)
 
 
@@ -122,9 +123,9 @@ def _gc_paused():
 @_gc_paused()
 def build_model(tree: Phylogeny, genomes: Dict[str, DegenerateGenome],
                 families: FamilyAssignment, alpha: float, beta: float,
-                optional_constraints: bool = True,
                 reduce_telomeres: bool = True) -> IlpModel:
-    """Assemble the full model over all phylogeny edges."""
+    """Assemble the full model over all phylogeny edges: every variable,
+    then the objective, then the rows."""
     if alpha < 0 or beta < 0 or alpha + beta > 1:
         raise ModelError("invalid mixture: need 0 <= alpha, beta and alpha+beta <= 1")
     missing = [node for node in tree.nodes if node not in genomes]
@@ -141,10 +142,12 @@ def build_model(tree: Phylogeny, genomes: Dict[str, DegenerateGenome],
         diagram = MultiRelationalDiagram(genomes[a], genomes[b], families,
                                          reduce_telomeres=reduce_telomeres)
         model.contexts.append(_declare_edge_vars(model, a, b, diagram))
+    for ctx in model.contexts:
+        _declare_counter_vars(model, ctx)
 
     build_objective(model)
     for ctx in model.contexts:
-        emit_constraints(model, ctx, optional_constraints)
+        emit_constraints(model, ctx)
     return model
 
 
@@ -239,6 +242,17 @@ def _declare_edge_vars(model: IlpModel, a: str, b: str,
     return ctx
 
 
+def _declare_counter_vars(model: IlpModel, ctx: EdgeContext):
+    """C.11's linear chromosome counter of each side that has telomeres."""
+    for side in ("A", "B"):
+        telos = ctx.diagram.telomeres_side(side)
+        if telos:
+            ctx.a_vars[side] = model.add_variable(
+                "a_%s_%s" % (ctx.key, side), INTEGER, 0, len(telos) // 2,
+                ("a", ctx.key, side),
+                "linear chromosome count, side %s (%s)" % (side, ctx.key))
+
+
 def build_objective(model: IlpModel):
     """Populate the objective from the declared variables."""
     alpha, beta = model.alpha, model.beta
@@ -260,8 +274,7 @@ def build_objective(model: IlpModel):
                     model.add_objective(name, -beta)
 
 
-def emit_constraints(model: IlpModel, ctx: EdgeContext,
-                     optional_constraints: bool = True):
+def emit_constraints(model: IlpModel, ctx: EdgeContext):
     """Emit the constraint block of one phylogeny edge."""
     d = ctx.diagram
     key = ctx.key
@@ -356,9 +369,6 @@ def emit_constraints(model: IlpModel, ctx: EdgeContext,
         model.add_constraint("c09_%s_%d" % (key, ci + 1), terms, "<=",
                              len(cand.edges) - 1, "C.09")
 
-    if not optional_constraints:
-        return
-
     # C.10: transition edges only on A-adjacency edges next to selected A-indels
     id_a_at: Dict[Extremity, List[DiagramEdge]] = {}
     for e in d.edges:
@@ -379,15 +389,8 @@ def emit_constraints(model: IlpModel, ctx: EdgeContext,
                                  [(1, ctx.t_vars[e.index])], "=", 0, "C.10")
 
     # C.11: derived genomes use an even number of telomeres per side
-    for side in ("A", "B"):
-        telos = [node for node in d.telomeric_nodes() if d.side_of(node) == side]
-        if not telos:
-            continue
-        aname = "a_%s_%s" % (key, side)
-        model.add_variable(aname, INTEGER, 0, len(telos) // 2,
-                           ("a", key, side),
-                           "linear chromosome count, side %s (%s)" % (side, key))
-        terms = [(1, ctx.o_vars[node]) for node in telos]
+    for side, aname in ctx.a_vars.items():
+        terms = [(1, ctx.o_vars[node]) for node in d.telomeres_side(side)]
         terms.append((-2, aname))
         model.add_constraint("c11_%s_%s" % (key, side), terms, "=", 0, "C.11")
 
@@ -403,9 +406,8 @@ def write_lp(model: IlpModel, lp_path, idmap_path=None):
         lines.append(" obj: " + _expr(obj_terms))
     lines.append("Subject To")
     for con in model.constraints:
-        sense = {"<=": "<=", ">=": ">=", "=": "="}[con.sense]
         lines.append(" %s: %s %s %s" % (con.name, _expr(
-            [(v, c) for c, v in con.terms]), sense, _num(con.rhs)))
+            [(v, c) for c, v in con.terms]), con.sense, _num(con.rhs)))
     lines.append("Bounds")
     for var in model.variables.values():
         if var.kind == BINARY:

@@ -1,13 +1,14 @@
 """File formats: adjacency TSV, phylogeny edge lists, family maps, reports.
 
 Adjacency file: ``species<TAB>ext1<TAB>ext2<TAB>weight`` with extremity
-syntax ``<marker>_h``, ``<marker>_t``, ``t.<n>_o``.  Lines starting with
-``#`` are comments.  Canonical sort is lexicographic by
-``(species, ext1, ext2)``.
+syntax ``<marker>_h``, ``<marker>_t``, ``t.<n>_o`` and a finite weight
+(default 1).  Lines starting with ``#`` are comments.  Canonical sort is
+lexicographic by ``(species, ext1, ext2)``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .genomes import (Adjacency, DegenerateGenome, FamilyAssignment,
@@ -46,7 +47,10 @@ def read_adjacencies(path) -> Dict[str, DegenerateGenome]:
             try:
                 weight = float(cols[3])
             except ValueError:
-                raise ParseError(path, lineno, "bad weight %r" % cols[3])
+                weight = math.nan
+            if not math.isfinite(weight):
+                raise ParseError(path, lineno, "bad weight %r: need a finite "
+                                 "number" % cols[3])
         try:
             adj = Adjacency((parse_extremity(species, e1),
                              parse_extremity(species, e2)), weight)

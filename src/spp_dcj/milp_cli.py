@@ -1,8 +1,11 @@
 """Bundled MILP backend: solve an LP-format model with scipy's HiGHS.
 
-Understands the LP dialect this package writes (single-line constraints,
-explicit coefficients, Maximize objective) and writes the solution with
-``solver.write_solution``, the format the external-solver bridge reads.
+Reads exactly the LP dialect ``ilp.write_lp`` writes (README, File formats):
+the six section headers as written, one labelled objective line (``obj: 0``
+when empty), named one-line rows, ``lb <= name <= ub`` bounds and one name
+per line under Binaries and Generals; any other line is an
+``LpFormatError``.  The solution is written with ``solver.write_solution``,
+the format the external-solver bridge reads.
 """
 
 from __future__ import annotations
@@ -49,6 +52,8 @@ class LpProblem:
 
 
 _SENSES = frozenset(("<=", ">=", "="))
+_HEADERS = frozenset(("Maximize", "Subject To", "Bounds", "Binaries",
+                      "Generals", "End"))
 
 
 def _parse_terms(problem: LpProblem, tokens: List[str], cols: List[int],
@@ -85,24 +90,22 @@ def parse_lp(path) -> LpProblem:
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
-            if not line or line.startswith("\\"):
-                continue
-            lowered = line.lower()
-            if lowered in ("maximize", "minimize", "subject to", "bounds",
-                           "binaries", "binary", "generals", "general", "end"):
-                section = lowered
+            if line in _HEADERS:
+                section = line
                 continue
             try:
                 _parse_line(problem, section, line)
             except ValueError as exc:
                 raise LpFormatError(path, lineno, str(exc))
+            if section == "Maximize":
+                section = None  # the objective is a single line
     return problem
 
 
 def _parse_line(problem: LpProblem, section: Optional[str], line: str):
-    if section == "subject to":
-        _, colon, body = line.partition(":")
-        if not colon:
+    if section == "Subject To":
+        name, colon, body = line.partition(":")
+        if not colon or not name:
             raise ValueError("unnamed constraint: %r" % line)
         tokens = body.split()
         if (len(tokens) < 2 or tokens[-2] not in _SENSES
@@ -115,42 +118,34 @@ def _parse_line(problem: LpProblem, section: Optional[str], line: str):
                             * (len(problem.cols) - start))
         problem.row_lower.append(-np.inf if sense == "<=" else rhs)
         problem.row_upper.append(np.inf if sense == ">=" else rhs)
-    elif section in ("maximize", "minimize"):
-        body = line.split(":", 1)[1] if ":" in line else line
+    elif section == "Maximize":
+        label, colon, body = line.partition(":")
+        if not colon or not label:
+            raise ValueError("unlabelled objective: %r" % line)
+        tokens = body.split()
+        if tokens == ["0"]:
+            return  # the empty objective
         cols: List[int] = []
         values: List[float] = []
-        _parse_terms(problem, body.split(), cols, values)
-        scale = 1.0 if section == "maximize" else -1.0
+        _parse_terms(problem, tokens, cols, values)
         for vi, coef in zip(cols, values):
-            problem.objective[vi] = (problem.objective.get(vi, 0.0)
-                                     + scale * coef)
-    elif section == "bounds":
+            problem.objective[vi] = problem.objective.get(vi, 0.0) + coef
+    elif section == "Bounds":
         parts = line.split()
-        if len(parts) == 5 and parts[1] == "<=" and parts[3] == "<=":
-            vi = problem.var(parts[2])
-            problem.lower[vi] = float(parts[0])
-            problem.upper[vi] = float(parts[4])
-        elif len(parts) == 3 and parts[1] in _SENSES:
-            vi = problem.var(parts[0])
-            val = float(parts[2])
-            if parts[1] in ("<=",):
-                problem.upper[vi] = val
-            elif parts[1] == ">=":
-                problem.lower[vi] = val
-            else:
-                problem.lower[vi] = problem.upper[vi] = val
-        else:
+        if len(parts) != 5 or parts[1] != "<=" or parts[3] != "<=":
             raise ValueError("malformed bound: %r" % line)
-    elif section in ("binaries", "binary"):
-        for name in line.split():
-            vi = problem.var(name)
-            problem.integer.add(vi)
+        vi = problem.var(parts[2])
+        problem.lower[vi] = float(parts[0])
+        problem.upper[vi] = float(parts[4])
+    elif section in ("Binaries", "Generals"):
+        if len(line.split()) != 1:
+            raise ValueError("expected one variable name: %r" % line)
+        vi = problem.var(line)
+        problem.integer.add(vi)
+        if section == "Binaries":
             problem.lower.setdefault(vi, 0.0)
             problem.upper.setdefault(vi, 1.0)
-    elif section in ("generals", "general"):
-        for name in line.split():
-            problem.integer.add(problem.var(name))
-    elif section == "end":
+    elif section == "End":
         raise ValueError("content after End: %r" % line)
     else:
         raise ValueError("line outside any section: %r" % line)

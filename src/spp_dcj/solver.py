@@ -140,8 +140,7 @@ def _branch_variables(model: IlpModel) -> List[str]:
 class _ContextTables:
     """Integer view of one edge context, indexed by branch variable."""
 
-    def __init__(self, model: IlpModel, ctx: EdgeContext,
-                 var_index: Dict[str, int]):
+    def __init__(self, ctx: EdgeContext, var_index: Dict[str, int]):
         d = ctx.diagram
         idx = d.node_index
         self.size = len(d.nodes) + 1  # node indices start at 1
@@ -155,10 +154,8 @@ class _ContextTables:
                            for cand in ctx.singletons]
         # telomere presence per side that has a C.11 row
         self.telomere_groups = [
-            [var_index[ctx.o_vars[n]] for n in d.telomeric_nodes()
-             if d.side_of(n) == side]
-            for side in ("A", "B")
-            if "a_%s_%s" % (ctx.key, side) in model.variables]
+            [var_index[ctx.o_vars[n]] for n in d.telomeres_side(side)]
+            for side in ctx.a_vars]
         # z-count bound: the indel-edge variables at each non-telomeric
         # node and the presence variable of each telomere, per side
         self.bound_sides = []
@@ -171,8 +168,7 @@ class _ContextTables:
                             var_index[ctx.edge_vars[e.index]])
             non_telo = [id_vars.get(idx[n], []) for n in d.nodes
                         if not n.is_telomere and d.side_of(n) == side]
-            telo = [var_index[ctx.o_vars[n]] for n in d.telomeric_nodes()
-                    if d.side_of(n) == side]
+            telo = [var_index[ctx.o_vars[n]] for n in d.telomeres_side(side)]
             self.bound_sides.append((non_telo, telo))
 
     def counts(self, value: List[int]) -> Optional[Tuple[int, int, int]]:
@@ -262,7 +258,7 @@ class _Scorer:
 
     def __init__(self, model: IlpModel, var_index: Dict[str, int]):
         self.alpha = model.alpha
-        self.contexts = [_ContextTables(model, ctx, var_index)
+        self.contexts = [_ContextTables(ctx, var_index)
                          for ctx in model.contexts]
         z_names = set()
         for ctx in model.contexts:
@@ -387,12 +383,11 @@ def complete_assignment(model: IlpModel, assignment: Dict[str, float]) -> float:
     (s) and chromosome counters (a) accordingly.  Returns the objective.
     """
     for ctx in model.contexts:
-        _complete_context(model, ctx, assignment)
+        _complete_context(ctx, assignment)
     return recompute_objective(model, assignment)
 
 
-def _complete_context(model: IlpModel, ctx: EdgeContext,
-                      assignment: Dict[str, float]):
+def _complete_context(ctx: EdgeContext, assignment: Dict[str, float]):
     d = ctx.diagram
     idx = d.node_index
     selected = [e for e in d.edges
@@ -425,14 +420,12 @@ def _complete_context(model: IlpModel, ctx: EdgeContext,
                    for ei in cand.edges)
         assignment[ctx.s_vars[ci]] = 1.0 if full else 0.0
 
-    for side in ("A", "B"):
-        aname = "a_%s_%s" % (ctx.key, side)
-        if aname in model.variables:
-            used = sum(assignment.get(ctx.o_vars[n], 0)
-                       for n in d.telomeric_nodes() if d.side_of(n) == side)
-            if used % 2:
-                raise DiagramError("odd telomere usage on side %s" % side)
-            assignment[aname] = used / 2.0
+    for side, aname in ctx.a_vars.items():
+        used = sum(assignment.get(ctx.o_vars[n], 0)
+                   for n in d.telomeres_side(side))
+        if used % 2:
+            raise DiagramError("odd telomere usage on side %s" % side)
+        assignment[aname] = used / 2.0
 
 
 def _assign_runs(ctx: EdgeContext, comp, assignment):

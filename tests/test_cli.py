@@ -199,6 +199,41 @@ def test_build_rejects_repeated_adjacency(tmp_path):
     assert not (tmp_path / "m.lp").exists()
 
 
+@pytest.mark.parametrize("weight", ["inf", "nan"])
+def test_build_rejects_non_finite_weight(tmp_path, capsys, weight):
+    pair = write_pair(tmp_path)
+    lines = pair.read_text().splitlines()
+    lines[1] = lines[1].rsplit("\t", 1)[0] + "\t" + weight
+    pair.write_text("\n".join(lines) + "\n")
+    tree = tmp_path / "tree.tsv"
+    tree.write_text("A\tB\n")
+    capsys.readouterr()
+    assert run("build", str(tree), str(pair), "-o",
+               str(tmp_path / "m.lp")) == EXIT_PARSE
+    assert "pair.tsv:2:" in capsys.readouterr().err
+    assert not (tmp_path / "m.lp").exists()
+
+
+def test_pipeline_with_empty_objective(tmp_path):
+    # alpha 0 and beta 1 on circular genomes leave no objective term, so
+    # build writes " obj: 0"; solve and extract must read it back
+    pair = write_pair(tmp_path)
+    tree = tmp_path / "tree.tsv"
+    tree.write_text("A\tB\n")
+    lp, sol = tmp_path / "m.lp", tmp_path / "m.sol"
+    mixture = ("--alpha", "0", "--beta", "1")
+    assert run("build", str(tree), str(pair), "-o", str(lp),
+               *mixture) == EXIT_OK
+    assert " obj: 0\n" in lp.read_text()
+    assert run("solve", str(lp), "-o", str(sol), "--internal") == EXIT_OK
+    reported, _ = solver.parse_solution(sol)
+    assert reported == 0
+    assert run("extract", str(sol), str(tree), str(pair),
+               "--genomes-out", str(tmp_path / "g.tsv"),
+               "--distances-out", str(tmp_path / "d.tsv"),
+               *mixture) == EXIT_OK
+
+
 def write_triangle(tmp_path):
     """A pair whose genome A has a triangle component, which admits no
     derived genome, and a tree joining A and B."""
@@ -356,8 +391,8 @@ def test_extract_idmap_mismatch(tmp_path):
     assert run("build", str(tree), str(pair), "-o", str(lp),
                "--idmap", str(idmap)) == EXIT_OK
     assert run("solve", str(lp), "-o", str(sol), "--internal") == EXIT_OK
-    # different alpha changes nothing structural, different reduction might;
-    # force a mismatch by truncating the idmap
+    # different alpha or beta changes no variable; force a mismatch by
+    # truncating the idmap
     lines = idmap.read_text().splitlines()
     idmap.write_text("\n".join(lines[:-1]) + "\n")
     rc = run("extract", str(sol), str(tree), str(pair), "--idmap", str(idmap),

@@ -1,10 +1,14 @@
 """Source hygiene: every name a ``spp_dcj`` module imports is used there,
-and every local a function assigns is read somewhere in it."""
+every local a function assigns and every parameter it takes is read
+somewhere in it, and every command-line option is read by the CLI."""
 
+import argparse
 import ast
 import pathlib
 
 import pytest
+
+from spp_dcj import cli
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "spp_dcj"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -135,3 +139,41 @@ def test_no_unused_parameters(path):
               for func, name, line in _unused_parameters(tree)]
     assert not unused, "%s has parameters it never reads: %s" % (
         path.name, ", ".join(unused))
+
+
+def _unread_options(parser, tree):
+    """``dest`` of every action of ``parser`` and its subcommands that
+    ``tree`` never reads as ``args.<dest>``.  ``help``, ``version`` and the
+    subcommand choice itself are exempt."""
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+    unread = set()
+    parsers = [parser]
+    while parsers:
+        for action in parsers.pop()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            elif action.dest not in read:
+                unread.add(action.dest)
+    return sorted(unread - {"help", "version", "command"})
+
+
+def test_unread_option_check_catches_unread_options():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--version", action="version", version="0")
+    sub = parser.add_subparsers(dest="command")
+    p = sub.add_parser("one")
+    p.add_argument("path")
+    p.add_argument("--no-frills", action="store_true")
+    sub.add_parser("two").add_argument("--count", dest="how_many", type=int)
+    tree = ast.parse("def run(args):\n"
+                     "    return args.path, other.how_many\n")
+    assert _unread_options(parser, tree) == ["how_many", "no_frills"]
+
+
+def test_every_cli_option_is_read():
+    path = PACKAGE / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    unread = _unread_options(cli.make_parser(), tree)
+    assert not unread, "cli.py never reads options: %s" % ", ".join(unread)

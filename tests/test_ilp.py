@@ -74,16 +74,27 @@ def test_constraint_counts_match_diagram():
         assert dict(got) == want
 
 
-def test_optional_constraints_toggle():
-    rng = seeded(47)
-    a, b = random_degenerate_pair(rng, extra_linear=True)
-    full = pair_model(a, b)
-    lean = pair_model(a, b, optional_constraints=False)
-    tags_full = {c.tag for c in full.constraints}
-    tags_lean = {c.tag for c in lean.constraints}
-    assert "C.10" in tags_full and "C.11" in tags_full
-    assert "C.10" not in tags_lean and "C.11" not in tags_lean
-    assert {c.tag for c in lean.constraints} <= tags_full
+def test_chromosome_counters_declared_after_edge_variables():
+    # C.11's counters are declared in one pass after every edge's other
+    # variables, in edge order, and each C.11 row uses its side's counter
+    a = build_genome("A", [(["1.1", "2.1"], False)])
+    b = build_genome("B", [(["1.1", "2.1"], True)])
+    c = build_genome("C", [(["2.1"], False), (["1.1"], False)])
+    tree = Phylogeny([("A", "B"), ("B", "C")])
+    model = build_model(tree, {"A": a, "B": b, "C": c}, FAM,
+                        alpha=0.5, beta=0.25)
+    counters = [name for ctx in model.contexts for name in ctx.a_vars.values()]
+    assert counters == list(model.variables)[-len(counters):]
+    assert [sorted(ctx.a_vars) for ctx in model.contexts] == [["A", "B"],
+                                                              ["A", "B"]]
+    for ctx in model.contexts:
+        for side, name in ctx.a_vars.items():
+            assert model.variables[name].kind == INTEGER
+            row = next(con for con in model.constraints
+                       if con.name == "c11_%s_%s" % (ctx.key, side))
+            assert row.terms[-1] == (-2, name)
+    rows = Counter(con.tag for con in model.constraints)
+    assert rows["C.10"] and rows["C.11"] == len(counters) == 4
 
 
 def test_variable_kinds_and_shared_adjacencies():

@@ -41,6 +41,10 @@ def test_adjacency_comments_and_blanks(tmp_path):
     ("A\t1.1_t\t1.1_h\tbadw", "weight"),
     ("A\t1.1_q\t1.1_h\t1", "malformed"),
     ("A\tt.1_o\tt.2_o\t1", "telomere"),
+    ("A\t1.1_t\t1.1_h\tinf", "finite"),
+    ("A\t1.1_t\t1.1_h\t-inf", "finite"),
+    ("A\t1.1_t\t1.1_h\tnan", "finite"),
+    ("A\t1.1_t\t1.1_h\t1e400", "finite"),
 ])
 def test_adjacency_parse_errors(tmp_path, line, fragment):
     path = tmp_path / "adj.tsv"

@@ -8,7 +8,9 @@ from spp_dcj.ilp import BINARY, INTEGER, build_model, write_lp
 from spp_dcj.io import ParseError
 from spp_dcj.solver import SolverError, parse_solution, solve_internal
 
-from util import random_degenerate_pair, seeded
+from util import build_genome, random_degenerate_pair, seeded
+
+MIXTURES = [(1.0, 0.0), (0.5, 0.0), (0.5, 0.25)]
 
 SMALL_LP = """Maximize
  obj: 3 x + 2 y - 1 z
@@ -48,6 +50,15 @@ BAD_LP = {  # text -> number of the first malformed line
     "Subject To\n 1 x <= 1\nEnd\n": 2,  # unnamed row
     "Subject To\n c: 1 x <= one\nEnd\n": 2,  # bad number
     "stray line\n": 1,  # outside sections
+    # dialects parse_lp does not read: write_lp writes none of these lines
+    "Minimize\n obj: 1 x\nEnd\n": 1,
+    "Maximize\n obj: 1 x\nsubject to\n c: 1 x <= 1\nEnd\n": 3,
+    "Maximize\n obj: 1 x\nSubject To\n\\ note\n c: 1 x <= 1\nEnd\n": 4,
+    "Maximize\n obj: 1 x\nBounds\n x <= 2\nEnd\n": 4,  # three tokens
+    "Maximize\n 1 x\nEnd\n": 2,  # unlabelled objective
+    "Maximize\n obj: 1 x\n 1 y\nEnd\n": 3,  # second objective line
+    "Maximize\n obj: 1 x\nbinary\n x\nEnd\n": 3,  # alias
+    "Maximize\n obj: 1 x\nBinaries\n x y\nEnd\n": 4,  # two names
 }
 
 
@@ -87,19 +98,35 @@ def test_main_exit_codes(tmp_path):
     assert not (tmp_path / "o.sol").exists()
 
 
-def test_round_trip_with_model(tmp_path):
+def _round_trip_models():
+    """Seeded pair models over the three mixtures, with and without
+    telomeres, plus one whose objective is empty."""
     rng = seeded(83)
-    a, b = random_degenerate_pair(rng)
-    tree = Phylogeny([("A", "B")])
-    model = build_model(tree, {"A": a, "B": b}, FamilyAssignment(),
-                        alpha=0.5, beta=0.25)
-    lp = tmp_path / "m.lp"
-    sol = tmp_path / "m.sol"
-    write_lp(model, lp)
-    assert milp_cli.main([str(lp), str(sol)]) == 0
-    reported, _ = parse_solution(sol)
-    internal = solve_internal(model)
-    assert reported == pytest.approx(internal.objective, abs=1e-6)
+    for i in range(12):
+        for alpha, beta in MIXTURES:
+            a, b = random_degenerate_pair(rng, extra_linear=i % 2 == 1)
+            yield build_model(Phylogeny([("A", "B")]), {"A": a, "B": b},
+                              FamilyAssignment(), alpha=alpha, beta=beta)
+    a = build_genome("A", [(["1.1", "2.1"], True)])
+    b = build_genome("B", [(["1.1", "-2.1"], True)])
+    yield build_model(Phylogeny([("A", "B")]), {"A": a, "B": b},
+                      FamilyAssignment(), alpha=0.0, beta=1.0)
+
+
+def test_round_trip_with_model(tmp_path):
+    lp, sol = tmp_path / "m.lp", tmp_path / "m.sol"
+    counters = []
+    for model in _round_trip_models():
+        write_lp(model, lp)
+        assert_same_problem(model, milp_cli.parse_lp(lp))
+        counters.append(sum(len(ctx.a_vars) for ctx in model.contexts))
+        assert milp_cli.main([str(lp), str(sol)]) == 0
+        reported, _ = parse_solution(sol)
+        internal = solve_internal(model)
+        assert reported == pytest.approx(internal.objective, abs=1e-6)
+    assert " obj: 0\n" in lp.read_text()  # the last model
+    assert reported == internal.objective == 0
+    assert 0 in counters and max(counters) == 2
 
 
 def _rows_of(problem):
@@ -119,8 +146,12 @@ def test_write_then_parse_returns_the_model(tmp_path, seed):
                         FamilyAssignment(), alpha=0.5, beta=0.25)
     lp = tmp_path / "m.lp"
     write_lp(model, lp)
-    problem = milp_cli.parse_lp(lp)
+    assert_same_problem(model, milp_cli.parse_lp(lp))
 
+
+def assert_same_problem(model, problem):
+    """``problem`` holds the objective, rows, bounds and integrality of
+    ``model``."""
     assert sorted(problem.variables) == sorted(model.variables)
     assert {problem.variables[vi]: coef
             for vi, coef in problem.objective.items()} == {
