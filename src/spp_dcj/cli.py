@@ -138,7 +138,7 @@ def cmd_extract(args) -> int:
     _manifest(args.genomes_out + ".manifest.json", "extract", {
         "solution": args.solution, "idmap": args.idmap, "tree": args.tree,
         "adjacencies": args.adjacencies, "alpha": args.alpha,
-        "beta": args.beta,
+        "beta": args.beta, "families": args.families,
     }, {"extract": time.monotonic() - start})
     return EXIT_OK
 

@@ -16,7 +16,7 @@ from typing import Dict, List, Mapping, Optional
 from .diagram import (ADJ, DistanceBreakdown, breakdown_from_components,
                       decompose)
 from .genomes import DegenerateGenome, FamilyAssignment, is_derived
-from .ilp import EdgeContext, IlpModel
+from .ilp import EdgeContext, IlpModel, _gc_paused
 
 TOL = 1e-6
 
@@ -45,6 +45,7 @@ class DecodedSolution:
     objective: float  # structural recomputation
 
 
+@_gc_paused()
 def decode(model: IlpModel, assignment: Mapping[str, float]) -> DecodedSolution:
     """Derive one genome per species and per-edge distances from a solution."""
     genomes: Dict[str, DegenerateGenome] = {}

@@ -8,8 +8,10 @@ superposition of candidate gene orders.
 
 from __future__ import annotations
 
+import math
 from dataclasses import FrozenInstanceError, dataclass
-from functools import total_ordering
+from functools import cached_property, total_ordering
+from operator import attrgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 TAIL = "t"
@@ -142,6 +144,9 @@ class Adjacency:
             raise GenomeError("adjacency joins two telomeres: %s %s" % (a, b))
         if b < a:
             object.__setattr__(self, "ends", (b, a))
+        if not math.isfinite(self.weight):
+            raise GenomeError("adjacency %r has weight %r: need a finite "
+                              "number" % (self, self.weight))
 
     @property
     def species(self) -> str:
@@ -196,14 +201,23 @@ class DegenerateGenome:
 
     # -- queries ----------------------------------------------------------
 
+    @cached_property
+    def _ordered(self) -> Tuple[Tuple[Extremity, ...], ...]:
+        """All, non-telomeric and telomeric extremities, each sorted once:
+        the genome does not change after ``__init__``."""
+        ordered = sorted(self._index, key=attrgetter("_key"))
+        return (tuple(ordered),
+                tuple(e for e in ordered if not e.is_telomere),
+                tuple(e for e in ordered if e.is_telomere))
+
     def extremities(self) -> List[Extremity]:
-        return sorted(self._index)
+        return list(self._ordered[0])
 
     def non_telomeric_extremities(self) -> List[Extremity]:
-        return [e for e in self.extremities() if not e.is_telomere]
+        return list(self._ordered[1])
 
     def telomeres(self) -> List[Extremity]:
-        return [e for e in self.extremities() if e.is_telomere]
+        return list(self._ordered[2])
 
     def markers(self) -> List[str]:
         return sorted({e.marker for e in self._index if not e.is_telomere})

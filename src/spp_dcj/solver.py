@@ -3,9 +3,10 @@
 Two interchangeable backends:
 
 * an internal exact branch-and-bound that only branches on the structural
-  binaries (adjacency, extremity/indel edge and presence variables) and
-  scores each leaf from the induced cycle decomposition on integer tables
-  built once per solve, under a fixed work budget, and
+  binaries (adjacency, extremity/indel edge and presence variables),
+  keeps the cycles of the selected edges up to date as it branches, and
+  scores leaves and bounds nodes from those counts, under a fixed work
+  budget, and
 * a bridge that shells out to any MILP solver via a command template
   operating on an LP file (``{lp}``/``{sol}`` placeholders), configurable
   through the ``SPP_DCJ_SOLVER`` environment variable.
@@ -22,17 +23,18 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .diagram import ID, DiagramError, decompose
-from .ilp import (BINARY, INTEGER, EdgeContext, IlpModel, recompute_objective,
-                  write_lp)
+from .ilp import (BINARY, INTEGER, EdgeContext, IlpModel, _gc_paused,
+                  recompute_objective, write_lp)
 
 # Work the branch-and-bound may do before ``solve`` hands the model to the
 # external solver.  Each value tried at a search node costs one unit per
-# branch variable, as propagation and bounding scale with the model; one
-# unit takes about 0.2 us, so the budget is about 0.5 s of search, near the
-# fixed cost of one external solve.
+# branch variable, a count that does not depend on the host.  On 2 cores a
+# unit took 0.12-0.22 us on the benchmark corpus edges, and the budget
+# lasted 0.17-0.23 s on the tree models that exhaust it, under the
+# 0.55-0.9 s fixed cost of one external solve.
 WORK_BUDGET = 2_500_000
 TOL = 1e-6  # feasibility, integrality and objective tolerance
 BRANCH_CLASSES = ("adj", "capadj", "edge", "o", "capo")
@@ -63,72 +65,129 @@ class SolveResult:
 
 class _Propagator:
     """0/1 bound propagation over the C.01-C.03 equalities, whose variables
-    are all branchable."""
+    are all branchable and whose coefficients are all 1 or -1.
+
+    Each row keeps the range ``[lo, hi]`` its left-hand side can still
+    reach, moved when one of its variables is fixed and moved back by
+    ``undo``, so a row is scanned only when that range ends at its
+    right-hand side.  ``listener``, when set, is called with every
+    ``(variable, value)`` that is fixed, in fixing order.
+    """
 
     def __init__(self, model: IlpModel, branch_vars: Sequence[str]):
-        self.index = {name: i for i, name in enumerate(branch_vars)}
+        index = self.index = {name: i for i, name in enumerate(branch_vars)}
         self.value = [-1] * len(branch_vars)  # -1 = free
-        self.rows: List[Tuple[List[Tuple[float, int]], float]] = []
-        self.rows_of: List[List[int]] = [[] for _ in branch_vars]
+        self.listener: Optional[Callable[[int, int], None]] = None
+        # per row: its variables, v where the coefficient is 1, ~v where -1
+        self.terms: List[List[int]] = []
+        self.lo: List[int] = []
+        self.hi: List[int] = []
+        self.up: List[float] = []  # right-hand side plus tolerance
+        self.down: List[float] = []  # right-hand side less tolerance
+        # rows of each variable: r where its coefficient is 1, ~r where -1
+        rows_of: List[List[int]] = [[] for _ in branch_vars]
+        bounds: Dict[float, Tuple[float, float]] = {}
         for con in model.constraints:
             if con.tag not in ("C.01", "C.02", "C.03"):
                 continue
             if con.sense != "=":
                 raise SolverError("row %s of block %s is not an equality"
                                   % (con.name, con.tag))
-            terms = [(coef, self.index[var]) for coef, var in con.terms]
-            ri = len(self.rows)
-            self.rows.append((terms, con.rhs))
-            for _, vi in terms:
-                self.rows_of[vi].append(ri)
+            r = len(self.terms)
+            neg = ~r
+            terms = []
+            lo = hi = 0
+            for coef, var in con.terms:
+                vi = index[var]
+                if coef == 1:
+                    hi += 1
+                    terms.append(vi)
+                    rows_of[vi].append(r)
+                elif coef == -1:
+                    lo -= 1
+                    terms.append(~vi)
+                    rows_of[vi].append(neg)
+                else:
+                    raise SolverError("row %s of block %s has a coefficient "
+                                      "other than 1 or -1"
+                                      % (con.name, con.tag))
+            self.terms.append(terms)
+            self.lo.append(lo)
+            self.hi.append(hi)
+            if con.rhs not in bounds:
+                bounds[con.rhs] = (con.rhs + 1e-9, con.rhs - 1e-9)
+            up, down = bounds[con.rhs]
+            self.up.append(up)
+            self.down.append(down)
+        self.rows_of = rows_of
 
     def assign(self, var: int, val: int, trail: List[int]) -> bool:
         """Fix a variable and propagate; False on conflict."""
+        value, rows_of, row_terms = self.value, self.rows_of, self.terms
+        lo, hi, up, down = self.lo, self.hi, self.up, self.down
+        listener = self.listener
         queue = [(var, val)]
         while queue:
             vi, v = queue.pop()
-            cur = self.value[vi]
+            cur = value[vi]
             if cur != -1:
                 if cur != v:
                     return False
                 continue
-            self.value[vi] = v
+            value[vi] = v
             trail.append(vi)
-            for ri in self.rows_of[vi]:
-                if not self._examine(ri, queue):
-                    return False
-        return True
-
-    def _examine(self, ri: int, queue) -> bool:
-        """False if the row cannot hold; where its reachable range ends at
-        the right-hand side, queue every free term at that end."""
-        terms, rhs = self.rows[ri]
-        lo = hi = 0.0
-        free = []
-        for coef, vi in terms:
-            val = self.value[vi]
-            if val == -1:
-                free.append((coef, vi))
-                if coef > 0:
-                    hi += coef
+            if listener is not None:
+                listener(vi, v)
+            ok = True
+            for r in rows_of[vi]:
+                if r < 0:
+                    r = ~r
+                    if v:
+                        hi[r] -= 1
+                    else:
+                        lo[r] += 1
+                elif v:
+                    lo[r] += 1
                 else:
-                    lo += coef
-            else:
-                lo += coef * val
-                hi += coef * val
-        if lo > rhs + 1e-9 or hi < rhs - 1e-9:
-            return False
-        if hi < rhs + 1e-9:  # every free term at its upper value
-            for coef, vi in free:
-                queue.append((vi, 1 if coef > 0 else 0))
-        elif lo > rhs - 1e-9:  # every free term at its lower value
-            for coef, vi in free:
-                queue.append((vi, 0 if coef > 0 else 1))
+                    hi[r] -= 1
+                if not ok:
+                    continue  # keep moving the ranges that undo moves back
+                if lo[r] > up[r] or hi[r] < down[r]:
+                    ok = False
+                elif hi[r] < up[r]:  # every free term at its upper value
+                    for t in row_terms[r]:
+                        if t < 0:
+                            if value[~t] == -1:
+                                queue.append((~t, 0))
+                        elif value[t] == -1:
+                            queue.append((t, 1))
+                elif lo[r] > down[r]:  # every free term at its lower value
+                    for t in row_terms[r]:
+                        if t < 0:
+                            if value[~t] == -1:
+                                queue.append((~t, 1))
+                        elif value[t] == -1:
+                            queue.append((t, 0))
+            if not ok:
+                return False
         return True
 
     def undo(self, trail: List[int]):
+        value, rows_of, lo, hi = self.value, self.rows_of, self.lo, self.hi
         while trail:
-            self.value[trail.pop()] = -1
+            vi = trail.pop()
+            v = value[vi]
+            for r in rows_of[vi]:
+                if r < 0:
+                    if v:
+                        hi[~r] += 1
+                    else:
+                        lo[~r] -= 1
+                elif v:
+                    lo[r] -= 1
+                else:
+                    hi[r] += 1
+            value[vi] = -1
 
 
 def _branch_variables(model: IlpModel) -> List[str]:
@@ -137,183 +196,319 @@ def _branch_variables(model: IlpModel) -> List[str]:
             if var.kind == BINARY and var.meaning[0] in BRANCH_CLASSES]
 
 
-class _ContextTables:
-    """Integer view of one edge context, indexed by branch variable."""
+# slots of _Scorer.tally
+_TRANSITIONS, _SINGLES, _BAD, _OPEN, _ODD = range(5)
 
-    def __init__(self, ctx: EdgeContext, var_index: Dict[str, int]):
-        d = ctx.diagram
-        idx = d.node_index
-        self.size = len(d.nodes) + 1  # node indices start at 1
-        self.num_z = len(ctx.z_vars)  # nodes 1..num_z carry a z variable
-        self.us = [idx[e.u] for e in d.edges]
-        self.vs = [idx[e.v] for e in d.edges]
-        self.bis = [var_index[ctx.edge_vars[e.index]] for e in d.edges]
-        # genome side of each indel edge, None for the other kinds
-        self.indel = [e.side if e.kind == ID else None for e in d.edges]
-        self.singletons = [[var_index[ctx.edge_vars[ei]] for ei in cand.edges]
-                           for cand in ctx.singletons]
-        # telomere presence per side that has a C.11 row
-        self.telomere_groups = [
-            [var_index[ctx.o_vars[n]] for n in d.telomeres_side(side)]
-            for side in ctx.a_vars]
-        # z-count bound: the indel-edge variables at each non-telomeric
-        # node and the presence variable of each telomere, per side
-        self.bound_sides = []
-        for side in ("A", "B"):
-            id_vars: Dict[int, List[int]] = {}
-            for e in d.edges:
-                if e.kind == ID and e.side == side:
-                    for node in (e.u, e.v):
-                        id_vars.setdefault(idx[node], []).append(
-                            var_index[ctx.edge_vars[e.index]])
-            non_telo = [id_vars.get(idx[n], []) for n in d.nodes
-                        if not n.is_telomere and d.side_of(n) == side]
-            telo = [var_index[ctx.o_vars[n]] for n in d.telomeres_side(side)]
-            self.bound_sides.append((non_telo, telo))
 
-    def counts(self, value: List[int]) -> Optional[Tuple[int, int, int]]:
-        """(indel-free cycles, transitions, full singletons) of a leaf, or
-        None where ``complete_assignment`` raises ``DiagramError``."""
-        us, vs, bis, indel = self.us, self.vs, self.bis, self.indel
-        first = [-1] * self.size  # incident selected edges per node
-        second = [-1] * self.size
-        selected = [k for k, bi in enumerate(bis) if value[bi] == 1]
-        for k in selected:
-            for node in (us[k], vs[k]):
-                if first[node] < 0:
-                    first[node] = k
-                elif second[node] < 0:
-                    second[node] = k
-                else:
-                    return None  # degree above 2
-        for k in selected:
-            if second[us[k]] < 0 or second[vs[k]] < 0:
-                return None  # degree 1
-
-        cycles = transitions = 0
-        used = [False] * len(bis)
-        for k in selected:
-            if used[k]:
-                continue
-            used[k] = True
-            origin, head = us[k], vs[k]
-            low = min(origin, head)
-            start_side = last_side = indel[k]
-            changes = 0
-            cur = k
-            while head != origin:
-                cur = first[head] if first[head] != cur else second[head]
-                used[cur] = True
-                head = vs[cur] if us[cur] == head else us[cur]
-                if head < low:
-                    low = head
-                side = indel[cur]
-                if side is not None:
-                    if last_side is None:
-                        start_side = side
-                    elif side != last_side:
-                        changes += 1
-                    last_side = side
-            if last_side is None:
-                if low > self.num_z:
-                    return None  # indel-free cycle labelled by a telomere
-                cycles += 1
-                continue
-            runs = changes + 1
-            if runs > 1 and start_side == last_side:
-                runs -= 1
-            if runs >= 2:
-                transitions += runs
-
-        for group in self.telomere_groups:
-            if sum(value[i] for i in group) % 2:
-                return None  # odd telomere usage
-        singles = sum(1 for cand in self.singletons
-                      if all(value[i] == 1 for i in cand))
-        return cycles, transitions, singles
-
-    def z_bound(self, value: List[int]) -> int:
-        """Upper bound on the indel-free cycles any completion can close."""
-        alive = []
-        for non_telo, telo in self.bound_sides:
-            count = 0
-            for ids in non_telo:
-                if not any(value[v] == 1 for v in ids):
-                    count += 1
-            for ov in telo:
-                if value[ov] != 0:
-                    count += 1
-            alive.append(count)
-        return min(min(alive) // 2, self.num_z)
+def _side_changes(near: Optional[str], side: Optional[str],
+                  far: Optional[str]) -> int:
+    """Indel-side changes where a path whose indel edge nearest the joint
+    is of side ``near`` meets, through an edge of indel side ``side``, a
+    path whose nearest one is of side ``far`` (None: no indel edge)."""
+    if side is None:
+        return near is not None and far is not None and near != far
+    return (near is not None and near != side) + (far is not None
+                                                  and far != side)
 
 
 class _Scorer:
-    """Leaf values and node bounds of the branch-and-bound, read from the
-    propagator's 0/1/-1 values through tables built once per solve.
+    """Leaf values and node bounds of the branch-and-bound, kept up to date
+    by ``fix`` as the propagator fixes values and put back by ``restore``
+    from an undo log.
+
+    Each diagram keeps its selected edges as paths.  Both end nodes of a
+    path hold the record (other end, indel side nearest this end, indel
+    side changes along the path, node count, whether a node carries a z
+    variable), so selecting an edge joins two paths or closes one into a
+    cycle in constant time, and a cycle is counted the moment it closes.
+    Cycle labels follow ``complete_assignment``: a closed cycle with no
+    indel edge adds one cycle, and one with ``c > 0`` side changes around
+    it adds ``c`` transitions (its number of indel runs).
 
     A leaf scores ``sum(coef * x) + alpha * (cycles - transitions / 2 -
     singletons)`` over the objective's branch-variable terms, which equals
-    ``complete_assignment`` on the objective ``ilp.build_objective`` writes.
+    ``complete_assignment`` on the objective ``ilp.build_objective``
+    writes.  A leaf with a node of degree 1 or above 2, an indel-free cycle
+    made only of telomeres (whose label has no z variable) or an odd
+    telomere count on a side with a C.11 row is no solution.
+
+    The bound takes fixed terms at their value, free terms at their best
+    and, per diagram, the indel-free cycles any completion can close as
+    the smaller of two counts:
+
+    * half the nodes still free of a selected indel edge on the side with
+      fewer (telomeres while their presence is not fixed to 0), capped by
+      the number of z variables;
+    * the indel-free cycles already closed, plus a quarter of the live
+      nodes on no closed cycle, rounded down.  A node is live while some
+      edge at it is not fixed to 0.  A cycle still to close uses live
+      nodes only, and none on a closed cycle, since a node has degree 2.
+      It has at least 4 nodes: a scored indel-free cycle holds a
+      non-telomeric node ``n``, which C.02 puts on one adjacency edge, to
+      ``a`` in its own genome, and one extremity edge, to ``b`` in the
+      other genome; ``b`` is non-telomeric too (extremity edges join
+      telomeres only to telomeres), so C.02 puts it on an adjacency edge
+      to a fourth node ``c`` in its genome.
     """
 
     def __init__(self, model: IlpModel, var_index: Dict[str, int]):
         self.alpha = model.alpha
-        self.contexts = [_ContextTables(ctx, var_index)
-                         for ctx in model.contexts]
+        self.log: list = []  # array, index, old value; three per change
         z_names = set()
         for ctx in model.contexts:
             z_names.update(ctx.z_vars.values())
-        # objective terms in model order: (branch index or None, coef,
-        # whether an unfixed term may gain coef); z is bounded apart
-        self.terms = []
+        # objective: [fixed terms at their value, free terms that may gain
+        # at their coefficient]; z is bounded apart
+        self.obj = [0.0, 0.0]
+        self.obj_term: List[Optional[Tuple[float, bool]]] = \
+            [None] * len(var_index)
         for name, coef in model.objective.items():
             gain = name not in z_names and coef > 0
             i = var_index.get(name)
-            if i is not None or gain:
-                self.terms.append((i, coef, gain))
-        self.branch_terms = [(i, coef) for i, coef, _ in self.terms
-                             if i is not None]
+            if i is not None:
+                self.obj_term[i] = (coef, gain)
+            if gain:
+                self.obj[1] += coef
 
-    def leaf_value(self, value: List[int]) -> Optional[float]:
-        """Objective of a leaf, or None for a leaf that is no solution."""
-        cycles = transitions = singles = 0
-        for tables in self.contexts:
-            counts = tables.counts(value)
-            if counts is None:
-                return None
-            cycles += counts[0]
-            transitions += counts[1]
-            singles += counts[2]
-        return (sum(coef for i, coef in self.branch_terms if value[i] == 1)
-                + self.alpha * (cycles - transitions / 2 - singles))
+        none: Tuple[int, ...] = ()
+        # per branch variable: its diagram edges, the alive slots it counts
+        # in as a telomere's presence, its C.11 parity groups
+        self.edges_of = [none] * len(var_index)
+        self.slots_of = [none] * len(var_index)
+        self.groups_of = [none] * len(var_index)
+        # per node (numbered across diagrams)
+        self.node_ctx: List[int] = []
+        self.node_slot: List[int] = []  # alive slot: 2 * diagram + side
+        self.has_z: List[bool] = []
+        self.free: List[int] = []  # edges at the node not fixed to 0
+        # per edge
+        self.eu: List[int] = []
+        self.ev: List[int] = []
+        self.eside: List[Optional[str]] = []  # indel side, None otherwise
+        self.ectx: List[int] = []
+        self.ecands: List[Tuple[int, ...]] = []
+        self.cand_need: List[int] = []
+        # per diagram
+        self.num_z: List[int] = []
+        self.live: List[int] = []
+        self.alive: List[int] = []
+        groups = 0
+        for c, ctx in enumerate(model.contexts):
+            d = ctx.diagram
+            base = len(self.node_ctx) - 1  # node indices start at 1
+            idx = d.node_index
+            self.num_z.append(len(ctx.z_vars))
+            edges_at = [0] * (len(d.nodes) + 1)
+            for e in d.edges:
+                edges_at[idx[e.u]] += 1
+                edges_at[idx[e.v]] += 1
+            alive = [0, 0]
+            for node in d.nodes:
+                i = idx[node]
+                s = 0 if d.side_of(node) == "A" else 1
+                self.node_ctx.append(c)
+                self.node_slot.append(2 * c + s)
+                self.has_z.append(i <= len(ctx.z_vars))
+                self.free.append(edges_at[i])
+                alive[s] += 1
+            self.live.append(sum(1 for k in edges_at if k))
+            self.alive.extend(alive)
+            for s, side in enumerate(("A", "B")):
+                for node in d.telomeres_side(side):
+                    vi = var_index[ctx.o_vars[node]]
+                    self.slots_of[vi] += (2 * c + s,)
+            for side in ctx.a_vars:
+                for node in d.telomeres_side(side):
+                    vi = var_index[ctx.o_vars[node]]
+                    self.groups_of[vi] += (groups,)
+                groups += 1
+            cands: Dict[int, Tuple[int, ...]] = {}
+            for cand in ctx.singletons:
+                ci = len(self.cand_need)
+                members = set(cand.edges)
+                self.cand_need.append(len(members))
+                for ei in members:
+                    cands[ei] = cands.get(ei, none) + (ci,)
+            for e in d.edges:
+                vi = var_index[ctx.edge_vars[e.index]]
+                self.edges_of[vi] += (len(self.eu),)
+                self.eu.append(base + idx[e.u])
+                self.ev.append(base + idx[e.v])
+                self.eside.append(e.side if e.kind == ID else None)
+                self.ectx.append(c)
+                self.ecands.append(cands.get(e.index, none))
+        size = len(self.node_ctx)
+        self.deg = [0] * size  # selected edges at the node
+        self.ids = [0] * size  # selected indel edges at the node
+        self.ends: List[Optional[tuple]] = [None] * size  # path records
+        self.cand_count = [0] * len(self.cand_need)
+        self.parity = [0] * groups
+        self.cycles = [0] * len(model.contexts)
+        self.closed = [0] * len(model.contexts)  # nodes on closed cycles
+        self.tally = [0] * 5
 
-    def upper_bound(self, value: List[int]) -> float:
-        """Bound on the objective of every leaf below a node: fixed terms
-        at their value, free terms at their best, z by ``z_bound``."""
-        ub = 0.0
-        for i, coef, gain in self.terms:
-            if i is not None and value[i] != -1:
-                ub += coef * value[i]
-            elif gain:
-                ub += coef
-        for tables in self.contexts:
-            ub += self.alpha * tables.z_bound(value)
+    def restore(self, mark: int):
+        """Undo every change logged after ``len(self.log)`` was ``mark``."""
+        log = self.log
+        for k in range(len(log) - 3, mark - 1, -3):
+            log[k][log[k + 1]] = log[k + 2]
+        del log[mark:]
+
+    def fix(self, vi: int, v: int):
+        """Account for branch variable ``vi`` fixed to ``v``."""
+        log = self.log
+        term = self.obj_term[vi]
+        if term is not None:
+            coef, gain = term
+            obj = self.obj
+            if v:
+                log.extend((obj, 0, obj[0]))
+                obj[0] += coef
+            if gain:
+                log.extend((obj, 1, obj[1]))
+                obj[1] -= coef
+        if v:
+            for e in self.edges_of[vi]:
+                self._select(e)
+            groups = self.groups_of[vi]
+            if groups:
+                parity, tally = self.parity, self.tally
+                for g in groups:
+                    log.extend((parity, g, parity[g]))
+                    log.extend((tally, _ODD, tally[_ODD]))
+                    parity[g] ^= 1
+                    tally[_ODD] += 1 if parity[g] else -1
+            return
+        free, live = self.free, self.live
+        for e in self.edges_of[vi]:
+            for node in (self.eu[e], self.ev[e]):
+                log.extend((free, node, free[node]))
+                free[node] -= 1
+                if not free[node]:
+                    c = self.node_ctx[node]
+                    log.extend((live, c, live[c]))
+                    live[c] -= 1
+        alive = self.alive
+        for s in self.slots_of[vi]:
+            log.extend((alive, s, alive[s]))
+            alive[s] -= 1
+
+    def _select(self, e: int):
+        log, tally = self.log, self.tally
+        u, w, side = self.eu[e], self.ev[e], self.eside[e]
+        if side is not None:
+            ids, alive = self.ids, self.alive
+            for node in (u, w):
+                log.extend((ids, node, ids[node]))
+                ids[node] += 1
+                if ids[node] == 1:
+                    s = self.node_slot[node]
+                    log.extend((alive, s, alive[s]))
+                    alive[s] -= 1
+        for ci in self.ecands[e]:
+            count = self.cand_count
+            log.extend((count, ci, count[ci]))
+            count[ci] += 1
+            if count[ci] == self.cand_need[ci]:
+                log.extend((tally, _SINGLES, tally[_SINGLES]))
+                tally[_SINGLES] += 1
+        deg, ends = self.deg, self.ends
+        du, dw = deg[u], deg[w]
+        if du == 2 or dw == 2:
+            log.extend((tally, _BAD, tally[_BAD]))
+            tally[_BAD] += 1
+            return
+        log.extend((deg, u, du))
+        log.extend((deg, w, dw))
+        deg[u] = du + 1
+        deg[w] = dw + 1
+        if du:
+            a, near_u, changes_u, size_u, z_u = ends[u]
+        else:
+            a, near_u, changes_u, size_u, z_u = u, None, 0, 1, self.has_z[u]
+        if dw:
+            b, near_w, changes_w, size_w, z_w = ends[w]
+        else:
+            b, near_w, changes_w, size_w, z_w = w, None, 0, 1, self.has_z[w]
+        changes = _side_changes(near_u, side, near_w)
+        c = self.ectx[e]
+        if a == w:  # u and w end one path: it closes into a cycle
+            log.extend((tally, _OPEN, tally[_OPEN]))
+            tally[_OPEN] -= 1
+            closed = self.closed
+            log.extend((closed, c, closed[c]))
+            closed[c] += size_u
+            if near_u is not None or side is not None:
+                log.extend((tally, _TRANSITIONS, tally[_TRANSITIONS]))
+                tally[_TRANSITIONS] += changes_u + changes
+            elif z_u:
+                cycles = self.cycles
+                log.extend((cycles, c, cycles[c]))
+                cycles[c] += 1
+            else:
+                log.extend((tally, _BAD, tally[_BAD]))
+                tally[_BAD] += 1
+            return
+        if du and dw:
+            log.extend((tally, _OPEN, tally[_OPEN]))
+            tally[_OPEN] -= 1
+        elif not du and not dw:
+            log.extend((tally, _OPEN, tally[_OPEN]))
+            tally[_OPEN] += 1
+        # the indel side nearest each new end: its own path's, else the
+        # new edge's, else the other path's
+        near_a = ends[a][1] if du else None
+        near_b = ends[b][1] if dw else None
+        if side is not None:
+            near_u = near_w = side
+        changes += changes_u + changes_w
+        size = size_u + size_w
+        z = z_u or z_w
+        if du:
+            log.extend((ends, a, ends[a]))
+        if dw:
+            log.extend((ends, b, ends[b]))
+        ends[a] = (b, near_w if near_a is None else near_a, changes, size, z)
+        ends[b] = (a, near_u if near_b is None else near_b, changes, size, z)
+
+    def leaf_value(self) -> Optional[float]:
+        """Objective of the leaf at hand, or None where it is no
+        solution."""
+        tally = self.tally
+        if tally[_BAD] or tally[_OPEN] or tally[_ODD]:
+            return None
+        return self.obj[0] + self.alpha * (
+            sum(self.cycles) - tally[_TRANSITIONS] / 2 - tally[_SINGLES])
+
+    def upper_bound(self) -> float:
+        """Bound on the objective of every leaf below the node at hand."""
+        alive = self.alive
+        ub = self.obj[0] + self.obj[1]
+        for c, num_z in enumerate(self.num_z):
+            z = min(min(alive[2 * c], alive[2 * c + 1]) // 2, num_z,
+                    self.cycles[c] + (self.live[c] - self.closed[c]) // 4)
+            ub += self.alpha * z
         return ub
 
 
-def solve_internal(model: IlpModel, time_limit: Optional[float] = None
-                   ) -> SolveResult:
-    """Exact deterministic branch-and-bound over the structural binaries.
+def _relative_gap(incumbent: float, bound: float) -> float:
+    """``|incumbent - bound| / |incumbent|``, the relative gap HiGHS
+    reports: 0 when both are 0, infinite when only the incumbent is."""
+    if incumbent == 0:
+        return 0.0 if bound == 0 else float("inf")
+    return abs(incumbent - bound) / abs(incumbent)
 
-    Raises ``BudgetExhausted`` once the search would pass ``WORK_BUDGET``
-    units of work, whatever the time limit.
-    """
-    start = time.monotonic()
-    branch_vars = _branch_variables(model)
+
+def _search(model: IlpModel, branch_vars: List[str], start: float,
+            time_limit: Optional[float]):
+    """Depth-first branch-and-bound over ``branch_vars``: the best leaf
+    as ``(value, values)`` or None, the leaves scored, whether the time
+    limit stopped the search, and the bound at the root."""
     prop = _Propagator(model, branch_vars)
     one_first = {i for name, i in prop.index.items()
                  if model.variables[name].meaning[0] == "adj"}
     scorer = _Scorer(model, prop.index)
+    prop.listener = scorer.fix
 
     best: List[Optional[Tuple[float, List[int]]]] = [None]
     leaves = [0]
@@ -322,7 +517,7 @@ def solve_internal(model: IlpModel, time_limit: Optional[float] = None
 
     def leaf():
         leaves[0] += 1
-        value = scorer.leaf_value(prop.value)
+        value = scorer.leaf_value()
         if value is None:
             return
         if best[0] is None or value > best[0][0] + 1e-9:
@@ -340,7 +535,7 @@ def solve_internal(model: IlpModel, time_limit: Optional[float] = None
             leaf()
             return
         if (best[0] is not None
-                and scorer.upper_bound(prop.value) <= best[0][0] + 1e-9):
+                and scorer.upper_bound() <= best[0][0] + 1e-9):
             return
         order = (1, 0) if next_var in one_first else (0, 1)
         for val in order:
@@ -350,29 +545,55 @@ def solve_internal(model: IlpModel, time_limit: Optional[float] = None
                     "branch-and-bound passed its budget of %d work units "
                     "after %d leaves" % (WORK_BUDGET, leaves[0]))
             trail: List[int] = []
+            mark = len(scorer.log)
             if prop.assign(next_var, val, trail):
                 dfs(next_var + 1)
             prop.undo(trail)
+            scorer.restore(mark)
             if timed_out[0]:
                 return
 
-    dfs(0)
+    root_bound = scorer.upper_bound()
+    try:
+        dfs(0)
+    finally:
+        del dfs  # it refers to itself: free the search on return
+    return best[0], leaves[0], timed_out[0], root_bound
+
+
+@_gc_paused()
+def solve_internal(model: IlpModel, time_limit: Optional[float] = None
+                   ) -> SolveResult:
+    """Exact deterministic branch-and-bound over the structural binaries.
+
+    Raises ``BudgetExhausted`` once the search would pass ``WORK_BUDGET``
+    units of work, whatever the time limit.  A search stopped by the time
+    limit returns its incumbent as "feasible", with its relative gap to
+    the bound at the root.
+    """
+    start = time.monotonic()
+    branch_vars = _branch_variables(model)
+    best, leaves, timed_out, root_bound = _search(model, branch_vars, start,
+                                                  time_limit)
     wall = time.monotonic() - start
-    if best[0] is None:
-        if timed_out[0]:
+    if best is None:
+        if timed_out:
             raise SolverError("time limit reached without a feasible solution")
         return SolveResult("infeasible", float("-inf"), {}, wall_time=wall,
-                           leaves=leaves[0])
-    value, values = best[0]
+                           leaves=leaves)
+    value, values = best
     assignment = {name: float(v) for name, v in zip(branch_vars, values)}
     objective = complete_assignment(model, assignment)  # fill counting vars
     if abs(objective - value) > TOL:
         raise SolverError("leaf scored %r, its completion %r"
                           % (value, objective))
     verify_assignment(model, assignment)
-    status = "feasible" if timed_out[0] else "optimal"
-    return SolveResult(status, objective, assignment, wall_time=wall,
-                       leaves=leaves[0])
+    if timed_out:
+        return SolveResult("feasible", objective, assignment,
+                           gap=_relative_gap(objective, root_bound),
+                           wall_time=wall, leaves=leaves)
+    return SolveResult("optimal", objective, assignment, wall_time=wall,
+                       leaves=leaves)
 
 
 def complete_assignment(model: IlpModel, assignment: Dict[str, float]) -> float:
@@ -471,21 +692,28 @@ def _assign_runs(ctx: EdgeContext, comp, assignment):
 def verify_assignment(model: IlpModel, assignment: Dict[str, float]):
     """Numerically check every constraint, bound and integrality condition
     to within ``TOL``."""
+    get = assignment.get
     for var in model.variables.values():
-        val = assignment.get(var.name, 0.0)
+        val = get(var.name, 0.0)
         if val < var.lb - TOL or val > var.ub + TOL:
             raise SolverError("variable %s=%r out of bounds [%r, %r]"
                               % (var.name, val, var.lb, var.ub))
         if var.kind in (BINARY, INTEGER) and abs(val - round(val)) > TOL:
             raise SolverError("variable %s=%r not integral" % (var.name, val))
     for con in model.constraints:
-        lhs = sum(coef * assignment.get(name, 0.0) for coef, name in con.terms)
-        ok = {"<=": lhs <= con.rhs + TOL,
-              ">=": lhs >= con.rhs - TOL,
-              "=": abs(lhs - con.rhs) <= TOL}[con.sense]
+        lhs = 0
+        for coef, name in con.terms:
+            lhs += coef * get(name, 0.0)
+        sense, rhs = con.sense, con.rhs
+        if sense == "<=":
+            ok = lhs <= rhs + TOL
+        elif sense == ">=":
+            ok = lhs >= rhs - TOL
+        else:
+            ok = abs(lhs - rhs) <= TOL
         if not ok:
             raise SolverError("constraint %s violated: %r %s %r"
-                              % (con.name, lhs, con.sense, con.rhs))
+                              % (con.name, lhs, sense, rhs))
 
 
 # -- external solver bridge --------------------------------------------------

@@ -416,3 +416,25 @@ def test_extract_rejects_incomplete_solution(tmp_path):
              "--genomes-out", str(tmp_path / "g.tsv"),
              "--distances-out", str(tmp_path / "d.tsv"))
     assert rc == EXIT_SOLVER
+
+
+def test_extract_manifest_records_families(tmp_path):
+    # the family map changes the rebuilt model, so a rerun needs it
+    pair = write_pair(tmp_path)
+    tree = tmp_path / "tree.tsv"
+    tree.write_text("A\tB\n")
+    families = tmp_path / "families.tsv"
+    families.write_text("1.1\tf1\n2.1\tf2\n3.1\tf3\n")
+    lp, idmap, sol = tmp_path / "m.lp", tmp_path / "m.tsv", tmp_path / "m.sol"
+    assert run("build", str(tree), str(pair), "-o", str(lp), "--idmap",
+               str(idmap), "--families", str(families)) == EXIT_OK
+    assert run("solve", str(lp), "-o", str(sol), "--internal") == EXIT_OK
+    genomes_out = tmp_path / "g.tsv"
+    assert run("extract", str(sol), str(tree), str(pair), "--idmap",
+               str(idmap), "--families", str(families), "--genomes-out",
+               str(genomes_out), "--distances-out",
+               str(tmp_path / "d.tsv")) == EXIT_OK
+    for manifest_path in (str(lp) + ".manifest.json",
+                          str(genomes_out) + ".manifest.json"):
+        manifest = json.loads(open(manifest_path).read())
+        assert manifest["arguments"]["families"] == str(families)

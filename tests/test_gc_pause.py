@@ -1,11 +1,12 @@
-"""``build_model`` and ``parse_lp`` pause the cyclic garbage collector while
-they run and leave it as they found it, also when they raise."""
+"""``build_model``, ``parse_lp``, ``solver.solve_internal`` and
+``extract.decode`` pause the cyclic garbage collector while they run and
+leave it as they found it, also when they raise."""
 
 import gc
 
 import pytest
 
-from spp_dcj import ilp, milp_cli
+from spp_dcj import extract, ilp, milp_cli, solver
 from spp_dcj.genomes import FamilyAssignment, Phylogeny
 
 from util import build_genome
@@ -67,4 +68,31 @@ def test_parse_lp_restores_collector_on_error(collector, tmp_path):
     path.write_text("Maximize\n obj: 1 x\nSubject To\n c: 1 x <= one\nEnd\n")
     with pytest.raises(milp_cli.LpFormatError):
         milp_cli.parse_lp(path)
+    assert gc.isenabled() is collector
+
+
+def test_solve_internal_restores_collector(collector, monkeypatch):
+    model = _build()
+    seen = _watch(monkeypatch, solver, "complete_assignment")
+    assert solver.solve_internal(model).status == "optimal"
+    assert seen == [False]
+    assert gc.isenabled() is collector
+
+
+def test_solve_internal_restores_collector_on_budget(collector, monkeypatch):
+    model = _build()
+    seen = _watch(monkeypatch, solver, "_branch_variables")
+    monkeypatch.setattr(solver, "WORK_BUDGET", 1)
+    with pytest.raises(solver.BudgetExhausted):
+        solver.solve_internal(model)
+    assert seen == [False]
+    assert gc.isenabled() is collector
+
+
+def test_decode_restores_collector(collector, monkeypatch):
+    model = _build()
+    assignment = solver.solve_internal(model).assignment
+    seen = _watch(monkeypatch, extract, "_decode_context")
+    assert extract.decode(model, assignment).genomes
+    assert seen == [False]
     assert gc.isenabled() is collector

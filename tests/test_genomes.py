@@ -117,6 +117,15 @@ def test_adjacency_canonical_and_invalid():
         Adjacency((ext("t.1", TELO), ext("t.2", TELO)))
 
 
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"),
+                                    float("-inf")])
+def test_adjacency_rejects_non_finite_weight(weight):
+    # caught where the library makes the adjacency, not when an LP is
+    # written
+    with pytest.raises(GenomeError, match="finite"):
+        Adjacency((ext("1.1", HEAD), ext("2.1", TAIL)), weight)
+
+
 def test_genome_validation():
     # missing mate: 1.1_t appears but 1.1_h does not
     with pytest.raises(GenomeError):
@@ -141,6 +150,23 @@ def test_genome_queries():
     e = ext("1.1", TAIL)
     assert len(g.incident(e)) == 1
     assert g.incident(e)[0].other(e).is_telomere
+
+
+def test_sorted_extremities_match_sorting_each_call():
+    rng = seeded(13)
+    for _ in range(25):
+        g = build_genome("A", random_structure(rng, rng.randint(1, 8)),
+                         weight=rng.random())
+        everything = sorted(g._index)  # the order of Extremity.__lt__
+        assert g.extremities() == everything
+        assert g.non_telomeric_extremities() == [
+            e for e in everything if not e.is_telomere]
+        assert g.telomeres() == [e for e in everything if e.is_telomere]
+        # each call returns a fresh list a caller may change
+        g.extremities().clear()
+        g.telomeres().append(everything[0])
+        assert g.extremities() == everything
+        assert g.telomeres() == [e for e in everything if e.is_telomere]
 
 
 def test_degenerate_deduplication():

@@ -1,6 +1,7 @@
 """Source hygiene: every name a ``spp_dcj`` module imports is used there,
 every local a function assigns and every parameter it takes is read
-somewhere in it, and every command-line option is read by the CLI."""
+somewhere in it, every command-line option is read by the CLI, and only
+``ilp._gc_paused`` switches the garbage collector."""
 
 import argparse
 import ast
@@ -177,3 +178,49 @@ def test_every_cli_option_is_read():
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     unread = _unread_options(cli.make_parser(), tree)
     assert not unread, "cli.py never reads options: %s" % ", ".join(unread)
+
+
+def _collector_switches(tree, owner="_gc_paused"):
+    """(function, line) of every ``gc.disable()`` or ``gc.enable()`` call
+    outside a function named ``owner``; None stands for module level."""
+    owned = set()
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and func.name == owner:
+            owned.update(id(node) for node in ast.walk(func))
+    enclosing = {}
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                enclosing.setdefault(id(node), func.name)
+    return sorted(
+        ((enclosing.get(id(node)), node.lineno) for node in ast.walk(tree)
+         if isinstance(node, ast.Call)
+         and isinstance(node.func, ast.Attribute)
+         and node.func.attr in ("disable", "enable")
+         and isinstance(node.func.value, ast.Name)
+         and node.func.value.id == "gc" and id(node) not in owned),
+        key=lambda entry: entry[1])
+
+
+def test_collector_switch_check_catches_other_owners():
+    tree = ast.parse("import gc\n"
+                     "def _gc_paused():\n"
+                     "    gc.disable()\n"
+                     "    gc.enable()\n"
+                     "def solve():\n"
+                     "    gc.disable()\n"
+                     "    gc.collect()\n"
+                     "gc.enable()\n")
+    assert _collector_switches(tree) == [("solve", 6), (None, 8)]
+
+
+def test_collector_state_has_one_owner():
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = "_gc_paused" if path.name == "ilp.py" else None
+        found += ["%s:%d in %s" % (path.name, line, func or "module")
+                  for func, line in _collector_switches(tree, owner)]
+    assert not found, ("gc.disable/gc.enable outside ilp._gc_paused: %s"
+                       % ", ".join(found))

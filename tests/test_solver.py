@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import sys
+import types
 
 import pytest
 
@@ -8,10 +10,11 @@ from spp_dcj.diagram import DiagramError, brute_force_distance
 from spp_dcj.genomes import FamilyAssignment, Phylogeny
 from spp_dcj.ilp import build_model
 from spp_dcj.solver import (BudgetExhausted, SolverError, _Propagator,
-                            _Scorer, _branch_variables, complete_assignment,
-                            load_solution, parse_solution, solve,
-                            solve_external, solve_internal,
-                            verify_assignment, write_solution)
+                            _relative_gap, _Scorer, _branch_variables,
+                            complete_assignment, load_solution,
+                            parse_solution, solve, solve_external,
+                            solve_internal, verify_assignment,
+                            write_solution)
 
 from util import build_genome, random_degenerate_pair, seeded
 
@@ -117,24 +120,42 @@ def test_internal_outcomes_pinned():
                                   "8d520bc1756376fe989d09a6277e44d8")
 
 
-def _all_leaves(model, branch):
-    """Every full assignment the propagator admits, without bounding."""
+def _unpruned_walk(model):
+    """(values, scored value) of every full assignment the propagator
+    admits, walked without bounding.  At every node it asserts that the
+    scorer's bound is at least the best leaf value below, and at the end
+    that the undo log took the scorer back to where it started."""
+    branch = _branch_variables(model)
     prop = _Propagator(model, branch)
+    scorer = _Scorer(model, prop.index)
+    prop.listener = scorer.fix
+    start = (list(scorer.obj), list(scorer.tally), list(scorer.live),
+             list(scorer.alive))
     leaves = []
 
     def dfs(k):
         while k < len(branch) and prop.value[k] != -1:
             k += 1
         if k == len(branch):
-            leaves.append(list(prop.value))
-            return
+            leaves.append((list(prop.value), scorer.leaf_value()))
+            return leaves[-1][1]
+        bound = scorer.upper_bound()
+        best = None
         for val in (0, 1):
             trail = []
+            mark = len(scorer.log)
             if prop.assign(k, val, trail):
-                dfs(k + 1)
+                below = dfs(k + 1)
+                if below is not None and (best is None or below > best):
+                    best = below
             prop.undo(trail)
+            scorer.restore(mark)
+        assert best is None or bound >= best - 1e-9, (bound, best)
+        return best
 
     dfs(0)
+    assert not scorer.log and start == (scorer.obj, scorer.tally,
+                                         scorer.live, scorer.alive)
     return leaves
 
 
@@ -170,9 +191,7 @@ def test_leaf_scorer_matches_complete_assignment():
     for model in _scorer_cases():
         with_c11 += any(con.tag == "C.11" for con in model.constraints)
         branch = _branch_variables(model)
-        scorer = _Scorer(model, {name: k for k, name in enumerate(branch)})
-        for leaf in _all_leaves(model, branch):
-            value = scorer.leaf_value(leaf)
+        for leaf, value in _unpruned_walk(model):
             assignment = {name: float(v) for name, v in zip(branch, leaf)}
             try:
                 expected = complete_assignment(model, assignment)
@@ -183,6 +202,74 @@ def test_leaf_scorer_matches_complete_assignment():
             assert value == pytest.approx(expected, abs=1e-9)
             scored += 1
     assert scored and with_c11 and all(rejected.values()), rejected
+
+
+def _bound_cases():
+    yield from _scorer_cases()
+    rng = seeded(109)
+    for i in range(60):
+        a, b = random_degenerate_pair(rng)
+        yield pair_model(a, b, *MIXTURES[i % 3])
+
+
+def _root_bound(model):
+    branch = _branch_variables(model)
+    return _Scorer(model, _Propagator(model, branch).index).upper_bound()
+
+
+def test_bound_is_at_least_the_optimum():
+    # _unpruned_walk checks every node; the root is checked against the
+    # optimum the search proves
+    for model in _bound_cases():
+        _unpruned_walk(model)
+        result = solve_internal(model)
+        if result.status == "optimal":
+            assert _root_bound(model) >= result.objective - 1e-9
+
+
+def test_pruned_search_matches_unpruned_walk(monkeypatch):
+    pruned = [solve_internal(model) for model in _bound_cases()]
+    monkeypatch.setattr(_Scorer, "upper_bound", lambda self: float("inf"))
+    unpruned = [solve_internal(model) for model in _bound_cases()]
+    for cut, full in zip(pruned, unpruned):
+        assert (cut.status, cut.objective, cut.assignment) == (
+            full.status, full.objective, full.assignment)
+        assert cut.leaves <= full.leaves
+    assert sum(r.leaves for r in pruned) < sum(r.leaves for r in unpruned)
+
+
+def test_timed_out_search_reports_gap_to_root_bound(monkeypatch):
+    rng = seeded(107)
+    for _ in range(25):
+        a, b = random_degenerate_pair(rng)
+    model = pair_model(a, b, *MIXTURES[24 % 3])
+    full = solve_internal(model)
+    assert full.status == "optimal" and full.gap == 0
+    root = _root_bound(model)
+    # a clock that ticks once per reading stops the search after `limit`
+    # nodes; the first limit that leaves an incumbent
+    for limit in range(1, 100):
+        ticks = itertools.count()
+        monkeypatch.setattr(solver, "time", types.SimpleNamespace(
+            monotonic=lambda: next(ticks)))
+        try:
+            result = solve_internal(model, time_limit=limit)
+            break
+        except SolverError as exc:
+            assert "without a feasible solution" in str(exc)
+    else:
+        pytest.fail("no incumbent within 100 ticks")
+    assert result.status == "feasible"
+    assert result.objective < full.objective < root
+    assert result.gap == pytest.approx(
+        (root - result.objective) / abs(result.objective))
+
+
+def test_relative_gap_is_the_highs_form():
+    assert _relative_gap(-2.0, 1.0) == 1.5
+    assert _relative_gap(4.0, 5.0) == 0.25
+    assert _relative_gap(0.0, 0.0) == 0.0
+    assert _relative_gap(0.0, 1.0) == float("inf")
 
 
 def test_propagator_forces_values():
@@ -218,6 +305,16 @@ def test_propagator_rejects_inequality_rows(tag):
     with pytest.raises(SolverError, match="not an equality") as info:
         solve_internal(model)
     assert not isinstance(info.value, BudgetExhausted)
+
+
+def test_propagator_rejects_non_unit_coefficients():
+    a = build_genome("A", [(["1.1", "2.1"], True)])
+    b = build_genome("B", [(["1.1", "2.1"], True)])
+    model = pair_model(a, b)
+    con = next(con for con in model.constraints if con.tag == "C.02")
+    con.terms = [(2 * coef, name) for coef, name in con.terms]
+    with pytest.raises(SolverError, match="other than 1 or -1"):
+        solve_internal(model)
 
 
 def test_verify_assignment_catches_violations():
