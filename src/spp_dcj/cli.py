@@ -106,15 +106,17 @@ def cmd_build(args) -> int:
 
 def cmd_solve(args) -> int:
     start = time.monotonic()
-    if args.solver_cmd or (not args.internal and SOLVER_ENV in os.environ):
-        run_solver_command(args.solver_cmd or os.environ[SOLVER_ENV],
-                           args.model, args.output, args.time_limit)
+    # the command template that runs, None for the bundled HiGHS
+    command = args.solver_cmd or (None if args.internal
+                                  else os.environ.get(SOLVER_ENV))
+    if command is not None:
+        run_solver_command(command, args.model, args.output, args.time_limit)
     else:
         from . import milp_cli  # numpy and scipy load only when used
         milp_cli.solve_file(args.model, args.output, args.time_limit)
     _manifest(args.output + ".manifest.json", "solve", {
         "model": args.model, "internal": args.internal,
-        "solver_cmd": args.solver_cmd, "time_limit": args.time_limit,
+        "solver_cmd": command, "time_limit": args.time_limit,
     }, {"solve": time.monotonic() - start})
     return EXIT_OK
 

@@ -9,9 +9,9 @@ superposition of candidate gene orders.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
-from functools import cached_property, total_ordering
-from operator import attrgetter
+from collections import namedtuple
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 TAIL = "t"
@@ -27,19 +27,18 @@ class GenomeError(ValueError):
     """Raised on malformed genomes, adjacencies, or family assignments."""
 
 
-@total_ordering
-class Extremity:
-    """Immutable ``(species, marker, kind)`` value, kind TAIL, HEAD or TELO.
+class Extremity(namedtuple("Extremity", "species marker kind")):
+    """Immutable ``(species, marker, kind)`` tuple, kind TAIL, HEAD or TELO.
 
-    Equality, hashing and order are those of the ``(species, marker, kind)``
-    tuple.  Models hold hundreds of thousands of extremities in sets, dict
-    keys and sorted lists, so the key, its hash and ``is_telomere`` are
-    computed once, in the constructor.
+    Equality, hashing and order are the tuple's own, so sets, dict keys and
+    sorted lists of extremities run at C speed, and an extremity equals its
+    plain tuple.  Build one through the constructor: ``_make`` and
+    ``_replace`` skip its checks.
     """
 
-    __slots__ = ("species", "marker", "kind", "is_telomere", "_key", "_hash")
+    __slots__ = ()
 
-    def __init__(self, species: str, marker: str, kind: str):
+    def __new__(cls, species: str, marker: str, kind: str):
         if kind not in KINDS:
             raise GenomeError("invalid extremity kind %r" % (kind,))
         is_telomere = (marker.startswith(TELOMERE_PREFIX)
@@ -47,23 +46,11 @@ class Extremity:
         if is_telomere != (kind == TELO):
             raise GenomeError(
                 "telomere naming mismatch for %s_%s" % (marker, kind))
-        key = (species, marker, kind)
-        init = object.__setattr__
-        init(self, "species", species)
-        init(self, "marker", marker)
-        init(self, "kind", kind)
-        init(self, "is_telomere", is_telomere)
-        init(self, "_key", key)
-        init(self, "_hash", hash(key))
+        return tuple.__new__(cls, (species, marker, kind))
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError("cannot delete field %r" % name)
-
-    def __reduce__(self):
-        return Extremity, self._key
+    @property
+    def is_telomere(self) -> bool:
+        return self.kind == TELO
 
     @property
     def name(self) -> str:
@@ -74,17 +61,6 @@ class Extremity:
         if self.kind == TELO:
             raise GenomeError("telomere %s has a single extremity" % self.name)
         return Extremity(self.species, self.marker, HEAD if self.kind == TAIL else TAIL)
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if other.__class__ is not Extremity:
-            return NotImplemented
-        return self is other or self._key == other._key
-
-    def __lt__(self, other):
-        return self._key < other._key
 
     def __repr__(self):
         return "%s:%s" % (self.species, self.name)
@@ -205,7 +181,7 @@ class DegenerateGenome:
     def _ordered(self) -> Tuple[Tuple[Extremity, ...], ...]:
         """All, non-telomeric and telomeric extremities, each sorted once:
         the genome does not change after ``__init__``."""
-        ordered = sorted(self._index, key=attrgetter("_key"))
+        ordered = sorted(self._index)
         return (tuple(ordered),
                 tuple(e for e in ordered if not e.is_telomere),
                 tuple(e for e in ordered if e.is_telomere))

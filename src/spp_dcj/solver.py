@@ -63,30 +63,39 @@ class SolveResult:
 
 # -- internal branch and bound ----------------------------------------------
 
+def _restore(log: list, mark: int):
+    """Undo every change logged after ``len(log)`` was ``mark``: the log
+    holds ``(array, index, old value)`` triples, replayed backwards."""
+    for k in range(len(log) - 3, mark - 1, -3):
+        log[k][log[k + 1]] = log[k + 2]
+    del log[mark:]
+
+
 class _Propagator:
     """0/1 bound propagation over the C.01-C.03 equalities, whose variables
     are all branchable and whose coefficients are all 1 or -1.
 
-    Each row keeps the range ``[lo, hi]`` its left-hand side can still
-    reach, moved when one of its variables is fixed and moved back by
-    ``undo``, so a row is scanned only when that range ends at its
-    right-hand side.  ``listener``, when set, is called with every
+    Each row keeps the integer range ``[lo, hi]`` its left-hand side can
+    still reach, moved when one of its variables is fixed, so a row is
+    scanned only when that range ends at its right-hand side.  Every change
+    to ``value``, ``lo`` and ``hi`` goes on the shared undo log, which
+    ``_restore`` replays.  ``listener``, when set, is called with every
     ``(variable, value)`` that is fixed, in fixing order.
     """
 
-    def __init__(self, model: IlpModel, branch_vars: Sequence[str]):
+    def __init__(self, model: IlpModel, branch_vars: Sequence[str],
+                 log: list):
         index = self.index = {name: i for i, name in enumerate(branch_vars)}
         self.value = [-1] * len(branch_vars)  # -1 = free
+        self.log = log
         self.listener: Optional[Callable[[int, int], None]] = None
         # per row: its variables, v where the coefficient is 1, ~v where -1
         self.terms: List[List[int]] = []
         self.lo: List[int] = []
         self.hi: List[int] = []
-        self.up: List[float] = []  # right-hand side plus tolerance
-        self.down: List[float] = []  # right-hand side less tolerance
+        self.rhs: List[float] = []
         # rows of each variable: r where its coefficient is 1, ~r where -1
         rows_of: List[List[int]] = [[] for _ in branch_vars]
-        bounds: Dict[float, Tuple[float, float]] = {}
         for con in model.constraints:
             if con.tag not in ("C.01", "C.02", "C.03"):
                 continue
@@ -114,17 +123,13 @@ class _Propagator:
             self.terms.append(terms)
             self.lo.append(lo)
             self.hi.append(hi)
-            if con.rhs not in bounds:
-                bounds[con.rhs] = (con.rhs + 1e-9, con.rhs - 1e-9)
-            up, down = bounds[con.rhs]
-            self.up.append(up)
-            self.down.append(down)
+            self.rhs.append(con.rhs)
         self.rows_of = rows_of
 
-    def assign(self, var: int, val: int, trail: List[int]) -> bool:
-        """Fix a variable and propagate; False on conflict."""
+    def assign(self, var: int, val: int) -> bool:
+        """Fix a variable and propagate; False at the first conflict."""
         value, rows_of, row_terms = self.value, self.rows_of, self.terms
-        lo, hi, up, down = self.lo, self.hi, self.up, self.down
+        lo, hi, rhs, log = self.lo, self.hi, self.rhs, self.log
         listener = self.listener
         queue = [(var, val)]
         while queue:
@@ -134,60 +139,37 @@ class _Propagator:
                 if cur != v:
                     return False
                 continue
+            log.extend((value, vi, -1))
             value[vi] = v
-            trail.append(vi)
             if listener is not None:
                 listener(vi, v)
-            ok = True
             for r in rows_of[vi]:
                 if r < 0:
-                    r = ~r
-                    if v:
-                        hi[r] -= 1
-                    else:
-                        lo[r] += 1
-                elif v:
+                    r, upper = ~r, not v
+                else:
+                    upper = v
+                if upper:  # the term is at its upper value
+                    log.extend((lo, r, lo[r]))
                     lo[r] += 1
                 else:
+                    log.extend((hi, r, hi[r]))
                     hi[r] -= 1
-                if not ok:
-                    continue  # keep moving the ranges that undo moves back
-                if lo[r] > up[r] or hi[r] < down[r]:
-                    ok = False
-                elif hi[r] < up[r]:  # every free term at its upper value
-                    for t in row_terms[r]:
-                        if t < 0:
-                            if value[~t] == -1:
-                                queue.append((~t, 0))
-                        elif value[t] == -1:
-                            queue.append((t, 1))
-                elif lo[r] > down[r]:  # every free term at its lower value
-                    for t in row_terms[r]:
-                        if t < 0:
-                            if value[~t] == -1:
-                                queue.append((~t, 1))
-                        elif value[t] == -1:
-                            queue.append((t, 0))
-            if not ok:
-                return False
-        return True
-
-    def undo(self, trail: List[int]):
-        value, rows_of, lo, hi = self.value, self.rows_of, self.lo, self.hi
-        while trail:
-            vi = trail.pop()
-            v = value[vi]
-            for r in rows_of[vi]:
-                if r < 0:
-                    if v:
-                        hi[~r] += 1
-                    else:
-                        lo[~r] -= 1
-                elif v:
-                    lo[r] -= 1
+                target = rhs[r]
+                if lo[r] > target or hi[r] < target:
+                    return False
+                if hi[r] == target:
+                    up = 1  # every free term at its upper value
+                elif lo[r] == target:
+                    up = 0  # every free term at its lower value
                 else:
-                    hi[r] += 1
-            value[vi] = -1
+                    continue
+                for t in row_terms[r]:
+                    if t < 0:
+                        if value[~t] == -1:
+                            queue.append((~t, 1 - up))
+                    elif value[t] == -1:
+                        queue.append((t, up))
+        return True
 
 
 def _branch_variables(model: IlpModel) -> List[str]:
@@ -213,8 +195,8 @@ def _side_changes(near: Optional[str], side: Optional[str],
 
 class _Scorer:
     """Leaf values and node bounds of the branch-and-bound, kept up to date
-    by ``fix`` as the propagator fixes values and put back by ``restore``
-    from an undo log.
+    by ``fix`` as the propagator fixes values.  Every change goes on the
+    undo log it shares with the propagator.
 
     Each diagram keeps its selected edges as paths.  Both end nodes of a
     path hold the record (other end, indel side nearest this end, indel
@@ -233,27 +215,22 @@ class _Scorer:
     telomere count on a side with a C.11 row is no solution.
 
     The bound takes fixed terms at their value, free terms at their best
-    and, per diagram, the indel-free cycles any completion can close as
-    the smaller of two counts:
-
-    * half the nodes still free of a selected indel edge on the side with
-      fewer (telomeres while their presence is not fixed to 0), capped by
-      the number of z variables;
-    * the indel-free cycles already closed, plus a quarter of the live
-      nodes on no closed cycle, rounded down.  A node is live while some
-      edge at it is not fixed to 0.  A cycle still to close uses live
-      nodes only, and none on a closed cycle, since a node has degree 2.
-      It has at least 4 nodes: a scored indel-free cycle holds a
-      non-telomeric node ``n``, which C.02 puts on one adjacency edge, to
-      ``a`` in its own genome, and one extremity edge, to ``b`` in the
-      other genome; ``b`` is non-telomeric too (extremity edges join
-      telomeres only to telomeres), so C.02 puts it on an adjacency edge
-      to a fourth node ``c`` in its genome.
+    and, per diagram, the indel-free cycles any completion can close: those
+    already closed, plus a quarter of the live nodes on no closed cycle,
+    rounded down.  A node is live while some edge at it is not fixed to 0.
+    A cycle still to close uses live nodes only, and none on a closed
+    cycle, since a node has degree 2.  It has at least 4 nodes: a scored
+    indel-free cycle holds a non-telomeric node ``n``, which C.02 puts on
+    one adjacency edge, to ``a`` in its own genome, and one extremity
+    edge, to ``b`` in the other genome; ``b`` is non-telomeric too
+    (extremity edges join telomeres only to telomeres), so C.02 puts it on
+    an adjacency edge to a fourth node ``c`` in its genome.
     """
 
-    def __init__(self, model: IlpModel, var_index: Dict[str, int]):
+    def __init__(self, model: IlpModel, var_index: Dict[str, int],
+                 log: list):
         self.alpha = model.alpha
-        self.log: list = []  # array, index, old value; three per change
+        self.log = log
         z_names = set()
         for ctx in model.contexts:
             z_names.update(ctx.z_vars.values())
@@ -271,14 +248,11 @@ class _Scorer:
                 self.obj[1] += coef
 
         none: Tuple[int, ...] = ()
-        # per branch variable: its diagram edges, the alive slots it counts
-        # in as a telomere's presence, its C.11 parity groups
+        # per branch variable: its diagram edges, its C.11 parity groups
         self.edges_of = [none] * len(var_index)
-        self.slots_of = [none] * len(var_index)
         self.groups_of = [none] * len(var_index)
         # per node (numbered across diagrams)
         self.node_ctx: List[int] = []
-        self.node_slot: List[int] = []  # alive slot: 2 * diagram + side
         self.has_z: List[bool] = []
         self.free: List[int] = []  # edges at the node not fixed to 0
         # per edge
@@ -289,34 +263,22 @@ class _Scorer:
         self.ecands: List[Tuple[int, ...]] = []
         self.cand_need: List[int] = []
         # per diagram
-        self.num_z: List[int] = []
         self.live: List[int] = []
-        self.alive: List[int] = []
         groups = 0
         for c, ctx in enumerate(model.contexts):
             d = ctx.diagram
             base = len(self.node_ctx) - 1  # node indices start at 1
             idx = d.node_index
-            self.num_z.append(len(ctx.z_vars))
             edges_at = [0] * (len(d.nodes) + 1)
             for e in d.edges:
                 edges_at[idx[e.u]] += 1
                 edges_at[idx[e.v]] += 1
-            alive = [0, 0]
             for node in d.nodes:
                 i = idx[node]
-                s = 0 if d.side_of(node) == "A" else 1
                 self.node_ctx.append(c)
-                self.node_slot.append(2 * c + s)
                 self.has_z.append(i <= len(ctx.z_vars))
                 self.free.append(edges_at[i])
-                alive[s] += 1
             self.live.append(sum(1 for k in edges_at if k))
-            self.alive.extend(alive)
-            for s, side in enumerate(("A", "B")):
-                for node in d.telomeres_side(side):
-                    vi = var_index[ctx.o_vars[node]]
-                    self.slots_of[vi] += (2 * c + s,)
             for side in ctx.a_vars:
                 for node in d.telomeres_side(side):
                     vi = var_index[ctx.o_vars[node]]
@@ -339,20 +301,12 @@ class _Scorer:
                 self.ecands.append(cands.get(e.index, none))
         size = len(self.node_ctx)
         self.deg = [0] * size  # selected edges at the node
-        self.ids = [0] * size  # selected indel edges at the node
         self.ends: List[Optional[tuple]] = [None] * size  # path records
         self.cand_count = [0] * len(self.cand_need)
         self.parity = [0] * groups
         self.cycles = [0] * len(model.contexts)
         self.closed = [0] * len(model.contexts)  # nodes on closed cycles
         self.tally = [0] * 5
-
-    def restore(self, mark: int):
-        """Undo every change logged after ``len(self.log)`` was ``mark``."""
-        log = self.log
-        for k in range(len(log) - 3, mark - 1, -3):
-            log[k][log[k + 1]] = log[k + 2]
-        del log[mark:]
 
     def fix(self, vi: int, v: int):
         """Account for branch variable ``vi`` fixed to ``v``."""
@@ -388,23 +342,10 @@ class _Scorer:
                     c = self.node_ctx[node]
                     log.extend((live, c, live[c]))
                     live[c] -= 1
-        alive = self.alive
-        for s in self.slots_of[vi]:
-            log.extend((alive, s, alive[s]))
-            alive[s] -= 1
 
     def _select(self, e: int):
         log, tally = self.log, self.tally
         u, w, side = self.eu[e], self.ev[e], self.eside[e]
-        if side is not None:
-            ids, alive = self.ids, self.alive
-            for node in (u, w):
-                log.extend((ids, node, ids[node]))
-                ids[node] += 1
-                if ids[node] == 1:
-                    s = self.node_slot[node]
-                    log.extend((alive, s, alive[s]))
-                    alive[s] -= 1
         for ci in self.ecands[e]:
             count = self.cand_count
             log.extend((count, ci, count[ci]))
@@ -482,12 +423,10 @@ class _Scorer:
 
     def upper_bound(self) -> float:
         """Bound on the objective of every leaf below the node at hand."""
-        alive = self.alive
+        live, closed = self.live, self.closed
         ub = self.obj[0] + self.obj[1]
-        for c, num_z in enumerate(self.num_z):
-            z = min(min(alive[2 * c], alive[2 * c + 1]) // 2, num_z,
-                    self.cycles[c] + (self.live[c] - self.closed[c]) // 4)
-            ub += self.alpha * z
+        for c, cycles in enumerate(self.cycles):
+            ub += self.alpha * (cycles + (live[c] - closed[c]) // 4)
         return ub
 
 
@@ -504,10 +443,11 @@ def _search(model: IlpModel, branch_vars: List[str], start: float,
     """Depth-first branch-and-bound over ``branch_vars``: the best leaf
     as ``(value, values)`` or None, the leaves scored, whether the time
     limit stopped the search, and the bound at the root."""
-    prop = _Propagator(model, branch_vars)
+    log: list = []
+    prop = _Propagator(model, branch_vars, log)
     one_first = {i for name, i in prop.index.items()
                  if model.variables[name].meaning[0] == "adj"}
-    scorer = _Scorer(model, prop.index)
+    scorer = _Scorer(model, prop.index, log)
     prop.listener = scorer.fix
 
     best: List[Optional[Tuple[float, List[int]]]] = [None]
@@ -544,12 +484,10 @@ def _search(model: IlpModel, branch_vars: List[str], start: float,
                 raise BudgetExhausted(
                     "branch-and-bound passed its budget of %d work units "
                     "after %d leaves" % (WORK_BUDGET, leaves[0]))
-            trail: List[int] = []
-            mark = len(scorer.log)
-            if prop.assign(next_var, val, trail):
+            mark = len(log)
+            if prop.assign(next_var, val):
                 dfs(next_var + 1)
-            prop.undo(trail)
-            scorer.restore(mark)
+            _restore(log, mark)
             if timed_out[0]:
                 return
 
@@ -735,13 +673,11 @@ def run_solver_command(command: str, lp_path, sol_path,
     if "{lp}" not in command or "{sol}" not in command:
         raise SolverError("solver command must contain {lp} and {sol}: %r"
                           % command)
-    fields = {"lp": lp_path, "sol": sol_path}
-    if "{time_limit}" in command:
-        fields["time_limit"] = time_limit or 0
     with contextlib.suppress(FileNotFoundError):
         os.remove(sol_path)
-    proc = subprocess.run(command.format(**fields), shell=True,
-                          capture_output=True, text=True)
+    proc = subprocess.run(command.format(lp=lp_path, sol=sol_path,
+                                         time_limit=time_limit or 0),
+                          shell=True, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SolverError("external solver failed (%d): %s"
                           % (proc.returncode, proc.stderr.strip()[:500]))

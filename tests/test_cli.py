@@ -382,6 +382,31 @@ def test_solver_env_override(tmp_path, monkeypatch):
     assert run("solve", str(lp), "-o", str(sol), "--internal") == EXIT_OK
 
 
+def test_solve_manifest_records_the_command_run(tmp_path, monkeypatch):
+    pair = write_pair(tmp_path)
+    tree = tmp_path / "tree.tsv"
+    tree.write_text("A\tB\n")
+    lp, sol = tmp_path / "m.lp", tmp_path / "m.sol"
+    assert run("build", str(tree), str(pair), "-o", str(lp)) == EXIT_OK
+
+    def recorded():
+        text = (tmp_path / "m.sol.manifest.json").read_text()
+        return json.loads(text)["arguments"]["solver_cmd"]
+
+    monkeypatch.setenv("SPP_DCJ_SOLVER", MILP_CMD)
+    assert run("solve", str(lp), "-o", str(sol)) == EXIT_OK
+    assert recorded() == MILP_CMD
+    assert run("solve", str(lp), "-o", str(sol), "--internal") == EXIT_OK
+    assert recorded() is None  # the bundled HiGHS ran
+    command = MILP_CMD + " --time-limit {time_limit}"
+    assert run("solve", str(lp), "-o", str(sol),
+               "--solver-cmd", command) == EXIT_OK
+    assert recorded() == command
+    monkeypatch.delenv("SPP_DCJ_SOLVER")
+    assert run("solve", str(lp), "-o", str(sol)) == EXIT_OK
+    assert recorded() is None
+
+
 def test_extract_idmap_mismatch(tmp_path):
     pair = write_pair(tmp_path)
     tree = tmp_path / "tree.tsv"

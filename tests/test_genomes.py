@@ -47,7 +47,7 @@ def test_extremity_value_contract():
     for x, kx in zip(first, keys):
         assert hash(x) == hash(kx)
         assert x.is_telomere == (kx[2] == TELO)
-        assert x != kx  # a plain tuple is not an extremity
+        assert x == kx  # an extremity is its plain tuple
         for y, ky in zip(second, keys):
             assert (x == y) == (kx == ky)
             assert (x != y) == (kx != ky)
@@ -157,7 +157,7 @@ def test_sorted_extremities_match_sorting_each_call():
     for _ in range(25):
         g = build_genome("A", random_structure(rng, rng.randint(1, 8)),
                          weight=rng.random())
-        everything = sorted(g._index)  # the order of Extremity.__lt__
+        everything = sorted(g._index)  # the (species, marker, kind) order
         assert g.extremities() == everything
         assert g.non_telomeric_extremities() == [
             e for e in everything if not e.is_telomere]

@@ -1,18 +1,27 @@
 """Source hygiene: every name a ``spp_dcj`` module imports is used there,
 every local a function assigns and every parameter it takes is read
-somewhere in it, every command-line option is read by the CLI, and only
-``ilp._gc_paused`` switches the garbage collector."""
+somewhere in it, every function is referenced somewhere in the project,
+every command-line option is read by the CLI, and only ``ilp._gc_paused``
+switches the garbage collector."""
 
 import argparse
 import ast
 import pathlib
+import re
 
 import pytest
 
 from spp_dcj import cli
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "spp_dcj"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "spp_dcj"
 MODULES = sorted(PACKAGE.glob("*.py"))
+# the code that may call a function of the package; this file's toy
+# modules name functions that do not exist
+CALLERS = sorted(path for part in ("src", "tests", "demos", "perfbench")
+                 for path in (ROOT / part).rglob("*.py")
+                 if path != pathlib.Path(__file__).resolve())
+DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
 def _imported(tree):
@@ -140,6 +149,74 @@ def test_no_unused_parameters(path):
               for func, name, line in _unused_parameters(tree)]
     assert not unused, "%s has parameters it never reads: %s" % (
         path.name, ", ".join(unused))
+
+
+def _defined_functions(tree):
+    """(name, line) of every function and method ``tree`` defines, dunder
+    methods exempt."""
+    return sorted(((node.name, node.lineno) for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   and not (node.name.startswith("__")
+                            and node.name.endswith("__"))),
+                  key=lambda entry: entry[1])
+
+
+def _referenced_names(tree):
+    """Names ``tree`` reads, bare or as an attribute, and each part of
+    every string that is a dotted name: a ``monkeypatch.setattr`` target or
+    a traced span such as ``"solver.solve_internal"``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and DOTTED_NAME.fullmatch(node.value):
+            names.update(node.value.split("."))
+    return names
+
+
+def test_uncalled_function_check_catches_unreferenced_names():
+    toy = ast.parse("class Log:\n"
+                    "    def __init__(self):\n"
+                    "        self.entries = []\n"
+                    "    def append(self, entry):\n"
+                    "        self.entries.append(entry)\n"
+                    "    def restore(self, mark):\n"
+                    "        del self.entries[mark:]\n"
+                    "def imported():\n"
+                    "    pass\n"
+                    "def patched():\n"
+                    "    pass\n"
+                    "def traced():\n"
+                    "    pass\n"
+                    "def recursive(n):\n"
+                    "    return n and recursive(n - 1)\n")
+    caller = ast.parse("from toy import imported\n"
+                       "monkeypatch.setattr(toy, 'patched', None)\n"
+                       "SPANS = ('toy.traced',)\n"
+                       "'Log.restore is named in a sentence only'\n"
+                       "restore = Log().append\n")
+    referenced = _referenced_names(toy) | _referenced_names(caller)
+    assert [(name, line) for name, line in _defined_functions(toy)
+            if name not in referenced] == [("restore", 6), ("imported", 8)]
+
+
+def test_every_function_is_called():
+    referenced = set()
+    for path in CALLERS:
+        referenced |= _referenced_names(
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    uncalled = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        uncalled += ["%s:%d %s" % (path.name, line, name)
+                     for name, line in _defined_functions(tree)
+                     if name not in referenced]
+    assert not uncalled, ("functions nothing references: %s"
+                          % ", ".join(uncalled))
 
 
 def _unread_options(parser, tree):

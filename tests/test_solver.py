@@ -10,11 +10,11 @@ from spp_dcj.diagram import DiagramError, brute_force_distance
 from spp_dcj.genomes import FamilyAssignment, Phylogeny
 from spp_dcj.ilp import build_model
 from spp_dcj.solver import (BudgetExhausted, SolverError, _Propagator,
-                            _relative_gap, _Scorer, _branch_variables,
-                            complete_assignment, load_solution,
-                            parse_solution, solve, solve_external,
-                            solve_internal, verify_assignment,
-                            write_solution)
+                            _relative_gap, _restore, _Scorer,
+                            _branch_variables, complete_assignment,
+                            load_solution, parse_solution, solve,
+                            solve_external, solve_internal,
+                            verify_assignment, write_solution)
 
 from util import build_genome, random_degenerate_pair, seeded
 
@@ -107,6 +107,37 @@ def test_internal_leaf_counts_pinned():
                       4, 4, 6, 6, 2, 4, 4, 2, 4, 1, 2, 8]
 
 
+def test_internal_search_pinned(monkeypatch):
+    # values tried and bounds taken per search, on the models of
+    # test_internal_leaf_counts_pinned: the same leaves can hide a search
+    # that tries more values or bounds more nodes
+    calls = {"assign": 0, "bound": 0}
+    assign, upper_bound = _Propagator.assign, _Scorer.upper_bound
+
+    def counted_assign(self, *args):
+        calls["assign"] += 1
+        return assign(self, *args)
+
+    def counted_bound(self):
+        calls["bound"] += 1
+        return upper_bound(self)
+
+    monkeypatch.setattr(_Propagator, "assign", counted_assign)
+    monkeypatch.setattr(_Scorer, "upper_bound", counted_bound)
+    rng = seeded(97)
+    assigns, bounds = [], []
+    for i in range(24):
+        a, b = random_degenerate_pair(rng)
+        calls.update(assign=0, bound=0)
+        solve_internal(pair_model(a, b, *MIXTURES[i % 3]))
+        assigns.append(calls["assign"])
+        bounds.append(calls["bound"])
+    assert assigns == [18, 8, 8, 10, 16, 20, 42, 18, 16, 4, 18, 16,
+                       22, 16, 28, 24, 6, 16, 18, 6, 18, 2, 12, 34]
+    assert bounds == [2, 1, 1, 1, 2, 2, 13, 2, 2, 1, 2, 2,
+                      2, 2, 10, 8, 1, 2, 2, 1, 2, 1, 1, 5]
+
+
 def test_internal_outcomes_pinned():
     # status, objective and assignment of 40 solves, measured before leaves
     # were scored on integer tables: another optimal leaf changes the digest
@@ -121,17 +152,33 @@ def test_internal_outcomes_pinned():
                                   "8d520bc1756376fe989d09a6277e44d8")
 
 
+def _search_state(prop, scorer):
+    """Copies of everything the undo log puts back; a path record is read
+    only at a node of degree 1 or 2."""
+    ends = [end if deg else None for end, deg in zip(scorer.ends, scorer.deg)]
+    return [list(part) for part in (
+        prop.value, prop.lo, prop.hi, scorer.obj, scorer.free, scorer.live,
+        scorer.deg, ends, scorer.cand_count, scorer.parity, scorer.cycles,
+        scorer.closed, scorer.tally)]
+
+
+def _searcher(model):
+    log = []
+    prop = _Propagator(model, _branch_variables(model), log)
+    scorer = _Scorer(model, prop.index, log)
+    prop.listener = scorer.fix
+    return log, prop, scorer
+
+
 def _unpruned_walk(model):
     """(values, scored value) of every full assignment the propagator
     admits, walked without bounding.  At every node it asserts that the
     scorer's bound is at least the best leaf value below, and at the end
-    that the undo log took the scorer back to where it started."""
+    that the undo log took the propagator and the scorer back to where
+    they started."""
     branch = _branch_variables(model)
-    prop = _Propagator(model, branch)
-    scorer = _Scorer(model, prop.index)
-    prop.listener = scorer.fix
-    start = (list(scorer.obj), list(scorer.tally), list(scorer.live),
-             list(scorer.alive))
+    log, prop, scorer = _searcher(model)
+    start = _search_state(prop, scorer)
     leaves = []
 
     def dfs(k):
@@ -143,21 +190,35 @@ def _unpruned_walk(model):
         bound = scorer.upper_bound()
         best = None
         for val in (0, 1):
-            trail = []
-            mark = len(scorer.log)
-            if prop.assign(k, val, trail):
+            mark = len(log)
+            if prop.assign(k, val):
                 below = dfs(k + 1)
                 if below is not None and (best is None or below > best):
                     best = below
-            prop.undo(trail)
-            scorer.restore(mark)
+            _restore(log, mark)
         assert best is None or bound >= best - 1e-9, (bound, best)
         return best
 
     dfs(0)
-    assert not scorer.log and start == (scorer.obj, scorer.tally,
-                                         scorer.live, scorer.alive)
+    assert not log and _search_state(prop, scorer) == start
     return leaves
+
+
+def test_restore_after_conflict():
+    # every branch variable and value tried at the root, conflicts
+    # included, and each put back by the log alone
+    rng = seeded(113)
+    conflicts = 0
+    for i in range(12):
+        a, b = random_degenerate_pair(rng)
+        log, prop, scorer = _searcher(pair_model(a, b, *MIXTURES[i % 3]))
+        start = _search_state(prop, scorer)
+        for var in range(len(prop.value)):
+            for val in (0, 1):
+                conflicts += not prop.assign(var, val)
+                _restore(log, 0)
+                assert not log and _search_state(prop, scorer) == start
+    assert conflicts
 
 
 def _without_telomere_degree_rows(model):
@@ -214,8 +275,7 @@ def _bound_cases():
 
 
 def _root_bound(model):
-    branch = _branch_variables(model)
-    return _Scorer(model, _Propagator(model, branch).index).upper_bound()
+    return _searcher(model)[2].upper_bound()
 
 
 def test_bound_is_at_least_the_optimum():
@@ -278,13 +338,12 @@ def test_propagator_forces_values():
     b = build_genome("B", [(["1.1"], True)])
     model = pair_model(a, b)
     branch = _branch_variables(model)
-    prop = _Propagator(model, branch)
+    prop = _Propagator(model, branch, [])
     index = {name: i for i, name in enumerate(branch)}
     # deselecting A's only adjacency forces its (non-telomeric) endpoints'
     # degree rows into conflict: C.01 pins o=1, C.02 needs one adjacency
     xvar = next(iter(model.adjacency_vars["A"].values()))
-    trail = []
-    ok = prop.assign(index[xvar], 0, trail)
+    ok = prop.assign(index[xvar], 0)
     if ok:
         # presence variables must then be forced to 0, clashing with C.01
         over = next(name for name in branch
