@@ -194,12 +194,8 @@ def cmd_simulate(args) -> int:
     config = SimConfig(families=args.families_count, leaves=args.leaves,
                        scale=args.scale, seed=args.seed)
     result = evolve(config)
-    os.makedirs(args.out_dir, exist_ok=True)
-    io.write_tree(result.tree, os.path.join(args.out_dir, "tree.tsv"))
-    io.write_adjacencies(result.genomes,
-                         os.path.join(args.out_dir, "truth.tsv"))
-    io.write_tsv(os.path.join(args.out_dir, "events.tsv"), EVENT_HEADER,
-                 event_rows(result.events))
+    # the noise is drawn before anything is written, so a bad value leaves
+    # no partial output
     rng = random.Random(config.seed + 1)
     leaves = set(result.tree.leaves())
     noisy = {}
@@ -211,6 +207,12 @@ def cmd_simulate(args) -> int:
             noisy[species], _ = add_noise(
                 genome, args.surfeit, rng,
                 adversarial_fraction=args.adversarial)
+    os.makedirs(args.out_dir, exist_ok=True)
+    io.write_tree(result.tree, os.path.join(args.out_dir, "tree.tsv"))
+    io.write_adjacencies(result.genomes,
+                         os.path.join(args.out_dir, "truth.tsv"))
+    io.write_tsv(os.path.join(args.out_dir, "events.tsv"), EVENT_HEADER,
+                 event_rows(result.events))
     io.write_adjacencies(noisy, os.path.join(args.out_dir, "degenerate.tsv"))
     _manifest(os.path.join(args.out_dir, "manifest.json"), "simulate", {
         "families": args.families_count, "leaves": args.leaves,

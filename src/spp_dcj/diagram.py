@@ -7,10 +7,9 @@ copies (and telomere pairs) across genomes, and indel edges on copies of
 families that are overrepresented on one side.  Telomere counts are balanced
 with capping telomeres paired by artificial adjacencies.
 
-This module also houses the run/indel-potential arithmetic, circular
-singleton candidate enumeration, the telomeric extremity-edge reduction,
-and an exhaustive distance oracle used to validate the integer program on
-small instances.
+This module also houses the indel-run count, circular singleton candidate
+enumeration, the telomeric extremity-edge reduction, and an exhaustive
+distance oracle used to validate the integer program on small instances.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .genomes import (Adjacency, DegenerateGenome, Extremity, FamilyAssignment,
                       HEAD, TAIL, TELO, check_family_consistency,
-                      enumerate_derived, family_multiplicities)
+                      connected_components, enumerate_derived)
 
 ADJ = "adj"
 EXT = "ext"
@@ -34,15 +33,6 @@ class DiagramError(ValueError):
 
 class SingletonExplosion(DiagramError):
     pass
-
-
-def indel_potential(run_count: int) -> int:
-    """Maximal number of indel operations a component can require."""
-    if run_count < 0:
-        raise ValueError("negative run count")
-    if run_count == 0:
-        return 0
-    return (run_count + 2) // 2  # ceil((run_count + 1) / 2)
 
 
 def count_runs(edge_kinds: Sequence[Tuple[str, Optional[str]]]) -> int:
@@ -117,11 +107,8 @@ class MultiRelationalDiagram:
         self.genome_a = genome_a
         self.genome_b = genome_b
         self.families = families
-        check_family_consistency(genome_a, families)
-        check_family_consistency(genome_b, families)
-
-        counts_a = family_multiplicities(genome_a, families)
-        counts_b = family_multiplicities(genome_b, families)
+        counts_a = check_family_consistency(genome_a, families)
+        counts_b = check_family_consistency(genome_b, families)
         fams = {fam for fam, _ in counts_a} | {fam for fam, _ in counts_b}
         self.n = sum(min(counts_a.get((fam, TAIL), 0), counts_b.get((fam, TAIL), 0))
                      for fam in fams)
@@ -144,9 +131,7 @@ class MultiRelationalDiagram:
 
         self.edges: List[DiagramEdge] = []
         self._edges_at: Dict[Extremity, List[DiagramEdge]] = {}
-        self._build_edges(counts_a, counts_b)
-        if reduce_telomeres:
-            self._reduce_telomeric_edges()
+        self._build_edges(counts_a, counts_b, reduce_telomeres)
 
     # -- construction -----------------------------------------------------
 
@@ -159,8 +144,21 @@ class MultiRelationalDiagram:
         self._edges_at.setdefault(v, []).append(edge)
         return edge
 
-    def _build_edges(self, counts_a, counts_b):
+    def _build_edges(self, counts_a, counts_b, reduce_telomeres):
+        """Adjacency, marker extremity, telomeric extremity and indel
+        edges, in that order.  With ``reduce_telomeres`` only the telomere
+        pairs ``classify_interior_components`` keeps become edges."""
         fam = self.families
+        indels = []  # (side, tail, head) of copies that may be deleted
+        for side, genome, own, other in (("A", self.genome_a, counts_a, counts_b),
+                                         ("B", self.genome_b, counts_b, counts_a)):
+            for marker in genome.markers():
+                family = fam.family(marker)
+                if own.get((family, TAIL), 0) > other.get((family, TAIL), 0):
+                    indels.append((side,
+                                   Extremity(genome.species, marker, TAIL),
+                                   Extremity(genome.species, marker, HEAD)))
+
         for side, genome, caps in (("A", self.genome_a, self.caps_a),
                                    ("B", self.genome_b, self.caps_b)):
             for adj in genome.adjacencies:
@@ -180,18 +178,19 @@ class MultiRelationalDiagram:
                             Extremity(self.genome_a.species, ma, kind),
                             Extremity(self.genome_b.species, mb, kind),
                             sibling_key=key)
-        for ta in self.telomeres_side("A"):
-            for tb in self.telomeres_side("B"):
-                self._add_edge(EXT, None, ta, tb)
+        telo_pairs = [(ta, tb) for ta in self.telomeres_side("A")
+                      for tb in self.telomeres_side("B")]
+        if reduce_telomeres and telo_pairs:
+            direct, group2 = classify_interior_components(
+                self, [(u, v) for _, u, v in indels])
+            telo_pairs = [(ta, tb) for ta, tb in telo_pairs
+                          if frozenset((ta, tb)) in direct
+                          or (ta in group2 and tb in group2)]
+        for ta, tb in telo_pairs:
+            self._add_edge(EXT, None, ta, tb)
 
-        for side, genome, own, other in (("A", self.genome_a, counts_a, counts_b),
-                                         ("B", self.genome_b, counts_b, counts_a)):
-            for marker in genome.markers():
-                family = fam.family(marker)
-                if own.get((family, TAIL), 0) > other.get((family, TAIL), 0):
-                    self._add_edge(ID, side,
-                                   Extremity(genome.species, marker, TAIL),
-                                   Extremity(genome.species, marker, HEAD))
+        for side, u, v in indels:
+            self._add_edge(ID, side, u, v)
 
     def _markers_by_family(self, genome: DegenerateGenome) -> Dict[str, List[str]]:
         result: Dict[str, List[str]] = {}
@@ -215,70 +214,33 @@ class MultiRelationalDiagram:
     def telomeric_nodes(self) -> List[Extremity]:
         return [node for node in self.nodes if node.is_telomere]
 
-    # -- telomeric extremity-edge reduction (search-space pruning) ---------
 
-    def _reduce_telomeric_edges(self):
-        direct, group2 = classify_interior_components(self)
-        keep = []
-        removed = False
-        for edge in self.edges:
-            if not edge.is_telomeric_ext:
-                keep.append(edge)
-                continue
-            pair = frozenset((edge.u, edge.v))
-            if pair in direct or (edge.u in group2 and edge.v in group2):
-                keep.append(edge)
-            else:
-                removed = True
-        if removed:
-            self.edges = []
-            self._edges_at = {}
-            for edge in keep:
-                self._add_edge(edge.kind, edge.side, edge.u, edge.v,
-                               edge.adjacency, edge.cap, edge.sibling_key)
+# -- telomeric extremity-edge reduction (search-space pruning) -------------
 
-
-def classify_interior_components(diagram: MultiRelationalDiagram):
+def classify_interior_components(diagram: MultiRelationalDiagram,
+                                 indels: Sequence[Tuple[Extremity, Extremity]]):
     """Group telomeres by the interior component (diagram minus telomeric
     extremity edges) they live in, flagging indel-free components.
 
-    Returns (direct_pairs, group2) where direct_pairs are cross-genome pairs
-    of indel-free components and group2 is the all-vs-all pool (members of
-    indel-enclosing components, plus same-genome fellows of indel-free
-    ones).
+    ``indels`` are the indel pairs that are not yet edges of the diagram;
+    the diagram's own indel edges count too.  Returns (direct_pairs, group2) where
+    direct_pairs are cross-genome pairs of indel-free components and group2
+    is the all-vs-all pool (members of indel-enclosing components, plus
+    same-genome fellows of indel-free ones).
     """
-    parent: Dict[Extremity, Extremity] = {node: node for node in diagram.nodes}
-
-    def find(x):
-        while parent[x] is not x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra is not rb:
-            parent[ra] = rb
-
-    for edge in diagram.edges:
-        if not edge.is_telomeric_ext:
-            union(edge.u, edge.v)
-
-    members: Dict[Extremity, List[Extremity]] = {}
-    has_indel: Dict[Extremity, bool] = {}
-    for node in diagram.nodes:
-        members.setdefault(find(node), []).append(node)
-    for edge in diagram.edges:
-        if edge.kind == ID:
-            has_indel[find(edge.u)] = True
+    pairs = [(e.u, e.v) for e in diagram.edges if not e.is_telomeric_ext]
+    pairs += indels
+    indel_ends = {node for e in diagram.edges if e.kind == ID
+                  for node in (e.u, e.v)}
+    indel_ends.update(node for pair in indels for node in pair)
 
     direct: Set[FrozenSet[Extremity]] = set()
     group2: Set[Extremity] = set()
-    for root, nodes in members.items():
+    for nodes in connected_components(diagram.nodes, pairs):
         telos = [node for node in nodes if node.is_telomere]
         if not telos:
             continue
-        if has_indel.get(root, False):
+        if any(node in indel_ends for node in nodes):
             group2.update(telos)
             continue
         sides = {}

@@ -17,8 +17,7 @@ from .diagram import (ADJ, DistanceBreakdown, breakdown_from_components,
                       decompose)
 from .genomes import DegenerateGenome, FamilyAssignment, is_derived
 from .ilp import EdgeContext, IlpModel, _gc_paused
-
-TOL = 1e-6
+from .solver import TOL
 
 
 class DecodeError(ValueError):

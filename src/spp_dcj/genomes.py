@@ -12,7 +12,8 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import (Dict, Hashable, Iterable, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
 TAIL = "t"
 HEAD = "h"
@@ -235,14 +236,54 @@ def family_multiplicities(genome: DegenerateGenome,
     return counts
 
 
-def check_family_consistency(genome: DegenerateGenome, f: FamilyAssignment):
-    """Tail and head counts of every family must agree."""
+def check_family_consistency(genome: DegenerateGenome, f: FamilyAssignment
+                             ) -> Dict[Tuple[str, str], int]:
+    """Tail and head counts of every family must agree; returns the
+    ``family_multiplicities`` of the genome."""
     counts = family_multiplicities(genome, f)
     fams = {fam for fam, _ in counts}
     for fam in fams:
         if counts.get((fam, TAIL), 0) != counts.get((fam, HEAD), 0):
             raise GenomeError("inconsistent family %s in genome %s"
                               % (fam, genome.species))
+    return counts
+
+
+def format_number(value: float) -> str:
+    """An integral value without a decimal point, any other as ``repr``:
+    the weights of adjacency files and the numbers of LP files."""
+    if value == int(value):
+        return "%d" % int(value)
+    return repr(value)
+
+
+def connected_components(nodes: Sequence[Hashable],
+                         pairs: Iterable[Tuple[Hashable, Hashable]]
+                         ) -> List[List[Hashable]]:
+    """Connected components of the graph on the distinct ``nodes`` whose
+    edges are ``pairs``.
+
+    Each component lists its nodes in ``nodes`` order, and the components
+    come in the order of their first node.  Pair ends are matched to nodes
+    by equality, so they need not be the same objects.
+    """
+    index = {node: i for i, node in enumerate(nodes)}
+    parent = list(range(len(index)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, b in pairs:
+        ra, rb = find(index[a]), find(index[b])
+        if ra != rb:
+            parent[ra] = rb
+    components: Dict[int, List[Hashable]] = {}
+    for node, i in index.items():
+        components.setdefault(find(i), []).append(node)
+    return list(components.values())
 
 
 def surfeit(genome: DegenerateGenome) -> float:
@@ -308,22 +349,8 @@ class Phylogeny:
         for a, b in self.edges:
             nodes.update((a, b))
         self.nodes: Tuple[str, ...] = tuple(sorted(nodes))
-        if self.nodes and not self._connected():
+        if len(connected_components(self.nodes, self.edges)) > 1:
             raise GenomeError("phylogeny is not connected")
-
-    def _connected(self) -> bool:
-        neigh: Dict[str, List[str]] = {n: [] for n in self.nodes}
-        for a, b in self.edges:
-            neigh[a].append(b)
-            neigh[b].append(a)
-        seen = {self.nodes[0]}
-        stack = [self.nodes[0]]
-        while stack:
-            for nxt in neigh[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return len(seen) == len(self.nodes)
 
     def leaves(self) -> List[str]:
         deg: Dict[str, int] = {n: 0 for n in self.nodes}

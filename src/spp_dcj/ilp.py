@@ -26,7 +26,7 @@ from typing import Dict, List, Set, Tuple
 from .diagram import (ADJ, EXT, ID, DiagramEdge, MultiRelationalDiagram,
                       enumerate_circular_singletons)
 from .genomes import (Adjacency, DegenerateGenome, Extremity,
-                      FamilyAssignment, Phylogeny)
+                      FamilyAssignment, Phylogeny, format_number)
 
 BINARY = "B"
 CONTINUOUS = "C"
@@ -406,13 +406,15 @@ def write_lp(model: IlpModel, lp_path, idmap_path=None):
         lines.append(" obj: " + _expr(obj_terms))
     lines.append("Subject To")
     for con in model.constraints:
-        lines.append(" %s: %s %s %s" % (con.name, _expr(
-            [(v, c) for c, v in con.terms]), con.sense, _num(con.rhs)))
+        lines.append(" %s: %s %s %s" % (
+            con.name, _expr([(v, c) for c, v in con.terms]), con.sense,
+            format_number(con.rhs)))
     lines.append("Bounds")
     for var in model.variables.values():
         if var.kind == BINARY:
             continue
-        lines.append(" %s <= %s <= %s" % (_num(var.lb), var.name, _num(var.ub)))
+        lines.append(" %s <= %s <= %s" % (format_number(var.lb), var.name,
+                                          format_number(var.ub)))
     binaries = [v.name for v in model.variables.values() if v.kind == BINARY]
     if binaries:
         lines.append("Binaries")
@@ -439,21 +441,15 @@ def read_idmap(path) -> Set[str]:
                 if line.strip() and not line.startswith("#")}
 
 
-def _num(value: float) -> str:
-    if value == int(value):
-        return "%d" % int(value)
-    return repr(value)
-
-
 def _expr(terms) -> str:
     parts = []
     for name, coef in terms:
         if coef >= 0:
             sign = "+" if parts else ""
-            parts.append("%s %s %s" % (sign, _num(coef), name) if parts
-                         else "%s %s" % (_num(coef), name))
+            parts.append("%s %s %s" % (sign, format_number(coef), name)
+                         if parts else "%s %s" % (format_number(coef), name))
         else:
-            parts.append("- %s %s" % (_num(-coef), name))
+            parts.append("- %s %s" % (format_number(-coef), name))
     return " ".join(parts)
 
 

@@ -12,7 +12,7 @@ import math
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .genomes import (Adjacency, DegenerateGenome, FamilyAssignment,
-                      GenomeError, Phylogeny, parse_extremity)
+                      GenomeError, Phylogeny, format_number, parse_extremity)
 
 
 class ParseError(ValueError):
@@ -78,13 +78,7 @@ def write_adjacencies(genomes: Mapping[str, DegenerateGenome], path):
             for adj in genomes[species].adjacencies:
                 a, b = adj.ends
                 handle.write("%s\t%s\t%s\t%s\n" % (
-                    species, a.name, b.name, _fmt_weight(adj.weight)))
-
-
-def _fmt_weight(w: float) -> str:
-    if w == int(w):
-        return "%d" % int(w)
-    return repr(w)
+                    species, a.name, b.name, format_number(adj.weight)))
 
 
 def read_tree(path) -> Phylogeny:

@@ -11,10 +11,11 @@ matching every extremity to its telomere is a witness derived genome.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Set, Tuple
+from typing import List, Tuple
 
 from .genomes import (Adjacency, DegenerateGenome, Extremity, TELO,
-                      TELOMERE_PREFIX, enumerate_derived)
+                      TELOMERE_PREFIX, connected_components,
+                      enumerate_derived)
 
 EVEN_CYCLE = "even-cycle"
 EVEN_PATH = "even-path"
@@ -30,27 +31,6 @@ class ComponentClass:
     @property
     def exempt(self) -> bool:
         return self.kind != NEEDS_AUGMENTATION
-
-
-def _components(g: DegenerateGenome) -> List[List[Extremity]]:
-    seen: Set[Extremity] = set()
-    comps = []
-    for start in g.extremities():
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            node = stack.pop()
-            comp.append(node)
-            for adj in g.incident(node):
-                nxt = adj.other(node)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        comps.append(sorted(comp))
-    return comps
 
 
 def _classify(g: DegenerateGenome, comp: List[Extremity]) -> str:
@@ -70,8 +50,9 @@ def _classify(g: DegenerateGenome, comp: List[Extremity]) -> str:
 
 def classify_components(g: DegenerateGenome) -> List[ComponentClass]:
     """Partition the extremities of g into connected components and label each."""
+    pairs = (adj.ends for adj in g.adjacencies)
     return [ComponentClass(tuple(comp), _classify(g, comp))
-            for comp in _components(g)]
+            for comp in connected_components(g.extremities(), pairs)]
 
 
 def augment(g: DegenerateGenome) -> DegenerateGenome:

@@ -252,7 +252,11 @@ def add_noise(genome: DegenerateGenome, target_surfeit: float,
     candidates not chosen.  Only indices into these pools are drawn and
     mapped back to pairs, so the cost is linear in extremities times
     excluded partners (mate, adjacent, adversarial), not quadratic.
+    ``adversarial_fraction`` must lie in [0, 1].
     """
+    if not 0.0 <= adversarial_fraction <= 1.0:
+        raise ValueError("adversarial fraction %r is not in [0, 1]"
+                         % (adversarial_fraction,))
     families = FamilyAssignment()
     extremities = genome.non_telomeric_extremities()
     goal = math.ceil(target_surfeit * len(extremities) / 2.0)

@@ -269,16 +269,11 @@ class _Scorer:
             d = ctx.diagram
             base = len(self.node_ctx) - 1  # node indices start at 1
             idx = d.node_index
-            edges_at = [0] * (len(d.nodes) + 1)
-            for e in d.edges:
-                edges_at[idx[e.u]] += 1
-                edges_at[idx[e.v]] += 1
             for node in d.nodes:
-                i = idx[node]
                 self.node_ctx.append(c)
-                self.has_z.append(i <= len(ctx.z_vars))
-                self.free.append(edges_at[i])
-            self.live.append(sum(1 for k in edges_at if k))
+                self.has_z.append(idx[node] <= len(ctx.z_vars))
+                self.free.append(len(d.edges_at(node)))
+            self.live.append(sum(1 for node in d.nodes if d.edges_at(node)))
             for side in ctx.a_vars:
                 for node in d.telomeres_side(side):
                     vi = var_index[ctx.o_vars[node]]

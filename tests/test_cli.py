@@ -108,6 +108,16 @@ def test_simulate_deterministic(tmp_path):
         assert (s1 / fname).read_bytes() == (s2 / fname).read_bytes()
 
 
+@pytest.mark.parametrize("fraction", ["1.5", "-0.5"])
+def test_simulate_rejects_adversarial_fraction_outside_unit_interval(
+        tmp_path, capsys, fraction):
+    out = tmp_path / "sim"
+    assert run("simulate", str(out), "--families", "10", "--leaves", "4",
+               "--adversarial", fraction) == EXIT_INFEASIBLE
+    assert "adversarial fraction %s" % fraction in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_distance_identity_and_output_file(tmp_path):
     pair = write_pair(tmp_path)
     genomes = io.read_adjacencies(pair)

@@ -4,8 +4,7 @@ from spp_dcj.diagram import (ADJ, EXT, ID, DiagramError,
                              MultiRelationalDiagram, SingletonExplosion,
                              breakdown_from_components, brute_force_distance,
                              classify_interior_components, count_runs,
-                             decompose, enumerate_circular_singletons,
-                             indel_potential)
+                             decompose, enumerate_circular_singletons)
 from spp_dcj.genomes import (Adjacency, DegenerateGenome, Extremity,
                              FamilyAssignment, HEAD, TAIL, TELO,
                              enumerate_derived)
@@ -13,12 +12,6 @@ from spp_dcj.genomes import (Adjacency, DegenerateGenome, Extremity,
 from util import build_genome, random_degenerate_pair, random_structure, seeded
 
 FAM = FamilyAssignment()
-
-
-def test_indel_potential_table():
-    assert [indel_potential(k) for k in range(5)] == [0, 1, 2, 2, 3]
-    with pytest.raises(ValueError):
-        indel_potential(-1)
 
 
 def test_count_runs():
@@ -208,7 +201,7 @@ def test_interior_component_classification():
     a = build_genome("A", [(["1.1"], False), (["2.1"], True)])
     b = build_genome("B", [(["1.1"], False)])
     d = MultiRelationalDiagram(a, b, FAM)
-    direct, group2 = classify_interior_components(d)
+    direct, group2 = classify_interior_components(d, ())
     assert direct  # indel-free cross pairs exist between the linear 1.1 ends
     # every telomere keeps a candidate partner
     paired = {node for pair in direct for node in pair} | group2
@@ -229,3 +222,55 @@ def test_reduction_only_removes_telomeric_ext_edges():
         assert red_keys <= full_keys
         for kind, pair in full_keys - red_keys:
             assert kind == EXT and all(n.is_telomere for n in pair)
+
+
+def _edge_record(e):
+    return (e.index, e.kind, e.side, e.u, e.v, e.adjacency, e.cap,
+            e.sibling_key)
+
+
+def _linear_pair(rng):
+    """Degenerate pair of one to four linear chromosomes per genome, so the
+    telomere counts often differ, plus up to two extra adjacencies each."""
+    genomes = []
+    for species in ("A", "B"):
+        markers = ["%d.%d" % (f, c) for f in (1, 2)
+                   for c in range(1, rng.randint(1, 2) + 1)]
+        rng.shuffle(markers)
+        markers = [m if rng.random() < 0.5 else "-" + m for m in markers]
+        cuts = sorted(rng.sample(range(1, len(markers)),
+                                 rng.randint(0, len(markers) - 1)))
+        bounds = list(zip([0] + cuts, cuts + [len(markers)]))
+        base = build_genome(species, [(markers[i:j], False)
+                                      for i, j in bounds])
+        ends = base.non_telomeric_extremities()
+        extra = [Adjacency(tuple(rng.sample(ends, 2)), 1.0)
+                 for _ in range(rng.randint(0, 2))]
+        genomes.append(DegenerateGenome(species,
+                                        list(base.adjacencies) + extra))
+    return genomes
+
+
+def test_one_pass_reduction_matches_filtered_full_diagram():
+    # the reduced diagram equals the full one with the telomeric edges that
+    # classify_interior_components drops taken out and the rest renumbered
+    rng = seeded(43)
+    dropped = capped = 0
+    for _ in range(40):
+        a, b = _linear_pair(rng)
+        full = MultiRelationalDiagram(a, b, FAM)
+        red = MultiRelationalDiagram(a, b, FAM, reduce_telomeres=True)
+        direct, group2 = classify_interior_components(full, ())
+        kept = [e for e in full.edges if not e.is_telomeric_ext
+                or frozenset((e.u, e.v)) in direct
+                or (e.u in group2 and e.v in group2)]
+        renumber = {e.index: k for k, e in enumerate(kept, start=1)}
+        expected = [(renumber[e.index],) + _edge_record(e)[1:] for e in kept]
+        assert [_edge_record(e) for e in red.edges] == expected
+        for node in full.nodes:
+            assert [e.index for e in red.edges_at(node)] == [
+                renumber[e.index] for e in full.edges_at(node)
+                if e.index in renumber]
+        dropped += len(full.edges) > len(red.edges)
+        capped += bool(full.caps_a or full.caps_b)
+    assert dropped and capped, (dropped, capped)

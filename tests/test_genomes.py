@@ -6,8 +6,8 @@ import pytest
 from spp_dcj.genomes import (Adjacency, DegenerateGenome, Extremity,
                              FamilyAssignment, GenomeError, HEAD, Phylogeny,
                              TAIL, TELO, check_family_consistency,
-                             family_multiplicities, is_derived, is_genome,
-                             parse_extremity, surfeit)
+                             connected_components, family_multiplicities,
+                             is_derived, is_genome, parse_extremity, surfeit)
 
 from util import build_genome, random_structure, seeded
 
@@ -182,7 +182,7 @@ def test_multiplicity_and_consistency():
     counts = family_multiplicities(g, fam)
     assert counts == {("1", TAIL): 2, ("1", HEAD): 2,
                       ("2", TAIL): 1, ("2", HEAD): 1}
-    check_family_consistency(g, fam)
+    assert check_family_consistency(g, fam) == counts
 
 
 def test_surfeit():
@@ -230,3 +230,22 @@ def test_phylogeny():
         Phylogeny([("A", "A")])
     with pytest.raises(GenomeError):
         Phylogeny([("A", "B"), ("C", "D")])  # disconnected
+
+
+def test_connected_components():
+    # nodes in the given order within a component, components in the order
+    # of their first node; "e" is isolated and ("d", "b") repeats
+    nodes = ["d", "a", "c", "e", "b"]
+    pairs = [("b", "d"), ("c", "a"), ("d", "b")]
+    assert connected_components(nodes, pairs) == [["d", "b"], ["a", "c"],
+                                                  ["e"]]
+    assert connected_components(nodes, []) == [[n] for n in nodes]
+    assert connected_components([], []) == []
+    # pair ends equal to the nodes but not the same objects, as diagram
+    # edges carry them
+    exts = [ext("1.1", TAIL), ext("1.1", HEAD), ext("2.1", TAIL)]
+    copies = [(Extremity("A", "2.1", TAIL), Extremity("A", "1.1", HEAD))]
+    assert copies[0][0] is not exts[2]
+    comps = connected_components(exts, copies)
+    assert comps == [[exts[0]], [exts[1], exts[2]]]
+    assert comps[1][1] is exts[2]

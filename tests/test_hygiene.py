@@ -1,11 +1,12 @@
 """Source hygiene: every name a ``spp_dcj`` module imports is used there,
 every local a function assigns and every parameter it takes is read
 somewhere in it, every function is referenced somewhere in the project,
-every command-line option is read by the CLI, and only ``ilp._gc_paused``
-switches the garbage collector."""
+no two functions have the same body, every command-line option is read by
+the CLI, and only ``ilp._gc_paused`` switches the garbage collector."""
 
 import argparse
 import ast
+import copy
 import pathlib
 import re
 
@@ -217,6 +218,72 @@ def test_every_function_is_called():
                      if name not in referenced]
     assert not uncalled, ("functions nothing references: %s"
                           % ", ".join(uncalled))
+
+
+def _body_keys(tree):
+    """(key, name, line) of every function ``tree`` defines; the key is the
+    dump of its body without the docstring, parameters renamed by position,
+    so two functions that differ only in those have one key."""
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = func.body
+        if isinstance(body[0], ast.Expr) \
+                and isinstance(body[0].value, ast.Constant) \
+                and isinstance(body[0].value.value, str):
+            body = body[1:]
+        args = func.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [arg for arg in (args.vararg, args.kwarg) if arg]
+        position = {arg.arg: "_%d" % k for k, arg in enumerate(params)}
+        module = ast.Module(body=copy.deepcopy(body), type_ignores=[])
+        for node in ast.walk(module):
+            if isinstance(node, ast.Name) and node.id in position:
+                node.id = position[node.id]
+        yield ast.dump(module), func.name, func.lineno
+
+
+def _duplicate_bodies(trees):
+    """Groups, two or more entries each, of the ``module:line name`` of
+    functions that share a body key; ``trees`` maps module names to ASTs."""
+    groups = {}
+    for module, tree in trees.items():
+        for key, name, line in _body_keys(tree):
+            groups.setdefault(key, []).append("%s:%d %s" % (module, line,
+                                                             name))
+    return sorted(group for group in groups.values() if len(group) > 1)
+
+
+def test_duplicate_body_check_catches_renamed_copies():
+    toy = ast.parse("def fmt(value):\n"
+                    "    if value == int(value):\n"
+                    "        return '%d' % int(value)\n"
+                    "    return repr(value)\n"
+                    "class Writer:\n"
+                    "    def weight(self, w):\n"
+                    "        if w == int(w):\n"
+                    "            return '%d' % int(w)\n"
+                    "        return repr(w)\n")
+    other = ast.parse("def show(w):\n"
+                      "    'A documented copy.'\n"
+                      "    if w == int(w):\n"
+                      "        return '%d' % int(w)\n"
+                      "    return repr(w)\n"
+                      "def near(w, scale):\n"
+                      "    if w == int(w):\n"
+                      "        return '%d' % int(scale)\n"
+                      "    return repr(w)\n")
+    # Writer.weight reads its second parameter, fmt and show their first
+    assert _duplicate_bodies({"toy": toy, "other": other}) == [
+        ["toy:1 fmt", "other:1 show"]]
+
+
+def test_no_duplicate_function_bodies():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"),
+                                  filename=str(path)) for path in MODULES}
+    duplicates = _duplicate_bodies(trees)
+    assert not duplicates, "functions with the same body: %s" % "; ".join(
+        ", ".join(group) for group in duplicates)
 
 
 def _unread_options(parser, tree):

@@ -138,6 +138,17 @@ def test_add_noise_adversarial_and_fallback():
     assert report.adversarial < report.added
 
 
+@pytest.mark.parametrize("fraction", [1.5, -0.5, math.nan])
+def test_add_noise_rejects_fraction_outside_unit_interval(fraction):
+    result = evolve(SimConfig(families=30, leaves=3, scale=4.0, seed=21,
+                              rates={"duplication": 0.8, "inversion": 0.4}))
+    for species in sorted(result.genomes):
+        with pytest.raises(ValueError, match=r"fraction %r is not in"
+                           % fraction):
+            add_noise(result.genomes[species], 2.0, seeded(5),
+                      adversarial_fraction=fraction)
+
+
 def test_add_noise_deterministic():
     result = evolve(SimConfig(families=20, leaves=3, scale=1.0, seed=19))
     genome = result.genomes[result.root]
