@@ -5,13 +5,16 @@ Subcommands wire the pipeline: ``linearize`` → ``build`` → ``solve`` →
 
 Exit codes: 0 ok, 1 usage, 2 parse error, 3 infeasible or out-of-scale
 input, 4 solver failure or a bad solution file (malformed line or objective
-header, missing variable, non-integral value).
+header, missing variable, non-integral value).  A time limit, scale, surfeit
+or family count outside its range is a usage error (1); a mixture, leaf
+count or adversarial fraction outside its range is out-of-scale input (3).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -41,6 +44,28 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
+
+
+def _bounded(convert, ok, rule: str):
+    """An argparse ``type``: ``convert(text)`` where ``ok`` holds for it,
+    else a usage error saying that the value is not ``rule``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError("%s is not %s" % (text, rule))
+        return value
+    return parse
+
+
+# written so that NaN fails
+_positive_float = _bounded(float, lambda v: 0 < v < math.inf,
+                           "a finite number > 0")
+_non_negative_float = _bounded(float, lambda v: 0 <= v < math.inf,
+                               "a finite number >= 0")
+_positive_int = _bounded(int, lambda v: v >= 1, "an integer >= 1")
 
 
 def _manifest(path, subcommand, args: Dict, stages: Dict[str, float]):
@@ -258,7 +283,7 @@ def make_parser() -> _Parser:
                          "ignoring SPP_DCJ_SOLVER")
     backend.add_argument("--solver-cmd", default=None,
                          help="external command template with {lp}/{sol}")
-    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument("--time-limit", type=_positive_float, default=None)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("extract", help="decode a solution into genomes and "
@@ -279,7 +304,7 @@ def make_parser() -> _Parser:
     p.add_argument("genome_a")
     p.add_argument("genome_b")
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument("--time-limit", type=_positive_float, default=None)
     _model_flags(p)
     p.set_defaults(func=cmd_distance, alpha=1.0, beta=0.0)
 
@@ -287,10 +312,11 @@ def make_parser() -> _Parser:
                        "degenerate ancestors")
     p.add_argument("out_dir")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--families", dest="families_count", type=int, default=100)
+    p.add_argument("--families", dest="families_count", type=_positive_int,
+                   default=100)
     p.add_argument("--leaves", type=int, default=10)
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--surfeit", type=float, default=1.2)
+    p.add_argument("--scale", type=_non_negative_float, default=1.0)
+    p.add_argument("--surfeit", type=_non_negative_float, default=1.2)
     p.add_argument("--adversarial", type=float, default=0.0)
     p.set_defaults(func=cmd_simulate)
 

@@ -126,7 +126,7 @@ def build_model(tree: Phylogeny, genomes: Dict[str, DegenerateGenome],
                 reduce_telomeres: bool = True) -> IlpModel:
     """Assemble the full model over all phylogeny edges: every variable,
     then the objective, then the rows."""
-    if alpha < 0 or beta < 0 or alpha + beta > 1:
+    if not (alpha >= 0 and beta >= 0 and alpha + beta <= 1):  # NaN fails
         raise ModelError("invalid mixture: need 0 <= alpha, beta and alpha+beta <= 1")
     missing = [node for node in tree.nodes if node not in genomes]
     if missing:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .ilp import _gc_paused
 from .io import ParseError
-from .solver import SolverError, write_solution
+from .solver import SolverError, check_time_limit, write_solution
 
 
 class LpFormatError(ParseError):
@@ -152,6 +152,9 @@ def _parse_line(problem: LpProblem, section: Optional[str], line: str):
 
 
 def solve(problem: LpProblem, time_limit: Optional[float] = None):
+    """Solve ``problem`` with HiGHS to a zero gap; a ``time_limit`` of None
+    or 0 sets no limit, a negative or NaN one raises ``ValueError``."""
+    check_time_limit(time_limit)
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csr_matrix
 

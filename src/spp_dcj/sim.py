@@ -39,8 +39,17 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if any(rate < 0 for rate in self.rates.values()):
-            raise ValueError("negative event rate")
+        # written so that NaN fails
+        if not self.families >= 1:
+            raise ValueError("families %r is not at least 1"
+                             % (self.families,))
+        if not 0 <= self.scale < math.inf:
+            raise ValueError("scale %r is not a finite number >= 0"
+                             % (self.scale,))
+        for kind, rate in self.rates.items():
+            if not rate >= 0:
+                raise ValueError("rates[%r] = %r is not a number >= 0"
+                                 % (kind, rate))
 
 
 @dataclass
@@ -252,8 +261,12 @@ def add_noise(genome: DegenerateGenome, target_surfeit: float,
     candidates not chosen.  Only indices into these pools are drawn and
     mapped back to pairs, so the cost is linear in extremities times
     excluded partners (mate, adjacent, adversarial), not quadratic.
+    ``target_surfeit`` must be finite and at least 0, and
     ``adversarial_fraction`` must lie in [0, 1].
     """
+    if not 0 <= target_surfeit < math.inf:
+        raise ValueError("target surfeit %r is not a finite number >= 0"
+                         % (target_surfeit,))
     if not 0.0 <= adversarial_fraction <= 1.0:
         raise ValueError("adversarial fraction %r is not in [0, 1]"
                          % (adversarial_fraction,))

@@ -23,7 +23,7 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .diagram import ID, DiagramError, decompose
 from .ilp import (BINARY, INTEGER, EdgeContext, IlpModel, _gc_paused,
@@ -61,41 +61,94 @@ class SolveResult:
     leaves: int = 0  # branch-and-bound leaves evaluated; 0 for external
 
 
+def check_time_limit(time_limit: Optional[float]):
+    """Raise ``ValueError`` unless ``time_limit`` is None or at least 0."""
+    if time_limit is not None and not time_limit >= 0:
+        raise ValueError("time limit %r is not a number of seconds >= 0"
+                         % (time_limit,))
+
+
 # -- internal branch and bound ----------------------------------------------
 
-def _restore(log: list, mark: int):
-    """Undo every change logged after ``len(log)`` was ``mark``: the log
-    holds ``(array, index, old value)`` triples, replayed backwards."""
-    for k in range(len(log) - 3, mark - 1, -3):
-        log[k][log[k + 1]] = log[k + 2]
-    del log[mark:]
+# slots of _Search.tally
+_TRANSITIONS, _SINGLES, _BAD, _OPEN, _ODD = range(5)
 
 
-class _Propagator:
-    """0/1 bound propagation over the C.01-C.03 equalities, whose variables
-    are all branchable and whose coefficients are all 1 or -1.
+def _side_changes(near: Optional[str], side: Optional[str],
+                  far: Optional[str]) -> int:
+    """Indel-side changes where a path whose indel edge nearest the joint
+    is of side ``near`` meets, through an edge of indel side ``side``, a
+    path whose nearest one is of side ``far`` (None: no indel edge)."""
+    if side is None:
+        return near is not None and far is not None and near != far
+    return (near is not None and near != side) + (far is not None
+                                                  and far != side)
 
-    Each row keeps the integer range ``[lo, hi]`` its left-hand side can
-    still reach, moved when one of its variables is fixed, so a row is
-    scanned only when that range ends at its right-hand side.  Every change
-    to ``value``, ``lo`` and ``hi`` goes on the shared undo log, which
-    ``_restore`` replays.  ``listener``, when set, is called with every
-    ``(variable, value)`` that is fixed, in fixing order.
+
+class _Search:
+    """The branch-and-bound of ``solve_internal``: a depth-first search
+    over a model's structural binaries, which hold every variable of the
+    C.01-C.03 rows.
+
+    Propagation: the C.01-C.03 rows are equalities with coefficients 1 or
+    -1.  Each row keeps the integer range ``[lo, hi]`` its left-hand side
+    can still reach, moved when one of its variables is fixed, so a row is
+    scanned only when that range ends at its right-hand side; its free
+    variables then take the values that keep it there.  A range that no
+    longer holds the right-hand side is a conflict.
+
+    Scoring: ``fix`` accounts for every value as it is fixed.  Each diagram
+    keeps its selected edges as paths.  Both end nodes of a path hold the
+    record (other end, indel side nearest this end, indel side changes
+    along the path, node count, whether a node carries a z variable), so
+    selecting an edge joins two paths or closes one into a cycle in
+    constant time, and a cycle is counted the moment it closes.  Cycle
+    labels follow ``complete_assignment``: a closed cycle with no indel
+    edge adds one cycle, and one with ``c > 0`` side changes around it adds
+    ``c`` transitions (its number of indel runs).  A leaf scores
+    ``sum(coef * x) + alpha * (cycles - transitions / 2 - singletons)``
+    over the objective's branch-variable terms, which equals
+    ``complete_assignment`` on the objective ``ilp.build_objective``
+    writes.  A leaf with a node of degree 1 or above 2, an indel-free cycle
+    made only of telomeres (whose label has no z variable) or an odd
+    telomere count on a side with a C.11 row is no solution.
+
+    Bound: fixed terms at their value, free terms at their best and, per
+    diagram, the indel-free cycles any completion can close: those already
+    closed, plus a quarter of the live nodes on no closed cycle, rounded
+    down.  A node is live while some edge at it is not fixed to 0.  A
+    cycle still to close uses live nodes only, and none on a closed cycle,
+    since a node has degree 2.  It has at least 4 nodes: a scored
+    indel-free cycle holds a non-telomeric node ``n``, which C.02 puts on
+    one adjacency edge, to ``a`` in its own genome, and one extremity edge,
+    to ``b`` in the other genome; ``b`` is non-telomeric too (extremity
+    edges join telomeres only to telomeres), so C.02 puts it on an
+    adjacency edge to a fourth node ``c`` in its genome.
+
+    Every change to the values, the row ranges and the counts goes on one
+    undo log of ``(array, index, old value)`` triples, which ``restore``
+    replays.
     """
 
-    def __init__(self, model: IlpModel, branch_vars: Sequence[str],
-                 log: list):
-        index = self.index = {name: i for i, name in enumerate(branch_vars)}
-        self.value = [-1] * len(branch_vars)  # -1 = free
-        self.log = log
-        self.listener: Optional[Callable[[int, int], None]] = None
+    def __init__(self, model: IlpModel):
+        variables = model.variables
+        self.names = [name for name, var in variables.items()
+                      if var.kind == BINARY
+                      and var.meaning[0] in BRANCH_CLASSES]
+        index = self.index = {name: i for i, name in enumerate(self.names)}
+        self.one_first = {i for name, i in index.items()  # tried at 1 first
+                          if variables[name].meaning[0] == "adj"}
+        self.value = [-1] * len(index)  # -1 = free
+        self.log: list = []
+        self.alpha = model.alpha
+
         # per row: its variables, v where the coefficient is 1, ~v where -1
         self.terms: List[List[int]] = []
         self.lo: List[int] = []
         self.hi: List[int] = []
         self.rhs: List[float] = []
         # rows of each variable: r where its coefficient is 1, ~r where -1
-        rows_of: List[List[int]] = [[] for _ in branch_vars]
+        rows_of = self.rows_of = [[] for _ in index]
         for con in model.constraints:
             if con.tag not in ("C.01", "C.02", "C.03"):
                 continue
@@ -124,13 +177,90 @@ class _Propagator:
             self.lo.append(lo)
             self.hi.append(hi)
             self.rhs.append(con.rhs)
-        self.rows_of = rows_of
+
+        z_names = set()
+        for ctx in model.contexts:
+            z_names.update(ctx.z_vars.values())
+        # objective: [fixed terms at their value, free terms that may gain
+        # at their coefficient]; z is bounded apart
+        self.obj = [0.0, 0.0]
+        self.obj_term: List[Optional[Tuple[float, bool]]] = \
+            [None] * len(index)
+        for name, coef in model.objective.items():
+            gain = name not in z_names and coef > 0
+            i = index.get(name)
+            if i is not None:
+                self.obj_term[i] = (coef, gain)
+            if gain:
+                self.obj[1] += coef
+
+        none: Tuple[int, ...] = ()
+        # per branch variable: its diagram edges, its C.11 parity groups
+        self.edges_of = [none] * len(index)
+        self.groups_of = [none] * len(index)
+        # per node (numbered across diagrams)
+        self.node_ctx: List[int] = []
+        self.has_z: List[bool] = []
+        self.free: List[int] = []  # edges at the node not fixed to 0
+        # per edge
+        self.eu: List[int] = []
+        self.ev: List[int] = []
+        self.eside: List[Optional[str]] = []  # indel side, None otherwise
+        self.ectx: List[int] = []
+        self.ecands: List[Tuple[int, ...]] = []
+        self.cand_need: List[int] = []
+        # per diagram
+        self.live: List[int] = []
+        groups = 0
+        for c, ctx in enumerate(model.contexts):
+            d = ctx.diagram
+            base = len(self.node_ctx) - 1  # node indices start at 1
+            idx = d.node_index
+            for node in d.nodes:
+                self.node_ctx.append(c)
+                self.has_z.append(idx[node] <= len(ctx.z_vars))
+                self.free.append(len(d.edges_at(node)))
+            self.live.append(sum(1 for node in d.nodes if d.edges_at(node)))
+            for side in ctx.a_vars:
+                for node in d.telomeres_side(side):
+                    self.groups_of[index[ctx.o_vars[node]]] += (groups,)
+                groups += 1
+            cands: Dict[int, Tuple[int, ...]] = {}
+            for cand in ctx.singletons:
+                ci = len(self.cand_need)
+                members = set(cand.edges)
+                self.cand_need.append(len(members))
+                for ei in members:
+                    cands[ei] = cands.get(ei, none) + (ci,)
+            for e in d.edges:
+                vi = index[ctx.edge_vars[e.index]]
+                self.edges_of[vi] += (len(self.eu),)
+                self.eu.append(base + idx[e.u])
+                self.ev.append(base + idx[e.v])
+                self.eside.append(e.side if e.kind == ID else None)
+                self.ectx.append(c)
+                self.ecands.append(cands.get(e.index, none))
+        size = len(self.node_ctx)
+        self.deg = [0] * size  # selected edges at the node
+        self.ends: List[Optional[tuple]] = [None] * size  # path records
+        self.cand_count = [0] * len(self.cand_need)
+        self.parity = [0] * groups
+        self.cycles = [0] * len(model.contexts)
+        self.closed = [0] * len(model.contexts)  # nodes on closed cycles
+        self.tally = [0] * 5
+
+    def restore(self, mark: int):
+        """Undo every change logged after ``len(log)`` was ``mark``,
+        replaying the log backwards."""
+        log = self.log
+        for k in range(len(log) - 3, mark - 1, -3):
+            log[k][log[k + 1]] = log[k + 2]
+        del log[mark:]
 
     def assign(self, var: int, val: int) -> bool:
         """Fix a variable and propagate; False at the first conflict."""
         value, rows_of, row_terms = self.value, self.rows_of, self.terms
-        lo, hi, rhs, log = self.lo, self.hi, self.rhs, self.log
-        listener = self.listener
+        lo, hi, rhs, log, fix = self.lo, self.hi, self.rhs, self.log, self.fix
         queue = [(var, val)]
         while queue:
             vi, v = queue.pop()
@@ -141,8 +271,7 @@ class _Propagator:
                 continue
             log.extend((value, vi, -1))
             value[vi] = v
-            if listener is not None:
-                listener(vi, v)
+            fix(vi, v)
             for r in rows_of[vi]:
                 if r < 0:
                     r, upper = ~r, not v
@@ -170,138 +299,6 @@ class _Propagator:
                     elif value[t] == -1:
                         queue.append((t, up))
         return True
-
-
-def _branch_variables(model: IlpModel) -> List[str]:
-    """The structural binaries the branch-and-bound branches on."""
-    return [name for name, var in model.variables.items()
-            if var.kind == BINARY and var.meaning[0] in BRANCH_CLASSES]
-
-
-# slots of _Scorer.tally
-_TRANSITIONS, _SINGLES, _BAD, _OPEN, _ODD = range(5)
-
-
-def _side_changes(near: Optional[str], side: Optional[str],
-                  far: Optional[str]) -> int:
-    """Indel-side changes where a path whose indel edge nearest the joint
-    is of side ``near`` meets, through an edge of indel side ``side``, a
-    path whose nearest one is of side ``far`` (None: no indel edge)."""
-    if side is None:
-        return near is not None and far is not None and near != far
-    return (near is not None and near != side) + (far is not None
-                                                  and far != side)
-
-
-class _Scorer:
-    """Leaf values and node bounds of the branch-and-bound, kept up to date
-    by ``fix`` as the propagator fixes values.  Every change goes on the
-    undo log it shares with the propagator.
-
-    Each diagram keeps its selected edges as paths.  Both end nodes of a
-    path hold the record (other end, indel side nearest this end, indel
-    side changes along the path, node count, whether a node carries a z
-    variable), so selecting an edge joins two paths or closes one into a
-    cycle in constant time, and a cycle is counted the moment it closes.
-    Cycle labels follow ``complete_assignment``: a closed cycle with no
-    indel edge adds one cycle, and one with ``c > 0`` side changes around
-    it adds ``c`` transitions (its number of indel runs).
-
-    A leaf scores ``sum(coef * x) + alpha * (cycles - transitions / 2 -
-    singletons)`` over the objective's branch-variable terms, which equals
-    ``complete_assignment`` on the objective ``ilp.build_objective``
-    writes.  A leaf with a node of degree 1 or above 2, an indel-free cycle
-    made only of telomeres (whose label has no z variable) or an odd
-    telomere count on a side with a C.11 row is no solution.
-
-    The bound takes fixed terms at their value, free terms at their best
-    and, per diagram, the indel-free cycles any completion can close: those
-    already closed, plus a quarter of the live nodes on no closed cycle,
-    rounded down.  A node is live while some edge at it is not fixed to 0.
-    A cycle still to close uses live nodes only, and none on a closed
-    cycle, since a node has degree 2.  It has at least 4 nodes: a scored
-    indel-free cycle holds a non-telomeric node ``n``, which C.02 puts on
-    one adjacency edge, to ``a`` in its own genome, and one extremity
-    edge, to ``b`` in the other genome; ``b`` is non-telomeric too
-    (extremity edges join telomeres only to telomeres), so C.02 puts it on
-    an adjacency edge to a fourth node ``c`` in its genome.
-    """
-
-    def __init__(self, model: IlpModel, var_index: Dict[str, int],
-                 log: list):
-        self.alpha = model.alpha
-        self.log = log
-        z_names = set()
-        for ctx in model.contexts:
-            z_names.update(ctx.z_vars.values())
-        # objective: [fixed terms at their value, free terms that may gain
-        # at their coefficient]; z is bounded apart
-        self.obj = [0.0, 0.0]
-        self.obj_term: List[Optional[Tuple[float, bool]]] = \
-            [None] * len(var_index)
-        for name, coef in model.objective.items():
-            gain = name not in z_names and coef > 0
-            i = var_index.get(name)
-            if i is not None:
-                self.obj_term[i] = (coef, gain)
-            if gain:
-                self.obj[1] += coef
-
-        none: Tuple[int, ...] = ()
-        # per branch variable: its diagram edges, its C.11 parity groups
-        self.edges_of = [none] * len(var_index)
-        self.groups_of = [none] * len(var_index)
-        # per node (numbered across diagrams)
-        self.node_ctx: List[int] = []
-        self.has_z: List[bool] = []
-        self.free: List[int] = []  # edges at the node not fixed to 0
-        # per edge
-        self.eu: List[int] = []
-        self.ev: List[int] = []
-        self.eside: List[Optional[str]] = []  # indel side, None otherwise
-        self.ectx: List[int] = []
-        self.ecands: List[Tuple[int, ...]] = []
-        self.cand_need: List[int] = []
-        # per diagram
-        self.live: List[int] = []
-        groups = 0
-        for c, ctx in enumerate(model.contexts):
-            d = ctx.diagram
-            base = len(self.node_ctx) - 1  # node indices start at 1
-            idx = d.node_index
-            for node in d.nodes:
-                self.node_ctx.append(c)
-                self.has_z.append(idx[node] <= len(ctx.z_vars))
-                self.free.append(len(d.edges_at(node)))
-            self.live.append(sum(1 for node in d.nodes if d.edges_at(node)))
-            for side in ctx.a_vars:
-                for node in d.telomeres_side(side):
-                    vi = var_index[ctx.o_vars[node]]
-                    self.groups_of[vi] += (groups,)
-                groups += 1
-            cands: Dict[int, Tuple[int, ...]] = {}
-            for cand in ctx.singletons:
-                ci = len(self.cand_need)
-                members = set(cand.edges)
-                self.cand_need.append(len(members))
-                for ei in members:
-                    cands[ei] = cands.get(ei, none) + (ci,)
-            for e in d.edges:
-                vi = var_index[ctx.edge_vars[e.index]]
-                self.edges_of[vi] += (len(self.eu),)
-                self.eu.append(base + idx[e.u])
-                self.ev.append(base + idx[e.v])
-                self.eside.append(e.side if e.kind == ID else None)
-                self.ectx.append(c)
-                self.ecands.append(cands.get(e.index, none))
-        size = len(self.node_ctx)
-        self.deg = [0] * size  # selected edges at the node
-        self.ends: List[Optional[tuple]] = [None] * size  # path records
-        self.cand_count = [0] * len(self.cand_need)
-        self.parity = [0] * groups
-        self.cycles = [0] * len(model.contexts)
-        self.closed = [0] * len(model.contexts)  # nodes on closed cycles
-        self.tally = [0] * 5
 
     def fix(self, vi: int, v: int):
         """Account for branch variable ``vi`` fixed to ``v``."""
@@ -424,6 +421,58 @@ class _Scorer:
             ub += self.alpha * (cycles + (live[c] - closed[c]) // 4)
         return ub
 
+    def run(self, start: float, time_limit: Optional[float]):
+        """Search from the root: the best leaf as ``(value, values)`` or
+        None, the leaves scored, whether the time limit stopped the search,
+        and the bound at the root."""
+        value, log, one_first = self.value, self.log, self.one_first
+        assign, restore = self.assign, self.restore
+        leaf_value, upper_bound = self.leaf_value, self.upper_bound
+        count = len(value)
+        best: List[Optional[Tuple[float, List[int]]]] = [None]
+        leaves = [0]
+        timed_out = [False]
+        work = [0]
+
+        def dfs(next_var: int):
+            if timed_out[0]:
+                return
+            if (time_limit is not None
+                    and time.monotonic() - start > time_limit):
+                timed_out[0] = True
+                return
+            while next_var < count and value[next_var] != -1:
+                next_var += 1
+            if next_var == count:
+                leaves[0] += 1
+                score = leaf_value()
+                if score is not None and (best[0] is None
+                                          or score > best[0][0] + 1e-9):
+                    best[0] = (score, list(value))
+                return
+            if best[0] is not None and upper_bound() <= best[0][0] + 1e-9:
+                return
+            order = (1, 0) if next_var in one_first else (0, 1)
+            for val in order:
+                work[0] += count
+                if work[0] > WORK_BUDGET:
+                    raise BudgetExhausted(
+                        "branch-and-bound passed its budget of %d work units "
+                        "after %d leaves" % (WORK_BUDGET, leaves[0]))
+                mark = len(log)
+                if assign(next_var, val):
+                    dfs(next_var + 1)
+                restore(mark)
+                if timed_out[0]:
+                    return
+
+        root_bound = upper_bound()
+        try:
+            dfs(0)
+        finally:
+            del dfs  # it refers to itself: free the search on return
+        return best[0], leaves[0], timed_out[0], root_bound
+
 
 def _relative_gap(incumbent: float, bound: float) -> float:
     """``|incumbent - bound| / |incumbent|``, the relative gap HiGHS
@@ -431,67 +480,6 @@ def _relative_gap(incumbent: float, bound: float) -> float:
     if incumbent == 0:
         return 0.0 if bound == 0 else float("inf")
     return abs(incumbent - bound) / abs(incumbent)
-
-
-def _search(model: IlpModel, branch_vars: List[str], start: float,
-            time_limit: Optional[float]):
-    """Depth-first branch-and-bound over ``branch_vars``: the best leaf
-    as ``(value, values)`` or None, the leaves scored, whether the time
-    limit stopped the search, and the bound at the root."""
-    log: list = []
-    prop = _Propagator(model, branch_vars, log)
-    one_first = {i for name, i in prop.index.items()
-                 if model.variables[name].meaning[0] == "adj"}
-    scorer = _Scorer(model, prop.index, log)
-    prop.listener = scorer.fix
-
-    best: List[Optional[Tuple[float, List[int]]]] = [None]
-    leaves = [0]
-    timed_out = [False]
-    work = [0]
-
-    def leaf():
-        leaves[0] += 1
-        value = scorer.leaf_value()
-        if value is None:
-            return
-        if best[0] is None or value > best[0][0] + 1e-9:
-            best[0] = (value, list(prop.value))
-
-    def dfs(next_var: int):
-        if timed_out[0]:
-            return
-        if time_limit is not None and time.monotonic() - start > time_limit:
-            timed_out[0] = True
-            return
-        while next_var < len(branch_vars) and prop.value[next_var] != -1:
-            next_var += 1
-        if next_var == len(branch_vars):
-            leaf()
-            return
-        if (best[0] is not None
-                and scorer.upper_bound() <= best[0][0] + 1e-9):
-            return
-        order = (1, 0) if next_var in one_first else (0, 1)
-        for val in order:
-            work[0] += len(branch_vars)
-            if work[0] > WORK_BUDGET:
-                raise BudgetExhausted(
-                    "branch-and-bound passed its budget of %d work units "
-                    "after %d leaves" % (WORK_BUDGET, leaves[0]))
-            mark = len(log)
-            if prop.assign(next_var, val):
-                dfs(next_var + 1)
-            _restore(log, mark)
-            if timed_out[0]:
-                return
-
-    root_bound = scorer.upper_bound()
-    try:
-        dfs(0)
-    finally:
-        del dfs  # it refers to itself: free the search on return
-    return best[0], leaves[0], timed_out[0], root_bound
 
 
 @_gc_paused()
@@ -502,12 +490,15 @@ def solve_internal(model: IlpModel, time_limit: Optional[float] = None
     Raises ``BudgetExhausted`` once the search would pass ``WORK_BUDGET``
     units of work, whatever the time limit.  A search stopped by the time
     limit returns its incumbent as "feasible", with its relative gap to
-    the bound at the root.
+    the bound at the root.  Raises ``ValueError`` on a negative or NaN
+    time limit.
     """
+    check_time_limit(time_limit)
     start = time.monotonic()
-    branch_vars = _branch_variables(model)
-    best, leaves, timed_out, root_bound = _search(model, branch_vars, start,
-                                                  time_limit)
+    search = _Search(model)
+    best, leaves, timed_out, root_bound = search.run(start, time_limit)
+    names = search.names
+    del search  # free the search state before the completion below
     wall = time.monotonic() - start
     if best is None:
         if timed_out:
@@ -515,7 +506,7 @@ def solve_internal(model: IlpModel, time_limit: Optional[float] = None
         return SolveResult("infeasible", float("-inf"), {}, wall_time=wall,
                            leaves=leaves)
     value, values = best
-    assignment = {name: float(v) for name, v in zip(branch_vars, values)}
+    assignment = {name: float(v) for name, v in zip(names, values)}
     objective = complete_assignment(model, assignment)  # fill counting vars
     if abs(objective - value) > TOL:
         raise SolverError("leaf scored %r, its completion %r"
@@ -776,8 +767,10 @@ def solve(model: IlpModel, time_limit: Optional[float] = None
     branch-and-bound exhausts ``WORK_BUDGET``; a set ``SPP_DCJ_SOLVER``
     sends every model to the external solver.
 
-    The external solver gets what is left of ``time_limit``.
+    The external solver gets what is left of ``time_limit``.  Raises
+    ``ValueError`` on a negative or NaN time limit.
     """
+    check_time_limit(time_limit)
     if SOLVER_ENV in os.environ:
         return solve_external(model, time_limit=time_limit)
     start = time.monotonic()

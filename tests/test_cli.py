@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -116,6 +117,90 @@ def test_simulate_rejects_adversarial_fraction_outside_unit_interval(
                "--adversarial", fraction) == EXIT_INFEASIBLE
     assert "adversarial fraction %s" % fraction in capsys.readouterr().err
     assert not out.exists()
+
+
+BAD_NUMBERS = ("nan", "inf", "-inf", "-1", "0")
+
+
+def _rejects(code, values=BAD_NUMBERS[:4]):
+    return dict.fromkeys(values, code)
+
+
+MIXTURE = _rejects(EXIT_INFEASIBLE)
+NOT_AN_INT = _rejects(EXIT_USAGE, BAD_NUMBERS[:3])
+# every numeric option: the values of BAD_NUMBERS it rejects, each with the
+# exit code README documents; the others must parse
+NUMBER_RULES = {
+    ("build", "--alpha"): MIXTURE,
+    ("build", "--beta"): MIXTURE,
+    ("extract", "--alpha"): MIXTURE,
+    ("extract", "--beta"): MIXTURE,
+    ("distance", "--alpha"): MIXTURE,
+    ("distance", "--beta"): MIXTURE,
+    ("solve", "--time-limit"): _rejects(EXIT_USAGE, BAD_NUMBERS),
+    ("distance", "--time-limit"): _rejects(EXIT_USAGE, BAD_NUMBERS),
+    ("simulate", "--seed"): NOT_AN_INT,
+    ("simulate", "--families"): _rejects(EXIT_USAGE, BAD_NUMBERS),
+    ("simulate", "--leaves"): dict(NOT_AN_INT,
+                                   **_rejects(EXIT_INFEASIBLE, ("-1", "0"))),
+    ("simulate", "--scale"): _rejects(EXIT_USAGE),
+    ("simulate", "--surfeit"): _rejects(EXIT_USAGE),
+    ("simulate", "--adversarial"): _rejects(EXIT_INFEASIBLE),
+}
+
+
+def _numeric_options(parser):
+    """(subcommand, option) of every option of ``parser``'s subcommands
+    that converts its value."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for command, sub in action.choices.items():
+                for option in sub._actions:
+                    if option.type is not None:
+                        yield command, option.option_strings[-1]
+
+
+def test_every_numeric_option_rejects_bad_values(tmp_path, capsys):
+    assert sorted(_numeric_options(cli.make_parser())) == sorted(NUMBER_RULES)
+    inputs, out = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir()
+    out.mkdir()
+    pair = write_pair(inputs)
+    genomes = io.read_adjacencies(pair)
+    for species in ("A", "B"):
+        io.write_adjacencies({species: genomes[species]},
+                             inputs / ("%s.tsv" % species))
+    tree, lp, sol = inputs / "tree.tsv", inputs / "m.lp", inputs / "m.sol"
+    tree.write_text("A\tB\n")
+    assert run("build", str(tree), str(pair), "-o", str(lp)) == EXIT_OK
+    assert run("solve", str(lp), "-o", str(sol), "--internal") == EXIT_OK
+    argvs = {
+        "build": ["build", str(tree), str(pair), "-o", str(out / "m.lp")],
+        "solve": ["solve", str(lp), "-o", str(out / "m.sol")],
+        "extract": ["extract", str(sol), str(tree), str(pair),
+                    "--genomes-out", str(out / "g.tsv"),
+                    "--distances-out", str(out / "d.tsv")],
+        "distance": ["distance", str(inputs / "A.tsv"),
+                     str(inputs / "B.tsv"), "-o", str(out / "d.tsv")],
+        "simulate": ["simulate", str(out / "sim"), "--families", "5",
+                     "--leaves", "3"],
+    }
+    capsys.readouterr()
+    for (command, option), rejected in sorted(NUMBER_RULES.items()):
+        for value in BAD_NUMBERS:
+            # the "=" form keeps "-inf" from reading as an option
+            argv = argvs[command] + ["%s=%s" % (option, value)]
+            if value not in rejected:
+                cli.make_parser().parse_args(argv)
+                continue
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            err = capsys.readouterr().err
+            assert code == rejected[value], (argv, err)
+            assert option.lstrip("-") in err, (argv, err)
+            assert not list(out.iterdir()), argv
 
 
 def test_distance_identity_and_output_file(tmp_path):

@@ -81,7 +81,7 @@ def test_solve_internal_restores_collector(collector, monkeypatch):
 
 def test_solve_internal_restores_collector_on_budget(collector, monkeypatch):
     model = _build()
-    seen = _watch(monkeypatch, solver, "_branch_variables")
+    seen = _watch(monkeypatch, solver, "_Search")
     monkeypatch.setattr(solver, "WORK_BUDGET", 1)
     with pytest.raises(solver.BudgetExhausted):
         solver.solve_internal(model)

@@ -22,7 +22,8 @@ def pair_model(a, b, **kwargs):
 def test_invalid_mixture_rejected():
     a = build_genome("A", [(["1.1"], True)])
     b = build_genome("B", [(["1.1"], True)])
-    for alpha, beta in ((-0.1, 0), (0, -0.1), (0.8, 0.3)):
+    nan = float("nan")
+    for alpha, beta in ((-0.1, 0), (0, -0.1), (0.8, 0.3), (nan, 0), (0, nan)):
         with pytest.raises(ModelError):
             pair_model(a, b, alpha=alpha, beta=beta)
 

@@ -98,6 +98,18 @@ def test_main_exit_codes(tmp_path):
     assert not (tmp_path / "o.sol").exists()
 
 
+def test_time_limit_zero_is_none_and_negative_is_bad_input(tmp_path):
+    # a command template's {time_limit} reads 0 when no limit is set
+    lp, sol = tmp_path / "m.lp", tmp_path / "m.sol"
+    lp.write_text(SMALL_LP)
+    assert milp_cli.main([str(lp), str(sol), "--time-limit", "0"]) == 0
+    sol.unlink()
+    assert milp_cli.main([str(lp), str(sol), "--time-limit", "-1"]) == 2
+    assert not sol.exists()
+    with pytest.raises(ValueError, match="time limit"):
+        milp_cli.solve(milp_cli.parse_lp(lp), time_limit=math.nan)
+
+
 def _round_trip_models():
     """Seeded pair models over the three mixtures, with and without
     telomeres, plus one whose objective is empty."""

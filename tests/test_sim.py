@@ -96,6 +96,21 @@ def test_negative_rate_rejected():
         SimConfig(rates={"inversion": -1.0})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("families", 0), ("families", -3), ("scale", -1.0), ("scale", math.inf),
+    ("scale", math.nan), ("rates", {"inversion": math.nan})])
+def test_config_rejects_numbers_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        SimConfig(**{field: value})
+
+
+@pytest.mark.parametrize("surfeit", [-1.0, math.inf, math.nan])
+def test_add_noise_rejects_surfeit_out_of_range(surfeit):
+    genome = evolve(SimConfig(families=5, leaves=2, seed=1)).genomes["L1"]
+    with pytest.raises(ValueError, match="surfeit"):
+        add_noise(genome, surfeit, seeded(5))
+
+
 def test_add_noise_reaches_target_surfeit():
     rng = seeded(13)
     result = evolve(SimConfig(families=30, leaves=4, scale=1.0, seed=7))

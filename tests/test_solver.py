@@ -5,16 +5,16 @@ import types
 
 import pytest
 
-from spp_dcj import solver
+from spp_dcj import milp_cli, solver
 from spp_dcj.diagram import DiagramError, brute_force_distance
 from spp_dcj.genomes import FamilyAssignment, Phylogeny
-from spp_dcj.ilp import build_model
-from spp_dcj.solver import (BudgetExhausted, SolverError, _Propagator,
-                            _relative_gap, _restore, _Scorer,
-                            _branch_variables, complete_assignment,
-                            load_solution, parse_solution, solve,
-                            solve_external, solve_internal,
-                            verify_assignment, write_solution)
+from spp_dcj.ilp import build_model, write_lp
+from spp_dcj.sim import SimConfig, add_noise, evolve
+from spp_dcj.solver import (BudgetExhausted, SolverError, _relative_gap,
+                            _Search, complete_assignment, load_solution,
+                            parse_solution, solve, solve_external,
+                            solve_internal, verify_assignment,
+                            write_solution)
 
 from util import build_genome, random_degenerate_pair, seeded
 
@@ -40,6 +40,44 @@ def test_internal_matches_oracle_sample():
         result = solve_internal(model)
         assert result.status == "optimal"
         assert result.objective == pytest.approx(oracle.value, abs=1e-6)
+
+
+def _small_tree_models(count):
+    """Models of simulated trees, 3-5 leaves and 3-12 families, whose
+    ancestors carry noise up to surfeit 1.5; the mixtures cycle."""
+    rng = seeded(131)
+    for i in range(count):
+        truth = evolve(SimConfig(families=rng.randint(3, 12),
+                                 leaves=rng.randint(3, 5), seed=i))
+        leaves = set(truth.tree.leaves())
+        genomes = {node: genome if node in leaves
+                   else add_noise(genome, 1.5, rng)[0]
+                   for node, genome in sorted(truth.genomes.items())}
+        yield build_model(truth.tree, genomes, FAM, *MIXTURES[i % 3])
+
+
+def test_internal_matches_highs_on_small_trees(tmp_path):
+    # the per-diagram counts of the search (cycles, closed and live nodes)
+    # meet more than one diagram only on trees; every other test solves
+    # one-edge trees
+    lp = tmp_path / "model.lp"
+    count = proved = 0
+    for model in _small_tree_models(15):
+        count += 1
+        try:
+            result = solve_internal(model)
+        except BudgetExhausted:
+            continue
+        assert len(model.contexts) > 1 and result.status == "optimal"
+        walked = [value for _, value in _unpruned_walk(model)
+                  if value is not None]
+        assert max(walked) == pytest.approx(result.objective, abs=1e-9)
+        write_lp(model, lp)
+        highs = milp_cli.solve(milp_cli.parse_lp(lp))
+        assert highs.success
+        assert result.objective == pytest.approx(-highs.fun, abs=1e-6)
+        proved += 1
+    assert proved >= count / 2, (proved, count)
 
 
 def test_internal_assignment_is_feasible_and_complete():
@@ -83,6 +121,15 @@ def test_budget_fallback_gets_remaining_time(tmp_path, monkeypatch):
     assert float(record.read_text()) == 0  # no limit
 
 
+@pytest.mark.parametrize("limit", [-1.0, float("nan")])
+def test_solvers_reject_bad_time_limit(limit):
+    a = build_genome("A", [(["1.1"], True)])
+    model = pair_model(a, build_genome("B", [(["1.1"], True)]))
+    for call in (solve, solve_internal):
+        with pytest.raises(ValueError, match="time limit"):
+            call(model, time_limit=limit)
+
+
 def test_internal_reports_infeasible():
     a = build_genome("A", [(["1.1"], True)])
     b = build_genome("B", [(["1.1"], True)])
@@ -112,7 +159,7 @@ def test_internal_search_pinned(monkeypatch):
     # test_internal_leaf_counts_pinned: the same leaves can hide a search
     # that tries more values or bounds more nodes
     calls = {"assign": 0, "bound": 0}
-    assign, upper_bound = _Propagator.assign, _Scorer.upper_bound
+    assign, upper_bound = _Search.assign, _Search.upper_bound
 
     def counted_assign(self, *args):
         calls["assign"] += 1
@@ -122,8 +169,8 @@ def test_internal_search_pinned(monkeypatch):
         calls["bound"] += 1
         return upper_bound(self)
 
-    monkeypatch.setattr(_Propagator, "assign", counted_assign)
-    monkeypatch.setattr(_Scorer, "upper_bound", counted_bound)
+    monkeypatch.setattr(_Search, "assign", counted_assign)
+    monkeypatch.setattr(_Search, "upper_bound", counted_bound)
     rng = seeded(97)
     assigns, bounds = [], []
     for i in range(24):
@@ -152,55 +199,47 @@ def test_internal_outcomes_pinned():
                                   "8d520bc1756376fe989d09a6277e44d8")
 
 
-def _search_state(prop, scorer):
+def _search_state(search):
     """Copies of everything the undo log puts back; a path record is read
     only at a node of degree 1 or 2."""
-    ends = [end if deg else None for end, deg in zip(scorer.ends, scorer.deg)]
+    ends = [end if deg else None for end, deg in zip(search.ends, search.deg)]
     return [list(part) for part in (
-        prop.value, prop.lo, prop.hi, scorer.obj, scorer.free, scorer.live,
-        scorer.deg, ends, scorer.cand_count, scorer.parity, scorer.cycles,
-        scorer.closed, scorer.tally)]
-
-
-def _searcher(model):
-    log = []
-    prop = _Propagator(model, _branch_variables(model), log)
-    scorer = _Scorer(model, prop.index, log)
-    prop.listener = scorer.fix
-    return log, prop, scorer
+        search.value, search.lo, search.hi, search.obj, search.free,
+        search.live, search.deg, ends, search.cand_count, search.parity,
+        search.cycles, search.closed, search.tally)]
 
 
 def _unpruned_walk(model):
-    """(values, scored value) of every full assignment the propagator
+    """(assignment, scored value) of every full assignment propagation
     admits, walked without bounding.  At every node it asserts that the
-    scorer's bound is at least the best leaf value below, and at the end
-    that the undo log took the propagator and the scorer back to where
-    they started."""
-    branch = _branch_variables(model)
-    log, prop, scorer = _searcher(model)
-    start = _search_state(prop, scorer)
+    bound is at least the best leaf value below, and at the end that the
+    undo log took the search back to where it started."""
+    search = _Search(model)
+    start = _search_state(search)
     leaves = []
 
     def dfs(k):
-        while k < len(branch) and prop.value[k] != -1:
+        while k < len(search.value) and search.value[k] != -1:
             k += 1
-        if k == len(branch):
-            leaves.append((list(prop.value), scorer.leaf_value()))
+        if k == len(search.value):
+            leaves.append(({name: float(v) for name, v
+                            in zip(search.names, search.value)},
+                           search.leaf_value()))
             return leaves[-1][1]
-        bound = scorer.upper_bound()
+        bound = search.upper_bound()
         best = None
         for val in (0, 1):
-            mark = len(log)
-            if prop.assign(k, val):
+            mark = len(search.log)
+            if search.assign(k, val):
                 below = dfs(k + 1)
                 if below is not None and (best is None or below > best):
                     best = below
-            _restore(log, mark)
+            search.restore(mark)
         assert best is None or bound >= best - 1e-9, (bound, best)
         return best
 
     dfs(0)
-    assert not log and _search_state(prop, scorer) == start
+    assert not search.log and _search_state(search) == start
     return leaves
 
 
@@ -211,13 +250,13 @@ def test_restore_after_conflict():
     conflicts = 0
     for i in range(12):
         a, b = random_degenerate_pair(rng)
-        log, prop, scorer = _searcher(pair_model(a, b, *MIXTURES[i % 3]))
-        start = _search_state(prop, scorer)
-        for var in range(len(prop.value)):
+        search = _Search(pair_model(a, b, *MIXTURES[i % 3]))
+        start = _search_state(search)
+        for var in range(len(search.value)):
             for val in (0, 1):
-                conflicts += not prop.assign(var, val)
-                _restore(log, 0)
-                assert not log and _search_state(prop, scorer) == start
+                conflicts += not search.assign(var, val)
+                search.restore(0)
+                assert not search.log and _search_state(search) == start
     assert conflicts
 
 
@@ -252,9 +291,7 @@ def test_leaf_scorer_matches_complete_assignment():
     rejected = {"degree": 0, "telomeric": 0, "odd": 0}
     for model in _scorer_cases():
         with_c11 += any(con.tag == "C.11" for con in model.constraints)
-        branch = _branch_variables(model)
-        for leaf, value in _unpruned_walk(model):
-            assignment = {name: float(v) for name, v in zip(branch, leaf)}
+        for assignment, value in _unpruned_walk(model):
             try:
                 expected = complete_assignment(model, assignment)
             except DiagramError as exc:
@@ -275,7 +312,7 @@ def _bound_cases():
 
 
 def _root_bound(model):
-    return _searcher(model)[2].upper_bound()
+    return _Search(model).upper_bound()
 
 
 def test_bound_is_at_least_the_optimum():
@@ -290,7 +327,7 @@ def test_bound_is_at_least_the_optimum():
 
 def test_pruned_search_matches_unpruned_walk(monkeypatch):
     pruned = [solve_internal(model) for model in _bound_cases()]
-    monkeypatch.setattr(_Scorer, "upper_bound", lambda self: float("inf"))
+    monkeypatch.setattr(_Search, "upper_bound", lambda self: float("inf"))
     unpruned = [solve_internal(model) for model in _bound_cases()]
     for cut, full in zip(pruned, unpruned):
         assert (cut.status, cut.objective, cut.assignment) == (
@@ -337,19 +374,17 @@ def test_propagator_forces_values():
     a = build_genome("A", [(["1.1"], True)])
     b = build_genome("B", [(["1.1"], True)])
     model = pair_model(a, b)
-    branch = _branch_variables(model)
-    prop = _Propagator(model, branch, [])
-    index = {name: i for i, name in enumerate(branch)}
+    search = _Search(model)
     # deselecting A's only adjacency forces its (non-telomeric) endpoints'
     # degree rows into conflict: C.01 pins o=1, C.02 needs one adjacency
     xvar = next(iter(model.adjacency_vars["A"].values()))
-    ok = prop.assign(index[xvar], 0)
+    ok = search.assign(search.index[xvar], 0)
     if ok:
         # presence variables must then be forced to 0, clashing with C.01
-        over = next(name for name in branch
+        over = next(name for name in search.names
                     if model.variables[name].meaning[0] == "o"
                     and model.variables[name].meaning[1] == "A")
-        assert prop.value[index[over]] == 0
+        assert search.value[search.index[over]] == 0
     else:
         assert not ok  # direct conflict is also acceptable
 
