@@ -10,14 +10,13 @@ library API directly.
 """
 
 import random
-import sys
 
 from spp_dcj.extract import decode, evaluate, validate
 from spp_dcj.genomes import FamilyAssignment
 from spp_dcj.ilp import build_model
 from spp_dcj.linearize import augment
 from spp_dcj.sim import SimConfig, add_noise, evolve
-from spp_dcj.solver import solve_external
+from spp_dcj.solver import solve
 
 FAM = FamilyAssignment()
 
@@ -42,15 +41,14 @@ for node, genome in sorted(truth.genomes.items()):
         print("  %s: +%d noise adjacencies" % (node, report.added))
 
 # 3. build and solve the joint ILP; at this size the structural
-#    branch-and-bound runs out of its work budget, so hand the model
-#    straight to the bundled HiGHS backend through the external-solver
-#    bridge
+#    branch-and-bound runs out of its work budget, and solve hands the
+#    model to the bundled HiGHS backend (leaves 0: HiGHS answered)
 model = build_model(truth.tree, inputs, FAM, alpha=0.5, beta=0.25)
 print("\nILP: %d variables, %d constraints"
       % (len(model.variables), len(model.constraints)))
-result = solve_external(
-    model, command="%s -m spp_dcj.milp_cli {lp} {sol}" % sys.executable)
-print("status %s, objective %.4f" % (result.status, result.objective))
+result = solve(model)
+print("status %s, objective %.4f, branch-and-bound leaves %d"
+      % (result.status, result.objective, result.leaves))
 
 # 4. decode and score
 decoded = decode(model, result.assignment)

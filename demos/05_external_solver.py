@@ -4,11 +4,9 @@
 Models serialize to LP files, so any MILP solver can do the heavy lifting.
 The bridge runs a command template with {lp}/{sol} placeholders and reads a
 solution file of "<variable> <value>" lines; the template comes from the
-SPP_DCJ_SOLVER environment variable or an explicit argument.  The package
-ships `spp-dcj-milp`, an LP-to-HiGHS adapter, as the default backend.
+SPP_DCJ_SOLVER environment variable.  Unset, it is `solver.DEFAULT_COMMAND`:
+the bundled LP-to-HiGHS adapter run by this interpreter.
 """
-
-import sys
 
 from spp_dcj.diagram import brute_force_distance
 from spp_dcj.genomes import FamilyAssignment, Phylogeny
@@ -33,10 +31,8 @@ print("internal : %-8s objective %.4f (%.3fs)"
 # external: the bundled HiGHS adapter, invoked like any third-party solver.
 # A Gurobi user would set e.g.
 #   SPP_DCJ_SOLVER="gurobi_cl ResultFile={sol} {lp}"
-command = "%s -m spp_dcj.milp_cli {lp} {sol}" % sys.executable
 external = solve_external(build_model(tree, genomes, FAM,
-                                      alpha=0.5, beta=0.25),
-                          command=command)
+                                      alpha=0.5, beta=0.25))
 print("external : %-8s objective %.4f (%.3fs)"
       % (external.status, external.objective, external.wall_time))
 

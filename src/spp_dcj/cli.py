@@ -30,8 +30,8 @@ from .genomes import FamilyAssignment, GenomeError, Phylogeny
 from .ilp import ModelError, build_model, read_idmap, write_lp
 from .linearize import augment, find_nonlinearizable_component
 from .sim import EVENT_HEADER, SimConfig, add_noise, event_rows, evolve
-from .solver import (SOLVER_ENV, SolverError, load_solution,
-                     run_solver_command, solve)
+from .solver import (SolverError, load_solution, run_solver_command, solve,
+                     solver_environment)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -131,14 +131,9 @@ def cmd_build(args) -> int:
 
 def cmd_solve(args) -> int:
     start = time.monotonic()
-    # the command template that runs, None for the bundled HiGHS
-    command = args.solver_cmd or (None if args.internal
-                                  else os.environ.get(SOLVER_ENV))
-    if command is not None:
-        run_solver_command(command, args.model, args.output, args.time_limit)
-    else:
-        from . import milp_cli  # numpy and scipy load only when used
-        milp_cli.solve_file(args.model, args.output, args.time_limit)
+    command = None if args.internal else (args.solver_cmd
+                                          or solver_environment()[0])
+    run_solver_command(command, args.model, args.output, args.time_limit)
     _manifest(args.output + ".manifest.json", "solve", {
         "model": args.model, "internal": args.internal,
         "solver_cmd": command, "time_limit": args.time_limit,

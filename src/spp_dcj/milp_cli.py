@@ -16,7 +16,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .ilp import _gc_paused
 from .io import ParseError
 from .solver import SolverError, check_time_limit, write_solution
 
@@ -81,7 +80,6 @@ def _parse_terms(problem: LpProblem, tokens: List[str], cols: List[int],
         sign = 1.0
 
 
-@_gc_paused()
 def parse_lp(path) -> LpProblem:
     """Read an LP file; raises ``LpFormatError`` with the path and line
     number of the first malformed line."""
@@ -152,8 +150,8 @@ def _parse_line(problem: LpProblem, section: Optional[str], line: str):
 
 
 def solve(problem: LpProblem, time_limit: Optional[float] = None):
-    """Solve ``problem`` with HiGHS to a zero gap; a ``time_limit`` of None
-    or 0 sets no limit, a negative or NaN one raises ``ValueError``."""
+    """Solve ``problem`` with HiGHS to a zero gap, within ``time_limit``
+    unless it is None; raises ``ValueError`` as ``check_time_limit`` does."""
     check_time_limit(time_limit)
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csr_matrix
@@ -175,7 +173,7 @@ def solve(problem: LpProblem, time_limit: Optional[float] = None):
     matrix = csr_matrix((problem.values, (problem.rows, problem.cols)),
                         shape=(len(problem.row_lower), nvar))
     options = {"mip_rel_gap": 0.0}
-    if time_limit:
+    if time_limit is not None:
         options["time_limit"] = time_limit
     result = milp(c, constraints=LinearConstraint(matrix, problem.row_lower,
                                                   problem.row_upper),
@@ -207,10 +205,10 @@ def main(argv=None) -> int:
     parser.add_argument("lp", help="input model in LP format")
     parser.add_argument("sol", help="output solution file")
     parser.add_argument("--time-limit", type=float, default=None,
-                        help="solver time limit in seconds")
+                        help="solver time limit in seconds, 0 for none")
     args = parser.parse_args(argv)
     try:
-        solve_file(args.lp, args.sol, time_limit=args.time_limit)
+        solve_file(args.lp, args.sol, time_limit=args.time_limit or None)
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -1,15 +1,10 @@
 """Solvers for the assembled integer program.
 
-Two interchangeable backends:
-
-* an internal exact branch-and-bound that only branches on the structural
-  binaries (adjacency, extremity/indel edge and presence variables),
-  keeps the cycles of the selected edges up to date as it branches, and
-  scores leaves and bounds nodes from those counts, under a fixed work
-  budget, and
-* a bridge that shells out to any MILP solver via a command template
-  operating on an LP file (``{lp}``/``{sol}`` placeholders), configurable
-  through the ``SPP_DCJ_SOLVER`` environment variable.
+``solve`` runs the exact branch-and-bound of ``solve_internal`` under a
+fixed work budget, and past it ``solve_external``, which writes an LP file
+for ``run_solver_command``: the one runner of a MILP solver, the bundled
+HiGHS in this process or a command template (``SPP_DCJ_SOLVER``, else
+``DEFAULT_COMMAND``).
 
 The solution-file format is written by ``write_solution`` and read by
 ``parse_solution`` and ``load_solution``.
@@ -18,8 +13,11 @@ The solution-file format is written by ``write_solution`` and read by
 from __future__ import annotations
 
 import contextlib
+import math
 import os
+import shlex
 import subprocess
+import sys
 import tempfile
 import time
 from dataclasses import dataclass
@@ -39,7 +37,11 @@ WORK_BUDGET = 2_500_000
 TOL = 1e-6  # feasibility, integrality and objective tolerance
 BRANCH_CLASSES = ("adj", "capadj", "edge", "o", "capo")
 
-SOLVER_ENV = "SPP_DCJ_SOLVER"
+# the bundled HiGHS run by this interpreter, in a child process so that the
+# caller never holds scipy (its import adds about 60 MB of resident memory)
+DEFAULT_COMMAND = ("%s -m spp_dcj.milp_cli {lp} {sol}"
+                   % shlex.quote(sys.executable))
+_NO_SOLUTION_IN_TIME = "time limit reached without a feasible solution"
 
 
 class SolverError(RuntimeError):
@@ -62,10 +64,9 @@ class SolveResult:
 
 
 def check_time_limit(time_limit: Optional[float]):
-    """Raise ``ValueError`` unless ``time_limit`` is None or at least 0."""
-    if time_limit is not None and not time_limit >= 0:
-        raise ValueError("time limit %r is not a number of seconds >= 0"
-                         % (time_limit,))
+    """Raise ``ValueError`` unless ``time_limit`` is None or finite and > 0."""
+    if time_limit is not None and not 0 < time_limit < math.inf:
+        raise ValueError("time limit %r is not finite and > 0" % (time_limit,))
 
 
 # -- internal branch and bound ----------------------------------------------
@@ -490,8 +491,7 @@ def solve_internal(model: IlpModel, time_limit: Optional[float] = None
     Raises ``BudgetExhausted`` once the search would pass ``WORK_BUDGET``
     units of work, whatever the time limit.  A search stopped by the time
     limit returns its incumbent as "feasible", with its relative gap to
-    the bound at the root.  Raises ``ValueError`` on a negative or NaN
-    time limit.
+    the root bound; ``check_time_limit`` rejects a bad time limit.
     """
     check_time_limit(time_limit)
     start = time.monotonic()
@@ -502,7 +502,7 @@ def solve_internal(model: IlpModel, time_limit: Optional[float] = None
     wall = time.monotonic() - start
     if best is None:
         if timed_out:
-            raise SolverError("time limit reached without a feasible solution")
+            raise SolverError(_NO_SOLUTION_IN_TIME)
         return SolveResult("infeasible", float("-inf"), {}, wall_time=wall,
                            leaves=leaves)
     value, values = best
@@ -642,28 +642,39 @@ def verify_assignment(model: IlpModel, assignment: Dict[str, float]):
 
 # -- external solver bridge --------------------------------------------------
 
-def default_solver_command() -> str:
-    return os.environ.get(SOLVER_ENV, "spp-dcj-milp {lp} {sol}")
+def solver_environment() -> Tuple[Optional[str], Dict[str, str]]:
+    """The template ``SPP_DCJ_SOLVER`` names (None if unset or empty), and
+    the environment a solver command runs in: this one, with ``spp_dcj``'s
+    directory first on ``PYTHONPATH``.  Only it reads ``os.environ``."""
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (root,
+                                                      env.get("PYTHONPATH"))))
+    return env.get("SPP_DCJ_SOLVER") or None, env
 
 
-def run_solver_command(command: str, lp_path, sol_path,
+def run_solver_command(command: Optional[str], lp_path, sol_path,
                        time_limit: Optional[float] = None):
-    """Run a MILP solver from a command template on an LP file.
-
-    The template must contain ``{lp}`` and ``{sol}`` placeholders and may
-    contain ``{time_limit}`` (0 when no limit is set).  Any existing file
-    at ``sol_path`` is removed first, so a stale solution is never taken
-    for a fresh one.  Raises ``SolverError`` when the command fails or
-    writes no solution file.
-    """
+    """Solve an LP file into a solution file: in this process with the
+    bundled HiGHS when ``command`` is None, else with a command template
+    holding ``{lp}``, ``{sol}`` and optionally ``{time_limit}`` (0 for no
+    limit).  A stale file at ``sol_path`` is removed first.  Raises
+    ``ValueError`` as ``check_time_limit`` does, and ``SolverError`` when
+    the solver fails or writes no solution file."""
+    check_time_limit(time_limit)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(sol_path)
+    if command is None:
+        from . import milp_cli  # numpy and scipy load only when used
+        milp_cli.solve_file(lp_path, sol_path, time_limit)
+        return
     if "{lp}" not in command or "{sol}" not in command:
         raise SolverError("solver command must contain {lp} and {sol}: %r"
                           % command)
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(sol_path)
     proc = subprocess.run(command.format(lp=lp_path, sol=sol_path,
                                          time_limit=time_limit or 0),
-                          shell=True, capture_output=True, text=True)
+                          shell=True, capture_output=True, text=True,
+                          env=solver_environment()[1])
     if proc.returncode != 0:
         raise SolverError("external solver failed (%d): %s"
                           % (proc.returncode, proc.stderr.strip()[:500]))
@@ -671,20 +682,18 @@ def run_solver_command(command: str, lp_path, sol_path,
         raise SolverError("external solver produced no solution file")
 
 
-def solve_external(model: IlpModel, command: Optional[str] = None,
-                   time_limit: Optional[float] = None) -> SolveResult:
-    """Solve via an external MILP solver invoked from a command template.
-
-    The template (default: ``default_solver_command()``) is run by
-    ``run_solver_command``; the solution file is read by ``load_solution``.
-    """
+def solve_external(model: IlpModel, time_limit: Optional[float] = None
+                   ) -> SolveResult:
+    """Solve with the template ``SPP_DCJ_SOLVER`` names, else with
+    ``DEFAULT_COMMAND``, run by ``run_solver_command`` on an LP file; the
+    solution file is read by ``load_solution``."""
     start = time.monotonic()
     with tempfile.TemporaryDirectory() as tmp:
         lp_path = os.path.join(tmp, "model.lp")
         sol_path = os.path.join(tmp, "model.sol")
         write_lp(model, lp_path)
-        run_solver_command(command or default_solver_command(), lp_path,
-                           sol_path, time_limit)
+        run_solver_command(solver_environment()[0] or DEFAULT_COMMAND,
+                           lp_path, sol_path, time_limit)
         reported, assignment = load_solution(model, sol_path)
     verify_assignment(model, assignment)
     objective = recompute_objective(model, assignment)
@@ -763,21 +772,15 @@ def load_solution(model: IlpModel, path
 
 def solve(model: IlpModel, time_limit: Optional[float] = None
           ) -> SolveResult:
-    """The internal branch-and-bound, or the external solver when the
-    branch-and-bound exhausts ``WORK_BUDGET``; a set ``SPP_DCJ_SOLVER``
-    sends every model to the external solver.
-
-    The external solver gets what is left of ``time_limit``.  Raises
-    ``ValueError`` on a negative or NaN time limit.
-    """
-    check_time_limit(time_limit)
-    if SOLVER_ENV in os.environ:
-        return solve_external(model, time_limit=time_limit)
+    """``solve_internal``, and ``solve_external`` with what is left of
+    ``time_limit`` once the search exhausts ``WORK_BUDGET`` (nothing left
+    is a timeout).  Raises ``ValueError`` as ``check_time_limit`` does."""
     start = time.monotonic()
     try:
         return solve_internal(model, time_limit=time_limit)
     except BudgetExhausted:
         if time_limit is not None:
-            # a floor keeps the limit set: a template reads 0 as no limit
-            time_limit = max(time_limit - (time.monotonic() - start), 1e-3)
+            time_limit -= time.monotonic() - start
+            if time_limit <= 0:
+                raise SolverError(_NO_SOLUTION_IN_TIME)
         return solve_external(model, time_limit=time_limit)

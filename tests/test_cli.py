@@ -2,7 +2,6 @@ import argparse
 import hashlib
 import json
 import os
-import sys
 
 import pytest
 
@@ -15,9 +14,6 @@ from spp_dcj.ilp import build_model
 from spp_dcj.solver import write_solution
 
 from util import build_genome, invert_segment, seeded
-
-MILP_CMD = "%s -m spp_dcj.milp_cli {lp} {sol}" % sys.executable
-
 
 def run(*argv):
     return main(list(argv))
@@ -233,13 +229,17 @@ def write_large_pair(tmp_path, inversions):
 
 
 def test_distance_large_pair_uses_external_solver(tmp_path, monkeypatch):
-    # the branch-and-bound would solve this pair within its budget; the set
-    # SPP_DCJ_SOLVER sends it to the external solver instead
+    # the branch-and-bound would solve this pair within its budget; a spent
+    # budget hands it to the command SPP_DCJ_SOLVER names
     inversions = 20
     pa, pb = write_large_pair(tmp_path, inversions)
-    monkeypatch.setenv("SPP_DCJ_SOLVER", MILP_CMD)
+    record = tmp_path / "ran.txt"
+    monkeypatch.setattr(solver, "WORK_BUDGET", 1)
+    monkeypatch.setenv("SPP_DCJ_SOLVER", "echo ran > %s && %s"
+                       % (record, solver.DEFAULT_COMMAND))
     out = tmp_path / "dist.tsv"
     assert run("distance", str(pa), str(pb), "-o", str(out)) == EXIT_OK
+    assert record.read_text() == "ran\n"
     table = dict(line.split("\t") for line in out.read_text().splitlines())
     assert int(table["distance"]) <= inversions
 
@@ -447,7 +447,7 @@ def test_solve_internal_bad_model_is_parse_error(tmp_path, capsys):
 def test_solve_backend_flags_exclusive(tmp_path):
     with pytest.raises(SystemExit) as err:
         run("solve", str(tmp_path / "m.lp"), "-o", str(tmp_path / "m.sol"),
-            "--internal", "--solver-cmd", MILP_CMD)
+            "--internal", "--solver-cmd", solver.DEFAULT_COMMAND)
     assert err.value.code == EXIT_USAGE
 
 
@@ -488,12 +488,12 @@ def test_solve_manifest_records_the_command_run(tmp_path, monkeypatch):
         text = (tmp_path / "m.sol.manifest.json").read_text()
         return json.loads(text)["arguments"]["solver_cmd"]
 
-    monkeypatch.setenv("SPP_DCJ_SOLVER", MILP_CMD)
+    monkeypatch.setenv("SPP_DCJ_SOLVER", solver.DEFAULT_COMMAND)
     assert run("solve", str(lp), "-o", str(sol)) == EXIT_OK
-    assert recorded() == MILP_CMD
+    assert recorded() == solver.DEFAULT_COMMAND
     assert run("solve", str(lp), "-o", str(sol), "--internal") == EXIT_OK
     assert recorded() is None  # the bundled HiGHS ran
-    command = MILP_CMD + " --time-limit {time_limit}"
+    command = solver.DEFAULT_COMMAND + " --time-limit {time_limit}"
     assert run("solve", str(lp), "-o", str(sol),
                "--solver-cmd", command) == EXIT_OK
     assert recorded() == command

@@ -1,12 +1,12 @@
-"""``build_model``, ``parse_lp``, ``solver.solve_internal`` and
-``extract.decode`` pause the cyclic garbage collector while they run and
-leave it as they found it, also when they raise."""
+"""``build_model``, ``solver.solve_internal`` and ``extract.decode`` pause
+the cyclic garbage collector while they run and leave it as they found it,
+also when they raise."""
 
 import gc
 
 import pytest
 
-from spp_dcj import extract, ilp, milp_cli, solver
+from spp_dcj import extract, ilp, solver
 from spp_dcj.genomes import FamilyAssignment, Phylogeny
 
 from util import build_genome
@@ -50,24 +50,6 @@ def test_build_model_restores_collector(collector, monkeypatch):
 def test_build_model_restores_collector_on_error(collector):
     with pytest.raises(ilp.ModelError):
         _build(alpha=2.0)
-    assert gc.isenabled() is collector
-
-
-def test_parse_lp_restores_collector(collector, monkeypatch, tmp_path):
-    seen = _watch(monkeypatch, milp_cli, "_parse_line")
-    path = tmp_path / "m.lp"
-    path.write_text("Maximize\n obj: 1 x\nSubject To\n c: 1 x <= 1\n"
-                    "Binaries\n x\nEnd\n")
-    assert milp_cli.parse_lp(path).variables == ["x"]
-    assert seen == [False, False, False]
-    assert gc.isenabled() is collector
-
-
-def test_parse_lp_restores_collector_on_error(collector, tmp_path):
-    path = tmp_path / "m.lp"
-    path.write_text("Maximize\n obj: 1 x\nSubject To\n c: 1 x <= one\nEnd\n")
-    with pytest.raises(milp_cli.LpFormatError):
-        milp_cli.parse_lp(path)
     assert gc.isenabled() is collector
 
 

@@ -2,7 +2,8 @@
 every local a function assigns and every parameter it takes is read
 somewhere in it, every function is referenced somewhere in the project,
 no two functions have the same body, every command-line option is read by
-the CLI, and only ``ilp._gc_paused`` switches the garbage collector."""
+the CLI, only ``ilp._gc_paused`` switches the garbage collector and only
+``solver.solver_environment`` reads ``os.environ``."""
 
 import argparse
 import ast
@@ -324,9 +325,24 @@ def test_every_cli_option_is_read():
     assert not unread, "cli.py never reads options: %s" % ", ".join(unread)
 
 
-def _collector_switches(tree, owner="_gc_paused"):
-    """(function, line) of every ``gc.disable()`` or ``gc.enable()`` call
-    outside a function named ``owner``; None stands for module level."""
+def _is_collector_switch(node):
+    """A ``gc.disable()`` or ``gc.enable()`` call."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("disable", "enable")
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "gc")
+
+
+def _is_environ_read(node):
+    """A use of ``os.environ`` or ``os.getenv``."""
+    return (isinstance(node, ast.Attribute)
+            and node.attr in ("environ", "getenv")
+            and isinstance(node.value, ast.Name) and node.value.id == "os")
+
+
+def _owned_elsewhere(tree, owner, matches):
+    """(function, line) of every node that ``matches`` holds for outside a
+    function named ``owner``; None stands for module level."""
     owned = set()
     for func in ast.walk(tree):
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) \
@@ -339,11 +355,7 @@ def _collector_switches(tree, owner="_gc_paused"):
                 enclosing.setdefault(id(node), func.name)
     return sorted(
         ((enclosing.get(id(node)), node.lineno) for node in ast.walk(tree)
-         if isinstance(node, ast.Call)
-         and isinstance(node.func, ast.Attribute)
-         and node.func.attr in ("disable", "enable")
-         and isinstance(node.func.value, ast.Name)
-         and node.func.value.id == "gc" and id(node) not in owned),
+         if matches(node) and id(node) not in owned),
         key=lambda entry: entry[1])
 
 
@@ -356,15 +368,41 @@ def test_collector_switch_check_catches_other_owners():
                      "    gc.disable()\n"
                      "    gc.collect()\n"
                      "gc.enable()\n")
-    assert _collector_switches(tree) == [("solve", 6), (None, 8)]
+    assert _owned_elsewhere(tree, "_gc_paused", _is_collector_switch) == [
+        ("solve", 6), (None, 8)]
 
 
-def test_collector_state_has_one_owner():
+def test_environ_check_catches_a_read_in_cli():
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    tree = ast.parse(source + "def _solver_command(args):\n"
+                     "    return os.environ.get('SPP_DCJ_SOLVER')\n")
+    assert _owned_elsewhere(tree, None, _is_environ_read) == [
+        ("_solver_command", source.count("\n") + 2)]
+    tree = ast.parse((PACKAGE / "solver.py").read_text(encoding="utf-8"))
+    assert _owned_elsewhere(tree, None, _is_environ_read)
+    assert not _owned_elsewhere(tree, "solver_environment", _is_environ_read)
+
+
+def _outside_owner(module, owner, matches):
+    """``module:line in function`` of every node of the package that
+    ``matches`` holds for outside the function ``owner`` of ``module``."""
     found = []
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        owner = "_gc_paused" if path.name == "ilp.py" else None
         found += ["%s:%d in %s" % (path.name, line, func or "module")
-                  for func, line in _collector_switches(tree, owner)]
+                  for func, line in _owned_elsewhere(
+                      tree, owner if path.name == module else None, matches)]
+    return found
+
+
+def test_collector_state_has_one_owner():
+    found = _outside_owner("ilp.py", "_gc_paused", _is_collector_switch)
     assert not found, ("gc.disable/gc.enable outside ilp._gc_paused: %s"
+                       % ", ".join(found))
+
+
+def test_environment_has_one_reader():
+    found = _outside_owner("solver.py", "solver_environment",
+                           _is_environ_read)
+    assert not found, ("os.environ outside solver.solver_environment: %s"
                        % ", ".join(found))

@@ -1,26 +1,26 @@
 import hashlib
 import itertools
-import sys
+import math
 import types
 
 import pytest
 
 from spp_dcj import milp_cli, solver
 from spp_dcj.diagram import DiagramError, brute_force_distance
-from spp_dcj.genomes import FamilyAssignment, Phylogeny
+from spp_dcj.genomes import (TELO, Adjacency, DegenerateGenome, Extremity,
+                             FamilyAssignment, Phylogeny)
 from spp_dcj.ilp import build_model, write_lp
 from spp_dcj.sim import SimConfig, add_noise, evolve
 from spp_dcj.solver import (BudgetExhausted, SolverError, _relative_gap,
                             _Search, complete_assignment, load_solution,
-                            parse_solution, solve, solve_external,
-                            solve_internal, verify_assignment,
-                            write_solution)
+                            parse_solution, run_solver_command, solve,
+                            solve_external, solve_internal,
+                            verify_assignment, write_solution)
 
 from util import build_genome, random_degenerate_pair, seeded
 
 FAM = FamilyAssignment()
 
-MILP_CMD = "%s -m spp_dcj.milp_cli {lp} {sol}" % sys.executable
 MIXTURES = [(1.0, 0.0), (0.5, 0.0), (0.5, 0.25)]
 
 
@@ -42,16 +42,28 @@ def test_internal_matches_oracle_sample():
         assert result.objective == pytest.approx(oracle.value, abs=1e-6)
 
 
+def _optional_telomeres(genome):
+    """``genome`` plus a telomere at each end of its first adjacency, so
+    that a derived genome may cut its chromosome there or keep it whole."""
+    x, y = genome.adjacencies[0].ends
+    sp = genome.species
+    return DegenerateGenome(sp, list(genome.adjacencies) + [
+        Adjacency((Extremity(sp, "t.1", TELO), x), 1.0),
+        Adjacency((y, Extremity(sp, "t.2", TELO)), 1.0)])
+
+
 def _small_tree_models(count):
     """Models of simulated trees, 3-5 leaves and 3-12 families, whose
-    ancestors carry noise up to surfeit 1.5; the mixtures cycle."""
+    ancestors carry noise up to surfeit 1.5 and optional telomeres; the
+    mixtures cycle.  A telomere left unused has no edge selected, so nodes
+    leave the live count of every diagram of an ancestor."""
     rng = seeded(131)
     for i in range(count):
         truth = evolve(SimConfig(families=rng.randint(3, 12),
                                  leaves=rng.randint(3, 5), seed=i))
         leaves = set(truth.tree.leaves())
         genomes = {node: genome if node in leaves
-                   else add_noise(genome, 1.5, rng)[0]
+                   else _optional_telomeres(add_noise(genome, 1.5, rng)[0])
                    for node, genome in sorted(truth.genomes.items())}
         yield build_model(truth.tree, genomes, FAM, *MIXTURES[i % 3])
 
@@ -59,7 +71,7 @@ def _small_tree_models(count):
 def test_internal_matches_highs_on_small_trees(tmp_path):
     # the per-diagram counts of the search (cycles, closed and live nodes)
     # meet more than one diagram only on trees; every other test solves
-    # one-edge trees
+    # one-edge trees.  _unpruned_walk recounts the live nodes at every node
     lp = tmp_path / "model.lp"
     count = proved = 0
     for model in _small_tree_models(15):
@@ -92,7 +104,7 @@ def test_internal_assignment_is_feasible_and_complete():
     assert value == pytest.approx(result.objective)
 
 
-def test_work_budget_hands_model_to_external(monkeypatch):
+def test_work_budget_hands_model_to_external(tmp_path, monkeypatch):
     rng = seeded(67)
     a, b = random_degenerate_pair(rng)
     model = pair_model(a, b)
@@ -100,8 +112,10 @@ def test_work_budget_hands_model_to_external(monkeypatch):
     monkeypatch.setattr(solver, "WORK_BUDGET", 1)
     with pytest.raises(BudgetExhausted):
         solve_internal(model)
+    # the default command needs neither an install nor PYTHONPATH
     monkeypatch.delenv("SPP_DCJ_SOLVER", raising=False)
-    monkeypatch.setattr(solver, "default_solver_command", lambda: MILP_CMD)
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    monkeypatch.setenv("PATH", str(tmp_path))  # no spp-dcj-milp on it
     result = solve(model)
     assert result.leaves == 0  # the external solver answered
     assert result.objective == pytest.approx(full.objective, abs=1e-6)
@@ -111,23 +125,46 @@ def test_budget_fallback_gets_remaining_time(tmp_path, monkeypatch):
     rng = seeded(67)
     a, b = random_degenerate_pair(rng)
     record = tmp_path / "time_limit.txt"
-    command = "echo {time_limit} > %s && %s" % (record, MILP_CMD)
     monkeypatch.setattr(solver, "WORK_BUDGET", 1)
-    monkeypatch.delenv("SPP_DCJ_SOLVER", raising=False)
-    monkeypatch.setattr(solver, "default_solver_command", lambda: command)
+    monkeypatch.setenv("SPP_DCJ_SOLVER", "echo {time_limit} > %s && %s"
+                       % (record, solver.DEFAULT_COMMAND))
     solve(pair_model(a, b), time_limit=60)
     assert 0 < float(record.read_text()) < 60
     solve(pair_model(a, b))
     assert float(record.read_text()) == 0  # no limit
 
 
-@pytest.mark.parametrize("limit", [-1.0, float("nan")])
-def test_solvers_reject_bad_time_limit(limit):
+def test_budget_fallback_with_no_time_left_times_out(monkeypatch):
+    # a search that spent the whole limit before giving up leaves the
+    # external solver nothing: solve times out as the search does
+    def exhausted(model, time_limit):
+        raise BudgetExhausted("spent")
+
+    monkeypatch.setattr(solver, "solve_internal", exhausted)
+    monkeypatch.setattr(solver, "time", types.SimpleNamespace(
+        monotonic=itertools.count(0, 10).__next__))
+    monkeypatch.setenv("SPP_DCJ_SOLVER", "false {lp} {sol}")
+    a = build_genome("A", [(["1.1"], True)])
+    with pytest.raises(SolverError, match="time limit reached"):
+        solve(pair_model(a, build_genome("B", [(["1.1"], True)])),
+              time_limit=5)
+
+
+@pytest.mark.parametrize("limit", [-1.0, float("nan"), 0.0, math.inf])
+def test_solvers_reject_bad_time_limit(limit, tmp_path):
     a = build_genome("A", [(["1.1"], True)])
     model = pair_model(a, build_genome("B", [(["1.1"], True)]))
-    for call in (solve, solve_internal):
+    lp, sol = tmp_path / "m.lp", tmp_path / "m.sol"
+    write_lp(model, lp)
+    calls = [lambda: solve(model, time_limit=limit),
+             lambda: solve_internal(model, time_limit=limit),
+             lambda: solve_external(model, time_limit=limit),
+             lambda: run_solver_command(None, lp, sol, time_limit=limit),
+             lambda: milp_cli.solve(milp_cli.parse_lp(lp), time_limit=limit)]
+    for call in calls:
         with pytest.raises(ValueError, match="time limit"):
-            call(model, time_limit=limit)
+            call()
+    assert not sol.exists()
 
 
 def test_internal_reports_infeasible():
@@ -209,16 +246,32 @@ def _search_state(search):
         search.cycles, search.closed, search.tally)]
 
 
+def _live_counts(search):
+    """Live nodes per diagram counted from the values alone: a node is live
+    while some edge at it is not fixed to 0."""
+    live_node = [False] * len(search.node_ctx)
+    for vi, edges in enumerate(search.edges_of):
+        if search.value[vi] != 0:
+            for e in edges:
+                live_node[search.eu[e]] = live_node[search.ev[e]] = True
+    live = [0] * len(search.live)
+    for node, c in enumerate(search.node_ctx):
+        live[c] += live_node[node]
+    return live
+
+
 def _unpruned_walk(model):
     """(assignment, scored value) of every full assignment propagation
     admits, walked without bounding.  At every node it asserts that the
-    bound is at least the best leaf value below, and at the end that the
-    undo log took the search back to where it started."""
+    bound is at least the best leaf value below and that each diagram's
+    live-node count matches a recount, and at the end that the undo log
+    took the search back to where it started."""
     search = _Search(model)
     start = _search_state(search)
     leaves = []
 
     def dfs(k):
+        assert search.live == _live_counts(search)
         while k < len(search.value) and search.value[k] != -1:
             k += 1
         if k == len(search.value):
@@ -428,26 +481,29 @@ def test_verify_assignment_catches_violations():
         verify_assignment(model, bad)
 
 
-def test_external_bridge_matches_internal():
+def test_external_bridge_matches_internal(monkeypatch):
     rng = seeded(71)
+    monkeypatch.delenv("SPP_DCJ_SOLVER", raising=False)
     for _ in range(3):
         a, b = random_degenerate_pair(rng)
         model = pair_model(a, b)
         internal = solve_internal(model)
-        external = solve_external(pair_model(a, b), command=MILP_CMD)
+        external = solve_external(pair_model(a, b))
         assert external.status == "optimal"
         assert external.objective == pytest.approx(internal.objective,
                                                    abs=1e-6)
 
 
-def test_external_bridge_bad_command():
+def test_external_bridge_bad_command(monkeypatch):
     rng = seeded(73)
     a, b = random_degenerate_pair(rng)
     model = pair_model(a, b)
+    monkeypatch.setenv("SPP_DCJ_SOLVER", "no-placeholders")
     with pytest.raises(SolverError):
-        solve_external(model, command="no-placeholders")
+        solve_external(model)
+    monkeypatch.setenv("SPP_DCJ_SOLVER", "false {lp} {sol}")
     with pytest.raises(SolverError):
-        solve_external(model, command="false {lp} {sol}")
+        solve_external(model)
 
 
 def test_write_solution_format(tmp_path):
@@ -503,12 +559,17 @@ def test_load_solution(tmp_path):
         load_solution(model, path)
 
 
-def test_solve_dispatch(monkeypatch):
+def test_solve_dispatch(tmp_path, monkeypatch):
+    # SPP_DCJ_SOLVER picks the command run past the budget, nothing else
     rng = seeded(79)
     a, b = random_degenerate_pair(rng)
-    monkeypatch.delenv("SPP_DCJ_SOLVER", raising=False)
+    record = tmp_path / "ran.txt"
+    monkeypatch.setenv("SPP_DCJ_SOLVER", "echo ran > %s && %s"
+                       % (record, solver.DEFAULT_COMMAND))
     internal = solve(pair_model(a, b))
-    assert internal.status == "optimal"
-    monkeypatch.setenv("SPP_DCJ_SOLVER", MILP_CMD)
+    assert internal.status == "optimal" and internal.leaves > 0
+    assert not record.exists()
+    monkeypatch.setattr(solver, "WORK_BUDGET", 1)
     external = solve(pair_model(a, b))
+    assert external.leaves == 0 and record.read_text() == "ran\n"
     assert external.objective == pytest.approx(internal.objective, abs=1e-6)
