@@ -27,7 +27,8 @@ from .diagram import DiagramError, SingletonExplosion
 from .extract import (DISTANCE_HEADER, METRICS_HEADER, DecodeError, audit,
                       decode, distance_rows, evaluate, metrics_rows, validate)
 from .genomes import FamilyAssignment, GenomeError, Phylogeny
-from .ilp import ModelError, build_model, read_idmap, write_lp
+from .ilp import (ModelError, build_model, declare_model, read_idmap,
+                  write_lp)
 from .linearize import augment, find_nonlinearizable_component
 from .sim import EVENT_HEADER, SimConfig, add_noise, event_rows, evolve
 from .solver import (SolverError, load_solution, run_solver_command, solve,
@@ -145,7 +146,9 @@ def cmd_extract(args) -> int:
     start = time.monotonic()
     tree = io.read_tree(args.tree)
     genomes = io.read_adjacencies(args.adjacencies)
-    model = _build(args, tree, genomes)
+    # decoding, validation, the audit and the idmap check read no row
+    model = declare_model(tree, genomes, _load_families(args.families),
+                          args.alpha, args.beta)
     if args.idmap and read_idmap(args.idmap) != set(model.variables):
         raise ModelError("variable map does not match the rebuilt model; "
                          "rerun extract with the inputs and --families used "

@@ -19,9 +19,14 @@ to the constant number of shared markers.
 from __future__ import annotations
 
 import gc
+import operator
+from array import array
+from bisect import bisect_right
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from itertools import repeat
+from typing import Dict, List, Sequence, Set, Tuple
 
 from .diagram import (ADJ, EXT, ID, DiagramEdge, MultiRelationalDiagram,
                       enumerate_circular_singletons)
@@ -43,17 +48,68 @@ class Variable:
     kind: str  # BINARY, CONTINUOUS or INTEGER
     lb: float
     ub: float
-    meaning: Tuple
-    description: str
+    meaning: Tuple  # (class, species or edge key, item); see _description
 
 
-@dataclass(slots=True)
-class Constraint:
-    name: str
-    terms: List[Tuple[float, str]]  # (coefficient, variable name)
-    sense: str  # '<=', '>=' or '='
-    rhs: float
-    tag: str  # C.01 .. C.11
+# one row as ``IlpModel.constraints`` shows it; terms are (coefficient,
+# variable name) pairs
+Row = namedtuple("Row", "name terms sense rhs tag")
+
+
+class Rows:
+    """The constraint matrix, row by row in compressed form.
+
+    A column is a variable's position in ``IlpModel.variables``.  Row ``r``
+    has the terms ``cols[k]``, ``coefs[k]`` for ``starts[r] <= k <
+    starts[r + 1]``, and its own name, sense ('<=', '>=' or '='),
+    right-hand side and block tag (C.01 .. C.11).  ``add`` appends to
+    lists, the cheapest to grow; ``pack`` then holds the columns and the
+    starts as int32 arrays and the coefficients and the right-hand sides as
+    float64 arrays, which take a fraction of the lists' memory.
+    """
+
+    __slots__ = ("cols", "coefs", "starts", "names", "senses", "rhs", "tags")
+
+    def __init__(self):
+        self.cols: Sequence[int] = []
+        self.coefs: Sequence[float] = []
+        self.starts: Sequence[int] = [0]
+        self.names: List[str] = []
+        self.senses: List[str] = []
+        self.rhs: Sequence[float] = []
+        self.tags: List[str] = []
+
+    def __len__(self):
+        return len(self.names)
+
+    def add(self, name, cols, coefs, sense, rhs, tag):
+        """Append the row ``sum(coefs[k] * x[cols[k]]) <sense> rhs``."""
+        self.cols.extend(cols)
+        self.coefs.extend(coefs)
+        self.starts.append(len(self.cols))
+        self.names.append(name)
+        self.senses.append(sense)
+        self.rhs.append(rhs)
+        self.tags.append(tag)
+
+    def terms(self, r):
+        """The columns and the coefficients of row ``r``."""
+        start, end = self.starts[r], self.starts[r + 1]
+        return self.cols[start:end], self.coefs[start:end]
+
+    def pack(self, count: int):
+        """Raise ``ModelError`` unless every column is in ``0 .. count-1``,
+        then hold the numbers as arrays."""
+        cols = self.cols
+        if cols and (min(cols) < 0 or max(cols) >= count):
+            k = next(k for k, col in enumerate(cols) if not 0 <= col < count)
+            raise ModelError("row %s references column %d of a model with %d "
+                             "variables" % (self.names[bisect_right(
+                                 self.starts, k) - 1], cols[k], count))
+        self.cols = array("i", cols)
+        self.coefs = array("d", self.coefs)
+        self.starts = array("i", self.starts)
+        self.rhs = array("d", self.rhs)
 
 
 @dataclass
@@ -80,26 +136,33 @@ class IlpModel:
         self.beta = beta
         self.variables: Dict[str, Variable] = {}
         self.objective: Dict[str, float] = {}
-        self.constraints: List[Constraint] = []
+        self.rows = Rows()
         self.contexts: List[EdgeContext] = []
         self.species_index: Dict[str, int] = {}
         self.adjacency_vars: Dict[str, Dict[Adjacency, str]] = {}
         self.extremity_o_vars: Dict[str, Dict[Extremity, str]] = {}
 
-    def add_variable(self, name, kind, lb, ub, meaning, description) -> str:
+    def add_variable(self, name, kind, lb, ub, meaning) -> str:
         if name in self.variables:
             raise ModelError("duplicate variable %s" % name)
-        self.variables[name] = Variable(name, kind, lb, ub, meaning, description)
+        self.variables[name] = Variable(name, kind, lb, ub, meaning)
         return name
-
-    def add_constraint(self, name, terms, sense, rhs, tag):
-        for _, var in terms:
-            if var not in self.variables:
-                raise ModelError("constraint %s references unknown %s" % (name, var))
-        self.constraints.append(Constraint(name, terms, sense, rhs, tag))
 
     def add_objective(self, var: str, coef: float):
         self.objective[var] = self.objective.get(var, 0.0) + coef
+
+    @property
+    def constraints(self) -> List[Row]:
+        """A read-only view of every row, built anew on each access."""
+        names = list(self.variables)
+        rows = self.rows
+        view = []
+        for r, (name, sense, rhs, tag) in enumerate(zip(
+                rows.names, rows.senses, rows.rhs, rows.tags)):
+            cols, coefs = rows.terms(r)
+            view.append(Row(name, [(coef, names[col]) for coef, col
+                                   in zip(coefs, cols)], sense, rhs, tag))
+        return view
 
 
 @contextmanager
@@ -108,8 +171,8 @@ def _gc_paused():
     usable as a decorator.
 
     The model builders allocate hundreds of thousands of acyclic records
-    (variables, rows, terms, extremities) that stay alive; every automatic
-    collection would rescan all of them and free nothing.
+    (variables, diagram nodes and edges, extremities) that stay alive;
+    every automatic collection would rescan all of them and free nothing.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -124,8 +187,23 @@ def _gc_paused():
 def build_model(tree: Phylogeny, genomes: Dict[str, DegenerateGenome],
                 families: FamilyAssignment, alpha: float, beta: float,
                 reduce_telomeres: bool = True) -> IlpModel:
-    """Assemble the full model over all phylogeny edges: every variable,
-    then the objective, then the rows."""
+    """The model of ``declare_model`` with its rows: the C.01-C.11 blocks
+    of each phylogeny edge, in edge order."""
+    model = declare_model(tree, genomes, families, alpha, beta,
+                          reduce_telomeres)
+    columns = {name: col for col, name in enumerate(model.variables)}
+    for ctx in model.contexts:
+        emit_constraints(model, ctx, columns)
+    model.rows.pack(len(columns))
+    return model
+
+
+@_gc_paused()
+def declare_model(tree: Phylogeny, genomes: Dict[str, DegenerateGenome],
+                  families: FamilyAssignment, alpha: float, beta: float,
+                  reduce_telomeres: bool = True) -> IlpModel:
+    """The model over all phylogeny edges without its rows: the diagrams,
+    every variable, then the objective, and the edge contexts."""
     if not (alpha >= 0 and beta >= 0 and alpha + beta <= 1):  # NaN fails
         raise ModelError("invalid mixture: need 0 <= alpha, beta and alpha+beta <= 1")
     missing = [node for node in tree.nodes if node not in genomes]
@@ -146,8 +224,6 @@ def build_model(tree: Phylogeny, genomes: Dict[str, DegenerateGenome],
         _declare_counter_vars(model, ctx)
 
     build_objective(model)
-    for ctx in model.contexts:
-        emit_constraints(model, ctx)
     return model
 
 
@@ -156,16 +232,14 @@ def _declare_genome_vars(model: IlpModel, genome: DegenerateGenome):
     adj_vars: Dict[Adjacency, str] = {}
     for i, adj in enumerate(genome.adjacencies, start=1):
         name = "x_s%d_%d" % (si, i)
-        model.add_variable(name, BINARY, 0, 1, ("adj", genome.species, adj),
-                           "adjacency %r of %s" % (adj, genome.species))
+        model.add_variable(name, BINARY, 0, 1, ("adj", genome.species, adj))
         adj_vars[adj] = name
     model.adjacency_vars[genome.species] = adj_vars
 
     o_vars: Dict[Extremity, str] = {}
     for i, ext in enumerate(genome.extremities(), start=1):
         name = "o_s%d_%d" % (si, i)
-        model.add_variable(name, BINARY, 0, 1, ("o", genome.species, ext),
-                           "presence of extremity %s in %s" % (ext.name, genome.species))
+        model.add_variable(name, BINARY, 0, 1, ("o", genome.species, ext))
         o_vars[ext] = name
     model.extremity_o_vars[genome.species] = o_vars
 
@@ -188,56 +262,42 @@ def _declare_edge_vars(model: IlpModel, a: str, b: str,
         elif edge.kind == ADJ and edge.cap:
             cap_counter += 1
             name = "x_%s_cap%d" % (key, cap_counter)
-            model.add_variable(name, BINARY, 0, 1, ("capadj", key, edge.index),
-                               "capping adjacency %s-%s (%s)"
-                               % (edge.u.name, edge.v.name, key))
+            model.add_variable(name, BINARY, 0, 1, ("capadj", key, edge.index))
             ctx.edge_vars[edge.index] = name
         else:
             name = "xe_%s_%d" % (key, edge.index)
-            kind = {EXT: "extremity", ID: "indel"}[edge.kind]
-            model.add_variable(name, BINARY, 0, 1, ("edge", key, edge.index),
-                               "%s edge %s-%s (%s)" % (kind, edge.u.name,
-                                                       edge.v.name, key))
+            model.add_variable(name, BINARY, 0, 1, ("edge", key, edge.index))
             ctx.edge_vars[edge.index] = name
 
     for node in diagram.nodes:
         if node.marker.startswith("cap."):
             name = "o_%s_%s" % (key, node.marker.replace(".", ""))
-            model.add_variable(name, BINARY, 0, 1, ("capo", key, node),
-                               "presence of capping telomere %s (%s)"
-                               % (node.name, key))
+            model.add_variable(name, BINARY, 0, 1, ("capo", key, node))
             ctx.o_vars[node] = name
         else:
             ctx.o_vars[node] = model.extremity_o_vars[node.species][node]
 
-    for node, i in sorted(diagram.node_index.items(), key=lambda kv: kv[1]):
+    for i in range(1, len(diagram.nodes) + 1):
         yname = "y_%s_%d" % (key, i)
-        model.add_variable(yname, CONTINUOUS, 0, i, ("y", key, i),
-                           "cycle label of node %d=%s (%s)" % (i, node.name, key))
+        model.add_variable(yname, CONTINUOUS, 0, i, ("y", key, i))
         ctx.y_vars[i] = yname
         rname = "r_%s_%d" % (key, i)
-        model.add_variable(rname, BINARY, 0, 1, ("r", key, i),
-                           "run label of node %d=%s (%s)" % (i, node.name, key))
+        model.add_variable(rname, BINARY, 0, 1, ("r", key, i))
         ctx.r_vars[i] = rname
         if i <= diagram.num_non_telomeric:
             zname = "z_%s_%d" % (key, i)
-            model.add_variable(zname, BINARY, 0, 1, ("z", key, i),
-                               "indel-free cycle counter at node %d (%s)" % (i, key))
+            model.add_variable(zname, BINARY, 0, 1, ("z", key, i))
             ctx.z_vars[i] = zname
 
     for edge in diagram.edges:
         tname = "t_%s_%d" % (key, edge.index)
-        model.add_variable(tname, BINARY, 0, 1, ("t", key, edge.index),
-                           "transition indicator of edge %s-%s (%s)"
-                           % (edge.u.name, edge.v.name, key))
+        model.add_variable(tname, BINARY, 0, 1, ("t", key, edge.index))
         ctx.t_vars[edge.index] = tname
 
     ctx.singletons = enumerate_circular_singletons(diagram)
-    for ci, cand in enumerate(ctx.singletons, start=1):
-        name = "s_%s_%d" % (key, ci)
-        model.add_variable(name, BINARY, 0, 1, ("s", key, ci - 1),
-                           "circular singleton of %d edges, side %s (%s)"
-                           % (len(cand), cand.side, key))
+    for ci in range(len(ctx.singletons)):
+        name = "s_%s_%d" % (key, ci + 1)
+        model.add_variable(name, BINARY, 0, 1, ("s", key, ci))
         ctx.s_vars.append(name)
     return ctx
 
@@ -249,8 +309,7 @@ def _declare_counter_vars(model: IlpModel, ctx: EdgeContext):
         if telos:
             ctx.a_vars[side] = model.add_variable(
                 "a_%s_%s" % (ctx.key, side), INTEGER, 0, len(telos) // 2,
-                ("a", ctx.key, side),
-                "linear chromosome count, side %s (%s)" % (side, ctx.key))
+                ("a", ctx.key, side))
 
 
 def build_objective(model: IlpModel):
@@ -274,29 +333,39 @@ def build_objective(model: IlpModel):
                     model.add_objective(name, -beta)
 
 
-def emit_constraints(model: IlpModel, ctx: EdgeContext):
-    """Emit the constraint block of one phylogeny edge."""
+def emit_constraints(model: IlpModel, ctx: EdgeContext,
+                     columns: Dict[str, int]):
+    """Emit the constraint block of one phylogeny edge; ``columns`` maps
+    each variable name to its column."""
     d = ctx.diagram
     key = ctx.key
     idx = d.node_index
+    add = model.rows.add
+    # this edge's columns, looked up once
+    x = {ei: columns[name] for ei, name in ctx.edge_vars.items()}
+    o = {node: columns[name] for node, name in ctx.o_vars.items()}
+    y = {i: columns[name] for i, name in ctx.y_vars.items()}
+    r = {i: columns[name] for i, name in ctx.r_vars.items()}
+    t = {ei: columns[name] for ei, name in ctx.t_vars.items()}
 
     # C.01: non-telomeric extremities are always present
     for node in d.nodes:
         if not node.is_telomere:
-            model.add_constraint("c01_%s_%d" % (key, idx[node]),
-                                 [(1, ctx.o_vars[node])], "=", 1, "C.01")
+            add("c01_%s_%d" % (key, idx[node]), (o[node],), (1,), "=", 1,
+                "C.01")
 
     # C.02: every present node is on exactly one adjacency edge and one
     # extremity-or-indel edge
     for node in d.nodes:
-        adj_terms = [(1, ctx.edge_vars[e.index]) for e in d.edges_at(node)
-                     if e.kind == ADJ]
-        other_terms = [(1, ctx.edge_vars[e.index]) for e in d.edges_at(node)
-                       if e.kind != ADJ]
-        model.add_constraint("c02a_%s_%d" % (key, idx[node]),
-                             adj_terms + [(-1, ctx.o_vars[node])], "=", 0, "C.02")
-        model.add_constraint("c02b_%s_%d" % (key, idx[node]),
-                             other_terms + [(-1, ctx.o_vars[node])], "=", 0, "C.02")
+        at = d.edges_at(node)
+        adj = [x[e.index] for e in at if e.kind == ADJ]
+        other = [x[e.index] for e in at if e.kind != ADJ]
+        adj.append(o[node])
+        other.append(o[node])
+        add("c02a_%s_%d" % (key, idx[node]), adj, [1] * (len(adj) - 1) + [-1],
+            "=", 0, "C.02")
+        add("c02b_%s_%d" % (key, idx[node]), other,
+            [1] * (len(other) - 1) + [-1], "=", 0, "C.02")
 
     # C.03: tail-tail and head-head extremity edges of a marker pair are siblings
     siblings: Dict[Tuple[str, str], List[DiagramEdge]] = {}
@@ -306,68 +375,60 @@ def emit_constraints(model: IlpModel, ctx: EdgeContext):
     for skey in sorted(siblings):
         pair = siblings[skey]
         assert len(pair) == 2, "sibling group %r has %d edges" % (skey, len(pair))
-        model.add_constraint(
-            "c03_%s_%d_%d" % (key, pair[0].index, pair[1].index),
-            [(1, ctx.edge_vars[pair[0].index]), (-1, ctx.edge_vars[pair[1].index])],
-            "=", 0, "C.03")
+        first, second = pair[0].index, pair[1].index
+        add("c03_%s_%d_%d" % (key, first, second), (x[first], x[second]),
+            (1, -1), "=", 0, "C.03")
 
     # C.04: cycle labels are constant along selected edges
     for e in d.edges:
-        xvar = ctx.edge_vars[e.index]
+        xe = x[e.index]
         i, j = idx[e.u], idx[e.v]
-        yi, yj = ctx.y_vars[i], ctx.y_vars[j]
-        model.add_constraint("c04_%s_%d_f" % (key, e.index),
-                             [(1, yj), (-1, yi), (-i, xvar)], ">=", -i, "C.04")
-        model.add_constraint("c04_%s_%d_b" % (key, e.index),
-                             [(1, yi), (-1, yj), (-j, xvar)], ">=", -j, "C.04")
+        add("c04_%s_%d_f" % (key, e.index), (y[j], y[i], xe), (1, -1, -i),
+            ">=", -i, "C.04")
+        add("c04_%s_%d_b" % (key, e.index), (y[i], y[j], xe), (1, -1, -j),
+            ">=", -j, "C.04")
 
     # C.05: selected indel edges zero their cycle label
     for e in d.edges:
         if e.kind != ID:
             continue
-        xvar = ctx.edge_vars[e.index]
         for node in (e.u, e.v):
             i = idx[node]
-            model.add_constraint("c05_%s_%d_%d" % (key, e.index, i),
-                                 [(-1, ctx.y_vars[i]), (-i, xvar)], ">=", -i, "C.05")
+            add("c05_%s_%d_%d" % (key, e.index, i), (y[i], x[e.index]),
+                (-1, -i), ">=", -i, "C.05")
 
     # C.06: a node may only count a cycle labelled with its own index
     for i, zname in ctx.z_vars.items():
-        model.add_constraint("c06_%s_%d" % (key, i),
-                             [(i, zname), (-1, ctx.y_vars[i])], "<=", 0, "C.06")
+        add("c06_%s_%d" % (key, i), (columns[zname], y[i]), (i, -1), "<=", 0,
+            "C.06")
 
     # C.07: selected indel edges pin run labels (A runs 0, B runs 1)
     for e in d.edges:
         if e.kind != ID:
             continue
-        xvar = ctx.edge_vars[e.index]
         for node in (e.u, e.v):
-            rname = ctx.r_vars[idx[node]]
+            i = idx[node]
+            name = "c07_%s_%d_%d" % (key, e.index, i)
             if e.side == "A":
-                model.add_constraint("c07_%s_%d_%d" % (key, e.index, idx[node]),
-                                     [(1, xvar), (1, rname)], "<=", 1, "C.07")
+                add(name, (x[e.index], r[i]), (1, 1), "<=", 1, "C.07")
             else:
-                model.add_constraint("c07_%s_%d_%d" % (key, e.index, idx[node]),
-                                     [(1, xvar), (-1, rname)], "<=", 0, "C.07")
+                add(name, (x[e.index], r[i]), (1, -1), "<=", 0, "C.07")
 
     # C.08: transition indicators catch run-label changes on selected edges
     for e in d.edges:
-        xvar = ctx.edge_vars[e.index]
-        tname = ctx.t_vars[e.index]
-        ru, rv = ctx.r_vars[idx[e.u]], ctx.r_vars[idx[e.v]]
-        model.add_constraint("c08_%s_%d_f" % (key, e.index),
-                             [(1, tname), (-1, rv), (1, ru), (-1, xvar)],
-                             ">=", -1, "C.08")
-        model.add_constraint("c08_%s_%d_b" % (key, e.index),
-                             [(1, tname), (-1, ru), (1, rv), (-1, xvar)],
-                             ">=", -1, "C.08")
+        xe, te = x[e.index], t[e.index]
+        ru, rv = r[idx[e.u]], r[idx[e.v]]
+        add("c08_%s_%d_f" % (key, e.index), (te, rv, ru, xe), (1, -1, 1, -1),
+            ">=", -1, "C.08")
+        add("c08_%s_%d_b" % (key, e.index), (te, ru, rv, xe), (1, -1, 1, -1),
+            ">=", -1, "C.08")
 
     # C.09: fully selected singleton candidates must be paid for
     for ci, cand in enumerate(ctx.singletons):
-        terms = [(1, ctx.edge_vars[ei]) for ei in cand.edges]
-        terms.append((-1, ctx.s_vars[ci]))
-        model.add_constraint("c09_%s_%d" % (key, ci + 1), terms, "<=",
-                             len(cand.edges) - 1, "C.09")
+        cols = [x[ei] for ei in cand.edges]
+        cols.append(columns[ctx.s_vars[ci]])
+        add("c09_%s_%d" % (key, ci + 1), cols, [1] * len(cand.edges) + [-1],
+            "<=", len(cand.edges) - 1, "C.09")
 
     # C.10: transition edges only on A-adjacency edges next to selected A-indels
     id_a_at: Dict[Extremity, List[DiagramEdge]] = {}
@@ -379,36 +440,43 @@ def emit_constraints(model: IlpModel, ctx: EdgeContext):
         if e.kind == ADJ and e.side == "A":
             incident = {ie.index for node in (e.u, e.v)
                         for ie in id_a_at.get(node, ())}
-            terms = [(1, ctx.edge_vars[ei]) for ei in sorted(incident)]
-            terms.append((-1, ctx.t_vars[e.index]))
-            model.add_constraint("c10_%s_%d" % (key, e.index), terms, ">=", 0,
-                                 "C.10")
+            cols = [x[ei] for ei in sorted(incident)]
+            cols.append(t[e.index])
+            add("c10_%s_%d" % (key, e.index), cols,
+                [1] * len(incident) + [-1], ">=", 0, "C.10")
     for e in d.edges:
         if e.kind in (ID, EXT):
-            model.add_constraint("c10z_%s_%d" % (key, e.index),
-                                 [(1, ctx.t_vars[e.index])], "=", 0, "C.10")
+            add("c10z_%s_%d" % (key, e.index), (t[e.index],), (1,), "=", 0,
+                "C.10")
 
     # C.11: derived genomes use an even number of telomeres per side
     for side, aname in ctx.a_vars.items():
-        terms = [(1, ctx.o_vars[node]) for node in d.telomeres_side(side)]
-        terms.append((-2, aname))
-        model.add_constraint("c11_%s_%s" % (key, side), terms, "=", 0, "C.11")
+        cols = [o[node] for node in d.telomeres_side(side)]
+        coefs = [1] * len(cols) + [-2]
+        cols.append(columns[aname])
+        add("c11_%s_%s" % (key, side), cols, coefs, "=", 0, "C.11")
 
 
 def write_lp(model: IlpModel, lp_path, idmap_path=None):
     """Serialize to LP text plus a variable-name map."""
+    names = list(model.variables)
+    term = _TextCache(_term_text)  # coefficient -> "+ 2 " or "- 2 "
     lines = ["Maximize"]
-    obj_terms = [(name, coef) for name, coef in model.objective.items()
-                 if coef != 0]
-    if not obj_terms:
-        lines.append(" obj: 0")
-    else:
-        lines.append(" obj: " + _expr(obj_terms))
+    obj = [term[coef] + name for name, coef in model.objective.items()
+           if coef != 0]
+    lines.append(" obj: " + (" ".join(obj).removeprefix("+ ") or "0"))
     lines.append("Subject To")
-    for con in model.constraints:
-        lines.append(" %s: %s %s %s" % (
-            con.name, _expr([(v, c) for c, v in con.terms]), con.sense,
-            format_number(con.rhs)))
+    rows = model.rows
+    # every term's text in one pass, then each row's slice of them
+    terms = list(map(operator.add, map(term.__getitem__, rows.coefs),
+                     map(names.__getitem__, rows.cols)))
+    spans = map(slice, rows.starts, rows.starts[1:])
+    exprs = map(str.removeprefix, map(" ".join, map(terms.__getitem__, spans)),
+                repeat("+ "))
+    number = _TextCache(format_number)
+    lines.extend(map(" %s: %s %s %s".__mod__, zip(
+        rows.names, exprs, rows.senses, map(number.__getitem__, rows.rhs))))
+    del terms  # freed before the file's text is joined
     lines.append("Bounds")
     for var in model.variables.values():
         if var.kind == BINARY:
@@ -427,11 +495,65 @@ def write_lp(model: IlpModel, lp_path, idmap_path=None):
     with open(lp_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
     if idmap_path is not None:
+        contexts = {ctx.key: ctx for ctx in model.contexts}
         with open(idmap_path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write("#name\tkind\tdescription\n")
             for var in model.variables.values():
-                handle.write("%s\t%s\t%s\n" % (var.name, var.kind,
-                                               var.description))
+                handle.write("%s\t%s\t%s\n" % (
+                    var.name, var.kind, _description(var.meaning, contexts)))
+
+
+class _TextCache(dict):
+    """``cache[key]`` is ``text(key)``, computed once per key."""
+
+    def __init__(self, text):
+        super().__init__()
+        self.text = text
+
+    def __missing__(self, key):
+        value = self[key] = self.text(key)
+        return value
+
+
+def _term_text(coef: float) -> str:
+    """The LP text of a coefficient before its variable's name, signed as
+    after another term; the first term of a row drops a leading "+ "."""
+    if coef >= 0:
+        return "+ %s " % format_number(coef)
+    return "- %s " % format_number(-coef)
+
+
+def _description(meaning: Tuple, contexts: Dict[str, EdgeContext]) -> str:
+    """The idmap text of a variable, formatted from its ``meaning``:
+    (class, species, item) for a genome's variables, (class, edge key,
+    item) for an edge context's."""
+    what, owner, item = meaning
+    if what == "adj":
+        return "adjacency %r of %s" % (item, owner)
+    if what == "o":
+        return "presence of extremity %s in %s" % (item.name, owner)
+    ctx = contexts[owner]
+    if what == "capo":
+        return "presence of capping telomere %s (%s)" % (item.name, owner)
+    if what in ("y", "r"):
+        node = ctx.diagram.nodes[item - 1]  # node index i is nodes[i - 1]
+        return "%s label of node %d=%s (%s)" % (
+            "cycle" if what == "y" else "run", item, node.name, owner)
+    if what == "z":
+        return "indel-free cycle counter at node %d (%s)" % (item, owner)
+    if what == "s":
+        cand = ctx.singletons[item]
+        return "circular singleton of %d edges, side %s (%s)" % (
+            len(cand), cand.side, owner)
+    if what == "a":
+        return "linear chromosome count, side %s (%s)" % (item, owner)
+    edge = ctx.diagram.edges[item - 1]  # edge index i is edges[i - 1]
+    ends = "%s-%s (%s)" % (edge.u.name, edge.v.name, owner)
+    if what == "capadj":
+        return "capping adjacency " + ends
+    if what == "edge":
+        return "%s edge %s" % ({EXT: "extremity", ID: "indel"}[edge.kind], ends)
+    return "transition indicator of edge " + ends  # "t"
 
 
 def read_idmap(path) -> Set[str]:
@@ -439,18 +561,6 @@ def read_idmap(path) -> Set[str]:
     with open(path, "r", encoding="utf-8") as handle:
         return {line.split("\t", 1)[0] for line in handle
                 if line.strip() and not line.startswith("#")}
-
-
-def _expr(terms) -> str:
-    parts = []
-    for name, coef in terms:
-        if coef >= 0:
-            sign = "+" if parts else ""
-            parts.append("%s %s %s" % (sign, format_number(coef), name)
-                         if parts else "%s %s" % (format_number(coef), name))
-        else:
-            parts.append("- %s %s" % (format_number(-coef), name))
-    return " ".join(parts)
 
 
 def recompute_objective(model: IlpModel, assignment: Dict[str, float]) -> float:

@@ -133,9 +133,14 @@ class _Search:
 
     def __init__(self, model: IlpModel):
         variables = model.variables
-        self.names = [name for name, var in variables.items()
-                      if var.kind == BINARY
-                      and var.meaning[0] in BRANCH_CLASSES]
+        self.names: List[str] = []
+        branch: List[Optional[int]] = []  # per column: its branch variable
+        for var in variables.values():
+            if var.kind == BINARY and var.meaning[0] in BRANCH_CLASSES:
+                branch.append(len(self.names))
+                self.names.append(var.name)
+            else:
+                branch.append(None)
         index = self.index = {name: i for i, name in enumerate(self.names)}
         self.one_first = {i for name, i in index.items()  # tried at 1 first
                           if variables[name].meaning[0] == "adj"}
@@ -150,34 +155,40 @@ class _Search:
         self.rhs: List[float] = []
         # rows of each variable: r where its coefficient is 1, ~r where -1
         rows_of = self.rows_of = [[] for _ in index]
-        for con in model.constraints:
-            if con.tag not in ("C.01", "C.02", "C.03"):
+        rows = model.rows
+        starts, cols, coefs = rows.starts, rows.cols, rows.coefs
+        for k, tag in enumerate(rows.tags):
+            if tag not in ("C.01", "C.02", "C.03"):
                 continue
-            if con.sense != "=":
+            if rows.senses[k] != "=":
                 raise SolverError("row %s of block %s is not an equality"
-                                  % (con.name, con.tag))
+                                  % (rows.names[k], tag))
             r = len(self.terms)
             neg = ~r
             terms = []
             lo = hi = 0
-            for coef, var in con.terms:
-                vi = index[var]
-                if coef == 1:
+            for j in range(starts[k], starts[k + 1]):
+                vi = branch[cols[j]]
+                coef = coefs[j]
+                if coef == 1.0:
                     hi += 1
                     terms.append(vi)
                     rows_of[vi].append(r)
-                elif coef == -1:
+                elif coef == -1.0:
                     lo -= 1
                     terms.append(~vi)
                     rows_of[vi].append(neg)
                 else:
                     raise SolverError("row %s of block %s has a coefficient "
                                       "other than 1 or -1"
-                                      % (con.name, con.tag))
+                                      % (rows.names[k], tag))
             self.terms.append(terms)
             self.lo.append(lo)
             self.hi.append(hi)
-            self.rhs.append(con.rhs)
+            # an integral right-hand side is kept as an int, which the
+            # integer ranges in ``assign`` compare with fastest
+            rhs = rows.rhs[k]
+            self.rhs.append(int(rhs) if rhs % 1 == 0 else rhs)
 
         z_names = set()
         for ctx in model.contexts:
@@ -617,18 +628,24 @@ def verify_assignment(model: IlpModel, assignment: Dict[str, float]):
     """Numerically check every constraint, bound and integrality condition
     to within ``TOL``."""
     get = assignment.get
+    values = []  # by column
     for var in model.variables.values():
         val = get(var.name, 0.0)
+        values.append(val)
         if val < var.lb - TOL or val > var.ub + TOL:
             raise SolverError("variable %s=%r out of bounds [%r, %r]"
                               % (var.name, val, var.lb, var.ub))
         if var.kind in (BINARY, INTEGER) and abs(val - round(val)) > TOL:
             raise SolverError("variable %s=%r not integral" % (var.name, val))
-    for con in model.constraints:
-        lhs = 0
-        for coef, name in con.terms:
-            lhs += coef * get(name, 0.0)
-        sense, rhs = con.sense, con.rhs
+    rows = model.rows
+    cols, coefs = rows.cols, rows.coefs
+    start = 0
+    for r, (end, sense, rhs) in enumerate(zip(rows.starts[1:], rows.senses,
+                                               rows.rhs)):
+        lhs = 0.0
+        for k in range(start, end):
+            lhs += coefs[k] * values[cols[k]]
+        start = end
         if sense == "<=":
             ok = lhs <= rhs + TOL
         elif sense == ">=":
@@ -637,7 +654,7 @@ def verify_assignment(model: IlpModel, assignment: Dict[str, float]):
             ok = abs(lhs - rhs) <= TOL
         if not ok:
             raise SolverError("constraint %s violated: %r %s %r"
-                              % (con.name, lhs, sense, rhs))
+                              % (rows.names[r], lhs, sense, rhs))
 
 
 # -- external solver bridge --------------------------------------------------

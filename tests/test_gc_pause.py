@@ -1,6 +1,6 @@
-"""``build_model``, ``solver.solve_internal`` and ``extract.decode`` pause
-the cyclic garbage collector while they run and leave it as they found it,
-also when they raise."""
+"""``build_model``, ``declare_model``, ``solver.solve_internal`` and
+``extract.decode`` pause the cyclic garbage collector while they run and
+leave it as they found it, also when they raise."""
 
 import gc
 
@@ -43,6 +43,17 @@ def _build(alpha=0.5):
 def test_build_model_restores_collector(collector, monkeypatch):
     seen = _watch(monkeypatch, ilp, "emit_constraints")
     assert _build().constraints
+    assert seen == [False]
+    assert gc.isenabled() is collector
+
+
+def test_declare_model_restores_collector(collector, monkeypatch):
+    # extract declares its model without building rows
+    seen = _watch(monkeypatch, ilp, "build_objective")
+    a = build_genome("A", [(["1.1", "2.1"], True)])
+    b = build_genome("B", [(["1.1", "-2.1"], False)])
+    assert ilp.declare_model(Phylogeny([("A", "B")]), {"A": a, "B": b},
+                             FamilyAssignment(), 0.5, 0.25).variables
     assert seen == [False]
     assert gc.isenabled() is collector
 

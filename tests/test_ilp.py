@@ -2,10 +2,11 @@ from collections import Counter
 
 import pytest
 
+from spp_dcj import ilp
 from spp_dcj.diagram import ADJ, EXT, ID
 from spp_dcj.genomes import FamilyAssignment, Phylogeny
 from spp_dcj.ilp import (BINARY, CONTINUOUS, INTEGER, ModelError, build_model,
-                         recompute_objective, write_lp)
+                         declare_model, recompute_objective, write_lp)
 
 from util import build_genome, random_degenerate_pair, seeded
 
@@ -69,7 +70,7 @@ def test_constraint_counts_match_diagram():
         a, b = random_degenerate_pair(rng)
         model = pair_model(a, b)
         ctx = model.contexts[0]
-        got = Counter(con.tag for con in model.constraints)
+        got = Counter(model.rows.tags)
         want = expected_row_counts(ctx.diagram, len(ctx.singletons))
         want = {tag: n for tag, n in want.items() if n}
         assert dict(got) == want
@@ -88,14 +89,16 @@ def test_chromosome_counters_declared_after_edge_variables():
     assert counters == list(model.variables)[-len(counters):]
     assert [sorted(ctx.a_vars) for ctx in model.contexts] == [["A", "B"],
                                                               ["A", "B"]]
+    rows = model.rows
     for ctx in model.contexts:
         for side, name in ctx.a_vars.items():
             assert model.variables[name].kind == INTEGER
-            row = next(con for con in model.constraints
-                       if con.name == "c11_%s_%s" % (ctx.key, side))
-            assert row.terms[-1] == (-2, name)
-    rows = Counter(con.tag for con in model.constraints)
-    assert rows["C.10"] and rows["C.11"] == len(counters) == 4
+            cols, coefs = rows.terms(
+                rows.names.index("c11_%s_%s" % (ctx.key, side)))
+            assert (coefs[-1], cols[-1]) == (-2,
+                                             list(model.variables).index(name))
+    tags = Counter(rows.tags)
+    assert tags["C.10"] and tags["C.11"] == len(counters) == 4
 
 
 def test_variable_kinds_and_shared_adjacencies():
@@ -172,6 +175,59 @@ def test_lp_write_deterministic(tmp_path):
                 if not line.startswith("#")]
     model = pair_model(a, b)
     assert declared == list(model.variables)
+
+
+def test_idmap_describes_every_variable_class(tmp_path):
+    # the first line of each class; caps, counters and singletons included
+    a = build_genome("A", [(["1.1", "-2.1"], False)])
+    b = build_genome("B", [(["1.1", "2.1"], True), (["3.1"], True)])
+    lp, idmap = tmp_path / "m.lp", tmp_path / "m.tsv"
+    write_lp(pair_model(a, b), lp, idmap)
+    first = {}
+    for line in idmap.read_text().splitlines()[1:]:
+        first.setdefault(line.split("\t")[2].split(" ")[0], line)
+    assert sorted(first.values()) == sorted([
+        "x_s0_1\tB\tadjacency {1.1_h,2.1_h} of A",
+        "o_s0_1\tB\tpresence of extremity 1.1_h in A",
+        "x_e0_1_cap1\tB\tcapping adjacency cap.1_o-cap.2_o (e0_1)",
+        "xe_e0_1_8\tB\textremity edge 1.1_t-1.1_t (e0_1)",
+        "xe_e0_1_16\tB\tindel edge 3.1_t-3.1_h (e0_1)",
+        "y_e0_1_1\tC\tcycle label of node 1=1.1_h (e0_1)",
+        "r_e0_1_1\tB\trun label of node 1=1.1_h (e0_1)",
+        "z_e0_1_1\tB\tindel-free cycle counter at node 1 (e0_1)",
+        "t_e0_1_1\tB\ttransition indicator of edge 1.1_h-2.1_h (e0_1)",
+        "s_e0_1_1\tB\tcircular singleton of 2 edges, side B (e0_1)",
+        "a_e0_1_A\tI\tlinear chromosome count, side A (e0_1)"])
+
+
+def test_declared_model_is_the_built_model_without_rows():
+    a = build_genome("A", [(["1.1", "2.1"], False)])
+    b = build_genome("B", [(["1.1", "-2.1"], True)])
+    c = build_genome("C", [(["2.1"], False), (["1.1"], False)])
+    args = (Phylogeny([("A", "B"), ("B", "C")]), {"A": a, "B": b, "C": c},
+            FAM, 0.5, 0.25)
+    declared, built = declare_model(*args), build_model(*args)
+    assert list(declared.variables.items()) == list(built.variables.items())
+    assert declared.objective == built.objective
+    assert [{k: v for k, v in vars(ctx).items() if k != "diagram"}
+            for ctx in declared.contexts] == [
+        {k: v for k, v in vars(ctx).items() if k != "diagram"}
+        for ctx in built.contexts]
+    assert len(declared.rows) == 0 and len(built.rows) > 0
+
+
+def test_rows_reference_only_declared_columns(monkeypatch):
+    emit = ilp.emit_constraints
+
+    def emit_stray_row(model, ctx, columns):
+        emit(model, ctx, columns)
+        model.rows.add("stray", [len(columns)], [1], "=", 0, "C.01")
+
+    monkeypatch.setattr(ilp, "emit_constraints", emit_stray_row)
+    a = build_genome("A", [(["1.1"], True)])
+    b = build_genome("B", [(["1.1"], True)])
+    with pytest.raises(ModelError, match="row stray references column"):
+        pair_model(a, b)
 
 
 def test_recompute_objective():

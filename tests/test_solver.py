@@ -9,7 +9,7 @@ from spp_dcj import milp_cli, solver
 from spp_dcj.diagram import DiagramError, brute_force_distance
 from spp_dcj.genomes import (TELO, Adjacency, DegenerateGenome, Extremity,
                              FamilyAssignment, Phylogeny)
-from spp_dcj.ilp import build_model, write_lp
+from spp_dcj.ilp import Rows, build_model, write_lp
 from spp_dcj.sim import SimConfig, add_noise, evolve
 from spp_dcj.solver import (BudgetExhausted, SolverError, _relative_gap,
                             _Search, complete_assignment, load_solution,
@@ -172,8 +172,9 @@ def test_internal_reports_infeasible():
     b = build_genome("B", [(["1.1"], True)])
     model = pair_model(a, b)
     xvar = next(iter(model.adjacency_vars["A"].values()))
-    model.add_constraint("pin0", [(1, xvar)], "=", 0, "C.01")
-    model.add_constraint("pin1", [(1, xvar)], "=", 1, "C.01")
+    col = list(model.variables).index(xvar)
+    model.rows.add("pin0", [col], [1], "=", 0, "C.01")
+    model.rows.add("pin1", [col], [1], "=", 1, "C.01")
     result = solve_internal(model)
     assert result.status == "infeasible"
 
@@ -317,10 +318,13 @@ def _without_telomere_degree_rows(model):
     """The model less its C.02 rows at telomeres, so that leaves with bad
     degrees, all-telomere cycles and odd telomere usage appear."""
     (ctx,) = model.contexts
-    model.constraints = [
-        con for con in model.constraints
-        if con.tag != "C.02" or int(con.name.rsplit("_", 1)[1])
-        <= ctx.diagram.num_non_telomeric]
+    rows, kept = model.rows, Rows()
+    for r, (name, sense, rhs, tag) in enumerate(zip(
+            rows.names, rows.senses, rows.rhs, rows.tags)):
+        if tag != "C.02" or int(name.rsplit("_", 1)[1]) \
+                <= ctx.diagram.num_non_telomeric:
+            kept.add(name, *rows.terms(r), sense, rhs, tag)
+    model.rows = kept
     return model
 
 
@@ -343,7 +347,7 @@ def test_leaf_scorer_matches_complete_assignment():
     scored = with_c11 = 0
     rejected = {"degree": 0, "telomeric": 0, "odd": 0}
     for model in _scorer_cases():
-        with_c11 += any(con.tag == "C.11" for con in model.constraints)
+        with_c11 += "C.11" in model.rows.tags
         for assignment, value in _unpruned_walk(model):
             try:
                 expected = complete_assignment(model, assignment)
@@ -448,8 +452,7 @@ def test_propagator_rejects_inequality_rows(tag):
     a = build_genome("A", [(["1.1", "2.1"], True)])
     b = build_genome("B", [(["1.1", "2.1"], True)])
     model = pair_model(a, b)
-    con = next(con for con in model.constraints if con.tag == tag)
-    con.sense = "<="
+    model.rows.senses[model.rows.tags.index(tag)] = "<="
     with pytest.raises(SolverError, match="not an equality") as info:
         solve_internal(model)
     assert not isinstance(info.value, BudgetExhausted)
@@ -459,8 +462,10 @@ def test_propagator_rejects_non_unit_coefficients():
     a = build_genome("A", [(["1.1", "2.1"], True)])
     b = build_genome("B", [(["1.1", "2.1"], True)])
     model = pair_model(a, b)
-    con = next(con for con in model.constraints if con.tag == "C.02")
-    con.terms = [(2 * coef, name) for coef, name in con.terms]
+    rows = model.rows
+    r = rows.tags.index("C.02")
+    for k in range(rows.starts[r], rows.starts[r + 1]):
+        rows.coefs[k] *= 2
     with pytest.raises(SolverError, match="other than 1 or -1"):
         solve_internal(model)
 
