@@ -5,7 +5,8 @@ Subcommands wire the pipeline: ``linearize`` → ``build`` → ``solve`` →
 
 Exit codes: 0 ok, 1 usage, 2 parse error, 3 infeasible or out-of-scale
 input, 4 solver failure or a bad solution file (malformed line or objective
-header, missing variable, non-integral value).  A time limit, scale, surfeit
+header, a value or objective that is not a finite number, a variable given
+twice, missing variable, non-integral value).  A time limit, scale, surfeit
 or family count outside its range is a usage error (1); a mixture, leaf
 count or adversarial fraction outside its range is out-of-scale input (3).
 """
@@ -108,18 +109,24 @@ def cmd_linearize(args) -> int:
     return EXIT_OK
 
 
-def cmd_build(args) -> int:
-    start = time.monotonic()
-    tree = io.read_tree(args.tree)
-    genomes = io.read_adjacencies(args.adjacencies)
-    for species in tree.nodes:
-        bad = (find_nonlinearizable_component(genomes[species])
-               if species in genomes else None)
+def _require_linearizable(species, genomes):
+    """Raise ``ModelError``, saying to run ``linearize``, when a genome of
+    ``species`` admits no derived genome (a missing one is not checked)."""
+    for sp in species:
+        bad = (find_nonlinearizable_component(genomes[sp])
+               if sp in genomes else None)
         if bad is not None:
             raise ModelError(
                 "genome %s is not linearizable: component {%s} admits no "
                 "derived genome; run 'spp-dcj linearize' first"
-                % (species, ", ".join(e.name for e in bad.component)))
+                % (sp, ", ".join(e.name for e in bad.component)))
+
+
+def cmd_build(args) -> int:
+    start = time.monotonic()
+    tree = io.read_tree(args.tree)
+    genomes = io.read_adjacencies(args.adjacencies)
+    _require_linearizable(tree.nodes, genomes)
     model = _build(args, tree, genomes)
     built = time.monotonic()
     write_lp(model, args.output, args.idmap)
@@ -187,10 +194,14 @@ def cmd_distance(args) -> int:
         # comparing a genome against itself (or a same-named variant)
         sb = sa + "#2"
         gb = _rename_species(gb, sb)
-    model = _build(args, Phylogeny([(sa, sb)]), {sa: ga, sb: gb})
+    genomes = {sa: ga, sb: gb}
+    _require_linearizable(genomes, genomes)
+    model = _build(args, Phylogeny([(sa, sb)]), genomes)
     result = solve(model, time_limit=args.time_limit)
     if result.status == "infeasible":
-        raise ModelError("no derived genome pair exists; run linearize first")
+        raise ModelError("both inputs are linearizable, but the model's "
+                         "caps fit no derived genome pair (the capping "
+                         "limitation, ROADMAP item 12)")
     decoded = decode(model, result.assignment)
     audit(model, decoded, result.objective)
     pd = decoded.distances[0]

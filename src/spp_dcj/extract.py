@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from .diagram import (ADJ, DistanceBreakdown, breakdown_from_components,
                       decompose)
@@ -45,12 +45,13 @@ class DecodedSolution:
 
 
 @_gc_paused()
-def decode(model: IlpModel, assignment: Mapping[str, float]) -> DecodedSolution:
-    """Derive one genome per species and per-edge distances from a solution."""
+def decode(model: IlpModel, assignment: Sequence[float]) -> DecodedSolution:
+    """Derive one genome per species and per-edge distances from a solution
+    (one value per column)."""
     genomes: Dict[str, DegenerateGenome] = {}
     for species in sorted(model.adjacency_vars):
-        chosen = [adj for adj, name in model.adjacency_vars[species].items()
-                  if assignment.get(name, 0) > 0.5]
+        chosen = [adj for adj, col in model.adjacency_vars[species].items()
+                  if assignment[col] > 0.5]
         try:
             genome = DegenerateGenome(species, chosen)
         except ValueError as exc:
@@ -76,15 +77,14 @@ def validate(decoded: DecodedSolution,
 
 def _decode_context(ctx: EdgeContext, assignment) -> PairDistance:
     d = ctx.diagram
-    selected = [e for e in d.edges
-                if assignment.get(ctx.edge_vars[e.index], 0) > 0.5]
+    selected = [e for e in d.edges if assignment[ctx.edge_vars[e.index]] > 0.5]
     try:
         components = decompose(selected)
     except ValueError as exc:
         raise DecodeError("infeasible decode for %s-%s: %s"
                           % (ctx.species_a, ctx.species_b, exc))
     used = sum(1 for node in d.telomeric_nodes()
-               if assignment.get(ctx.o_vars[node], 0) > 0.5)
+               if assignment[ctx.o_vars[node]] > 0.5)
     breakdown = breakdown_from_components(d.n, components, used)
     weight_sum = sum(e.adjacency.weight for e in selected
                      if e.kind == ADJ and e.adjacency is not None)

@@ -119,37 +119,43 @@ class EdgeContext:
     species_a: str
     species_b: str
     diagram: MultiRelationalDiagram
-    edge_vars: Dict[int, str] = field(default_factory=dict)  # diagram edge -> var
-    o_vars: Dict[Extremity, str] = field(default_factory=dict)
-    y_vars: Dict[int, str] = field(default_factory=dict)  # node index -> var
-    r_vars: Dict[int, str] = field(default_factory=dict)
-    z_vars: Dict[int, str] = field(default_factory=dict)
-    t_vars: Dict[int, str] = field(default_factory=dict)  # edge index -> var
-    s_vars: List[str] = field(default_factory=list)
-    a_vars: Dict[str, str] = field(default_factory=dict)  # side -> var
+    edge_vars: Dict[int, int] = field(default_factory=dict)  # diagram edge
+    o_vars: Dict[Extremity, int] = field(default_factory=dict)
+    y_vars: Dict[int, int] = field(default_factory=dict)  # node index
+    r_vars: Dict[int, int] = field(default_factory=dict)
+    z_vars: Dict[int, int] = field(default_factory=dict)
+    t_vars: Dict[int, int] = field(default_factory=dict)  # edge index
+    s_vars: List[int] = field(default_factory=list)
+    a_vars: Dict[str, int] = field(default_factory=dict)  # side
     singletons: List = field(default_factory=list)
 
 
 class IlpModel:
+    """A variable is its column, its position in ``variables``: the edge
+    contexts, the objective, the rows and every assignment (one float per
+    column) refer to it so.  ``variables`` is keyed by name, the text the
+    LP, the idmap and the solution files use."""
+
     def __init__(self, alpha: float, beta: float):
         self.alpha = alpha
         self.beta = beta
         self.variables: Dict[str, Variable] = {}
-        self.objective: Dict[str, float] = {}
+        self.objective: Dict[int, float] = {}  # column -> coefficient
         self.rows = Rows()
         self.contexts: List[EdgeContext] = []
         self.species_index: Dict[str, int] = {}
-        self.adjacency_vars: Dict[str, Dict[Adjacency, str]] = {}
-        self.extremity_o_vars: Dict[str, Dict[Extremity, str]] = {}
+        self.adjacency_vars: Dict[str, Dict[Adjacency, int]] = {}
+        self.extremity_o_vars: Dict[str, Dict[Extremity, int]] = {}
 
-    def add_variable(self, name, kind, lb, ub, meaning) -> str:
+    def add_variable(self, name, kind, lb, ub, meaning) -> int:
+        """Declare a variable; returns its column."""
         if name in self.variables:
             raise ModelError("duplicate variable %s" % name)
         self.variables[name] = Variable(name, kind, lb, ub, meaning)
-        return name
+        return len(self.variables) - 1
 
-    def add_objective(self, var: str, coef: float):
-        self.objective[var] = self.objective.get(var, 0.0) + coef
+    def add_objective(self, col: int, coef: float):
+        self.objective[col] = self.objective.get(col, 0.0) + coef
 
     @property
     def constraints(self) -> List[Row]:
@@ -191,10 +197,9 @@ def build_model(tree: Phylogeny, genomes: Dict[str, DegenerateGenome],
     of each phylogeny edge, in edge order."""
     model = declare_model(tree, genomes, families, alpha, beta,
                           reduce_telomeres)
-    columns = {name: col for col, name in enumerate(model.variables)}
     for ctx in model.contexts:
-        emit_constraints(model, ctx, columns)
-    model.rows.pack(len(columns))
+        emit_constraints(model, ctx)
+    model.rows.pack(len(model.variables))
     return model
 
 
@@ -229,19 +234,14 @@ def declare_model(tree: Phylogeny, genomes: Dict[str, DegenerateGenome],
 
 def _declare_genome_vars(model: IlpModel, genome: DegenerateGenome):
     si = model.species_index[genome.species]
-    adj_vars: Dict[Adjacency, str] = {}
-    for i, adj in enumerate(genome.adjacencies, start=1):
-        name = "x_s%d_%d" % (si, i)
-        model.add_variable(name, BINARY, 0, 1, ("adj", genome.species, adj))
-        adj_vars[adj] = name
-    model.adjacency_vars[genome.species] = adj_vars
-
-    o_vars: Dict[Extremity, str] = {}
-    for i, ext in enumerate(genome.extremities(), start=1):
-        name = "o_s%d_%d" % (si, i)
-        model.add_variable(name, BINARY, 0, 1, ("o", genome.species, ext))
-        o_vars[ext] = name
-    model.extremity_o_vars[genome.species] = o_vars
+    model.adjacency_vars[genome.species] = {
+        adj: model.add_variable("x_s%d_%d" % (si, i), BINARY, 0, 1,
+                                ("adj", genome.species, adj))
+        for i, adj in enumerate(genome.adjacencies, start=1)}
+    model.extremity_o_vars[genome.species] = {
+        ext: model.add_variable("o_s%d_%d" % (si, i), BINARY, 0, 1,
+                                ("o", genome.species, ext))
+        for i, ext in enumerate(genome.extremities(), start=1)}
 
 
 def _edge_key(model: IlpModel, a: str, b: str) -> str:
@@ -261,44 +261,40 @@ def _declare_edge_vars(model: IlpModel, a: str, b: str,
                 edge.u.species][edge.adjacency]
         elif edge.kind == ADJ and edge.cap:
             cap_counter += 1
-            name = "x_%s_cap%d" % (key, cap_counter)
-            model.add_variable(name, BINARY, 0, 1, ("capadj", key, edge.index))
-            ctx.edge_vars[edge.index] = name
+            ctx.edge_vars[edge.index] = model.add_variable(
+                "x_%s_cap%d" % (key, cap_counter), BINARY, 0, 1,
+                ("capadj", key, edge.index))
         else:
-            name = "xe_%s_%d" % (key, edge.index)
-            model.add_variable(name, BINARY, 0, 1, ("edge", key, edge.index))
-            ctx.edge_vars[edge.index] = name
+            ctx.edge_vars[edge.index] = model.add_variable(
+                "xe_%s_%d" % (key, edge.index), BINARY, 0, 1,
+                ("edge", key, edge.index))
 
     for node in diagram.nodes:
         if node.marker.startswith("cap."):
-            name = "o_%s_%s" % (key, node.marker.replace(".", ""))
-            model.add_variable(name, BINARY, 0, 1, ("capo", key, node))
-            ctx.o_vars[node] = name
+            ctx.o_vars[node] = model.add_variable(
+                "o_%s_%s" % (key, node.marker.replace(".", "")), BINARY, 0, 1,
+                ("capo", key, node))
         else:
             ctx.o_vars[node] = model.extremity_o_vars[node.species][node]
 
     for i in range(1, len(diagram.nodes) + 1):
-        yname = "y_%s_%d" % (key, i)
-        model.add_variable(yname, CONTINUOUS, 0, i, ("y", key, i))
-        ctx.y_vars[i] = yname
-        rname = "r_%s_%d" % (key, i)
-        model.add_variable(rname, BINARY, 0, 1, ("r", key, i))
-        ctx.r_vars[i] = rname
+        ctx.y_vars[i] = model.add_variable("y_%s_%d" % (key, i), CONTINUOUS,
+                                           0, i, ("y", key, i))
+        ctx.r_vars[i] = model.add_variable("r_%s_%d" % (key, i), BINARY, 0, 1,
+                                           ("r", key, i))
         if i <= diagram.num_non_telomeric:
-            zname = "z_%s_%d" % (key, i)
-            model.add_variable(zname, BINARY, 0, 1, ("z", key, i))
-            ctx.z_vars[i] = zname
+            ctx.z_vars[i] = model.add_variable("z_%s_%d" % (key, i), BINARY,
+                                               0, 1, ("z", key, i))
 
     for edge in diagram.edges:
-        tname = "t_%s_%d" % (key, edge.index)
-        model.add_variable(tname, BINARY, 0, 1, ("t", key, edge.index))
-        ctx.t_vars[edge.index] = tname
+        ctx.t_vars[edge.index] = model.add_variable(
+            "t_%s_%d" % (key, edge.index), BINARY, 0, 1,
+            ("t", key, edge.index))
 
     ctx.singletons = enumerate_circular_singletons(diagram)
-    for ci in range(len(ctx.singletons)):
-        name = "s_%s_%d" % (key, ci + 1)
-        model.add_variable(name, BINARY, 0, 1, ("s", key, ci))
-        ctx.s_vars.append(name)
+    ctx.s_vars = [model.add_variable("s_%s_%d" % (key, ci + 1), BINARY, 0, 1,
+                                     ("s", key, ci))
+                  for ci in range(len(ctx.singletons))]
     return ctx
 
 
@@ -317,36 +313,30 @@ def build_objective(model: IlpModel):
     alpha, beta = model.alpha, model.beta
     wcoef = 1 - alpha - beta
     for _, adj_vars in sorted(model.adjacency_vars.items()):
-        for adj, name in adj_vars.items():
+        for adj, col in adj_vars.items():
             if wcoef != 0 and adj.weight != 0:
-                model.add_objective(name, wcoef * adj.weight)
+                model.add_objective(col, wcoef * adj.weight)
     for ctx in model.contexts:
-        for name in ctx.z_vars.values():
-            model.add_objective(name, alpha)
-        for name in ctx.t_vars.values():
-            model.add_objective(name, -alpha / 2.0)
-        for name in ctx.s_vars:
-            model.add_objective(name, -alpha)
+        for col in ctx.z_vars.values():
+            model.add_objective(col, alpha)
+        for col in ctx.t_vars.values():
+            model.add_objective(col, -alpha / 2.0)
+        for col in ctx.s_vars:
+            model.add_objective(col, -alpha)
         if beta != 0:
-            for node, name in ctx.o_vars.items():
+            for node, col in ctx.o_vars.items():
                 if node.is_telomere:
-                    model.add_objective(name, -beta)
+                    model.add_objective(col, -beta)
 
 
-def emit_constraints(model: IlpModel, ctx: EdgeContext,
-                     columns: Dict[str, int]):
-    """Emit the constraint block of one phylogeny edge; ``columns`` maps
-    each variable name to its column."""
+def emit_constraints(model: IlpModel, ctx: EdgeContext):
+    """Emit the constraint block of one phylogeny edge."""
     d = ctx.diagram
     key = ctx.key
     idx = d.node_index
     add = model.rows.add
-    # this edge's columns, looked up once
-    x = {ei: columns[name] for ei, name in ctx.edge_vars.items()}
-    o = {node: columns[name] for node, name in ctx.o_vars.items()}
-    y = {i: columns[name] for i, name in ctx.y_vars.items()}
-    r = {i: columns[name] for i, name in ctx.r_vars.items()}
-    t = {ei: columns[name] for ei, name in ctx.t_vars.items()}
+    x, o, t = ctx.edge_vars, ctx.o_vars, ctx.t_vars
+    y, r = ctx.y_vars, ctx.r_vars
 
     # C.01: non-telomeric extremities are always present
     for node in d.nodes:
@@ -398,9 +388,8 @@ def emit_constraints(model: IlpModel, ctx: EdgeContext,
                 (-1, -i), ">=", -i, "C.05")
 
     # C.06: a node may only count a cycle labelled with its own index
-    for i, zname in ctx.z_vars.items():
-        add("c06_%s_%d" % (key, i), (columns[zname], y[i]), (i, -1), "<=", 0,
-            "C.06")
+    for i, z in ctx.z_vars.items():
+        add("c06_%s_%d" % (key, i), (z, y[i]), (i, -1), "<=", 0, "C.06")
 
     # C.07: selected indel edges pin run labels (A runs 0, B runs 1)
     for e in d.edges:
@@ -426,7 +415,7 @@ def emit_constraints(model: IlpModel, ctx: EdgeContext,
     # C.09: fully selected singleton candidates must be paid for
     for ci, cand in enumerate(ctx.singletons):
         cols = [x[ei] for ei in cand.edges]
-        cols.append(columns[ctx.s_vars[ci]])
+        cols.append(ctx.s_vars[ci])
         add("c09_%s_%d" % (key, ci + 1), cols, [1] * len(cand.edges) + [-1],
             "<=", len(cand.edges) - 1, "C.09")
 
@@ -450,10 +439,10 @@ def emit_constraints(model: IlpModel, ctx: EdgeContext,
                 "C.10")
 
     # C.11: derived genomes use an even number of telomeres per side
-    for side, aname in ctx.a_vars.items():
+    for side, a in ctx.a_vars.items():
         cols = [o[node] for node in d.telomeres_side(side)]
         coefs = [1] * len(cols) + [-2]
-        cols.append(columns[aname])
+        cols.append(a)
         add("c11_%s_%s" % (key, side), cols, coefs, "=", 0, "C.11")
 
 
@@ -462,7 +451,7 @@ def write_lp(model: IlpModel, lp_path, idmap_path=None):
     names = list(model.variables)
     term = _TextCache(_term_text)  # coefficient -> "+ 2 " or "- 2 "
     lines = ["Maximize"]
-    obj = [term[coef] + name for name, coef in model.objective.items()
+    obj = [term[coef] + names[col] for col, coef in model.objective.items()
            if coef != 0]
     lines.append(" obj: " + (" ".join(obj).removeprefix("+ ") or "0"))
     lines.append("Subject To")
@@ -483,14 +472,11 @@ def write_lp(model: IlpModel, lp_path, idmap_path=None):
             continue
         lines.append(" %s <= %s <= %s" % (format_number(var.lb), var.name,
                                           format_number(var.ub)))
-    binaries = [v.name for v in model.variables.values() if v.kind == BINARY]
-    if binaries:
-        lines.append("Binaries")
-        lines.extend(" " + name for name in binaries)
-    generals = [v.name for v in model.variables.values() if v.kind == INTEGER]
-    if generals:
-        lines.append("Generals")
-        lines.extend(" " + name for name in generals)
+    for header, kind in (("Binaries", BINARY), ("Generals", INTEGER)):
+        of_kind = [v.name for v in model.variables.values() if v.kind == kind]
+        if of_kind:
+            lines.append(header)
+            lines.extend(" " + name for name in of_kind)
     lines.append("End")
     with open(lp_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
@@ -563,6 +549,6 @@ def read_idmap(path) -> Set[str]:
                 if line.strip() and not line.startswith("#")}
 
 
-def recompute_objective(model: IlpModel, assignment: Dict[str, float]) -> float:
-    return sum(coef * assignment.get(name, 0.0)
-               for name, coef in model.objective.items())
+def recompute_objective(model: IlpModel, assignment: Sequence[float]) -> float:
+    """The objective at ``assignment``, one value per column."""
+    return sum(coef * assignment[col] for col, coef in model.objective.items())

@@ -57,7 +57,7 @@ class BudgetExhausted(SolverError):
 class SolveResult:
     status: str  # 'optimal', 'feasible', 'infeasible'
     objective: float
-    assignment: Dict[str, float]
+    assignment: List[float]  # one value per column; empty when infeasible
     gap: float = 0.0
     wall_time: float = 0.0
     leaves: int = 0  # branch-and-bound leaves evaluated; 0 for external
@@ -132,19 +132,16 @@ class _Search:
     """
 
     def __init__(self, model: IlpModel):
-        variables = model.variables
-        self.names: List[str] = []
-        branch: List[Optional[int]] = []  # per column: its branch variable
-        for var in variables.values():
-            if var.kind == BINARY and var.meaning[0] in BRANCH_CLASSES:
-                branch.append(len(self.names))
-                self.names.append(var.name)
-            else:
-                branch.append(None)
-        index = self.index = {name: i for i, name in enumerate(self.names)}
-        self.one_first = {i for name, i in index.items()  # tried at 1 first
-                          if variables[name].meaning[0] == "adj"}
-        self.value = [-1] * len(index)  # -1 = free
+        variables = model.variables.values()
+        branch = self.branch = []  # per column: its branch variable or None
+        count = 0
+        for var in variables:
+            structural = var.kind == BINARY and var.meaning[0] in BRANCH_CLASSES
+            branch.append(count if structural else None)
+            count += structural
+        self.one_first = {vi for vi, var in zip(branch, variables)
+                          if var.meaning[0] == "adj"}  # tried at 1 first
+        self.value = [-1] * count  # -1 = free
         self.log: list = []
         self.alpha = model.alpha
 
@@ -154,7 +151,7 @@ class _Search:
         self.hi: List[int] = []
         self.rhs: List[float] = []
         # rows of each variable: r where its coefficient is 1, ~r where -1
-        rows_of = self.rows_of = [[] for _ in index]
+        rows_of = self.rows_of = [[] for _ in range(count)]
         rows = model.rows
         starts, cols, coefs = rows.starts, rows.cols, rows.coefs
         for k, tag in enumerate(rows.tags):
@@ -190,17 +187,14 @@ class _Search:
             rhs = rows.rhs[k]
             self.rhs.append(int(rhs) if rhs % 1 == 0 else rhs)
 
-        z_names = set()
-        for ctx in model.contexts:
-            z_names.update(ctx.z_vars.values())
+        z_cols = {col for ctx in model.contexts for col in ctx.z_vars.values()}
         # objective: [fixed terms at their value, free terms that may gain
         # at their coefficient]; z is bounded apart
         self.obj = [0.0, 0.0]
-        self.obj_term: List[Optional[Tuple[float, bool]]] = \
-            [None] * len(index)
-        for name, coef in model.objective.items():
-            gain = name not in z_names and coef > 0
-            i = index.get(name)
+        self.obj_term: List[Optional[Tuple[float, bool]]] = [None] * count
+        for col, coef in model.objective.items():
+            gain = col not in z_cols and coef > 0
+            i = branch[col]
             if i is not None:
                 self.obj_term[i] = (coef, gain)
             if gain:
@@ -208,8 +202,8 @@ class _Search:
 
         none: Tuple[int, ...] = ()
         # per branch variable: its diagram edges, its C.11 parity groups
-        self.edges_of = [none] * len(index)
-        self.groups_of = [none] * len(index)
+        self.edges_of = [none] * count
+        self.groups_of = [none] * count
         # per node (numbered across diagrams)
         self.node_ctx: List[int] = []
         self.has_z: List[bool] = []
@@ -235,7 +229,7 @@ class _Search:
             self.live.append(sum(1 for node in d.nodes if d.edges_at(node)))
             for side in ctx.a_vars:
                 for node in d.telomeres_side(side):
-                    self.groups_of[index[ctx.o_vars[node]]] += (groups,)
+                    self.groups_of[branch[ctx.o_vars[node]]] += (groups,)
                 groups += 1
             cands: Dict[int, Tuple[int, ...]] = {}
             for cand in ctx.singletons:
@@ -245,7 +239,7 @@ class _Search:
                 for ei in members:
                     cands[ei] = cands.get(ei, none) + (ci,)
             for e in d.edges:
-                vi = index[ctx.edge_vars[e.index]]
+                vi = branch[ctx.edge_vars[e.index]]
                 self.edges_of[vi] += (len(self.eu),)
                 self.eu.append(base + idx[e.u])
                 self.ev.append(base + idx[e.v])
@@ -508,16 +502,16 @@ def solve_internal(model: IlpModel, time_limit: Optional[float] = None
     start = time.monotonic()
     search = _Search(model)
     best, leaves, timed_out, root_bound = search.run(start, time_limit)
-    names = search.names
+    branch = search.branch
     del search  # free the search state before the completion below
     wall = time.monotonic() - start
     if best is None:
         if timed_out:
             raise SolverError(_NO_SOLUTION_IN_TIME)
-        return SolveResult("infeasible", float("-inf"), {}, wall_time=wall,
+        return SolveResult("infeasible", float("-inf"), [], wall_time=wall,
                            leaves=leaves)
     value, values = best
-    assignment = {name: float(v) for name, v in zip(names, values)}
+    assignment = [0.0 if vi is None else float(values[vi]) for vi in branch]
     objective = complete_assignment(model, assignment)  # fill counting vars
     if abs(objective - value) > TOL:
         raise SolverError("leaf scored %r, its completion %r"
@@ -531,8 +525,9 @@ def solve_internal(model: IlpModel, time_limit: Optional[float] = None
                        leaves=leaves)
 
 
-def complete_assignment(model: IlpModel, assignment: Dict[str, float]) -> float:
-    """Derive all counting variables from the structural ones, in place.
+def complete_assignment(model: IlpModel, assignment: List[float]) -> float:
+    """Derive all counting variables from the structural ones, in place, in
+    an assignment of one value per column.
 
     Decomposes each diagram's selected edges into cycles and assigns cycle
     labels (y, z), run labels and transitions (r, t), singleton indicators
@@ -543,19 +538,13 @@ def complete_assignment(model: IlpModel, assignment: Dict[str, float]) -> float:
     return recompute_objective(model, assignment)
 
 
-def _complete_context(ctx: EdgeContext, assignment: Dict[str, float]):
+def _complete_context(ctx: EdgeContext, assignment: List[float]):
     d = ctx.diagram
     idx = d.node_index
-    selected = [e for e in d.edges
-                if assignment.get(ctx.edge_vars[e.index], 0) > 0.5]
-    for name in ctx.y_vars.values():
-        assignment[name] = 0.0
-    for name in ctx.r_vars.values():
-        assignment[name] = 0.0
-    for name in ctx.z_vars.values():
-        assignment[name] = 0.0
-    for name in ctx.t_vars.values():
-        assignment[name] = 0.0
+    selected = [e for e in d.edges if assignment[ctx.edge_vars[e.index]] > 0.5]
+    for counters in (ctx.y_vars, ctx.r_vars, ctx.z_vars, ctx.t_vars):
+        for col in counters.values():
+            assignment[col] = 0.0
 
     components = decompose(selected)  # raises DiagramError on bad degrees
     for comp in components:
@@ -563,25 +552,23 @@ def _complete_context(ctx: EdgeContext, assignment: Dict[str, float]):
             ymin = min(idx[n] for n in comp.nodes)
             for n in comp.nodes:
                 assignment[ctx.y_vars[idx[n]]] = float(ymin)
-            zname = ctx.z_vars.get(ymin)
-            if zname is None:
+            z = ctx.z_vars.get(ymin)
+            if z is None:
                 raise DiagramError(
                     "indel-free cycle labelled by telomeric node %d" % ymin)
-            assignment[zname] = 1.0
+            assignment[z] = 1.0
             continue
         _assign_runs(ctx, comp, assignment)
 
     for ci, cand in enumerate(ctx.singletons):
-        full = all(assignment.get(ctx.edge_vars[ei], 0) > 0.5
-                   for ei in cand.edges)
+        full = all(assignment[ctx.edge_vars[ei]] > 0.5 for ei in cand.edges)
         assignment[ctx.s_vars[ci]] = 1.0 if full else 0.0
 
-    for side, aname in ctx.a_vars.items():
-        used = sum(assignment.get(ctx.o_vars[n], 0)
-                   for n in d.telomeres_side(side))
+    for side, a in ctx.a_vars.items():
+        used = sum(assignment[ctx.o_vars[n]] for n in d.telomeres_side(side))
         if used % 2:
             raise DiagramError("odd telomere usage on side %s" % side)
-        assignment[aname] = used / 2.0
+        assignment[a] = used / 2.0
 
 
 def _assign_runs(ctx: EdgeContext, comp, assignment):
@@ -624,14 +611,14 @@ def _assign_runs(ctx: EdgeContext, comp, assignment):
         assignment[ctx.t_vars[comp.edges[pos].index]] = 1.0
 
 
-def verify_assignment(model: IlpModel, assignment: Dict[str, float]):
-    """Numerically check every constraint, bound and integrality condition
-    to within ``TOL``."""
-    get = assignment.get
-    values = []  # by column
-    for var in model.variables.values():
-        val = get(var.name, 0.0)
-        values.append(val)
+def verify_assignment(model: IlpModel, assignment: List[float]):
+    """Numerically check an assignment of one value per column: its length,
+    and every constraint, bound and integrality condition to within
+    ``TOL``."""
+    if len(assignment) != len(model.variables):
+        raise SolverError("assignment has %d values for %d variables"
+                          % (len(assignment), len(model.variables)))
+    for var, val in zip(model.variables.values(), assignment):
         if val < var.lb - TOL or val > var.ub + TOL:
             raise SolverError("variable %s=%r out of bounds [%r, %r]"
                               % (var.name, val, var.lb, var.ub))
@@ -644,7 +631,7 @@ def verify_assignment(model: IlpModel, assignment: Dict[str, float]):
                                                rows.rhs)):
         lhs = 0.0
         for k in range(start, end):
-            lhs += coefs[k] * values[cols[k]]
+            lhs += coefs[k] * assignment[cols[k]]
         start = end
         if sense == "<=":
             ok = lhs <= rhs + TOL
@@ -733,46 +720,60 @@ def write_solution(path, objective: float, values, integer):
             handle.write("%s %.12g\n" % (name, value))
 
 
+def _finite(text: str) -> Optional[float]:
+    """``float(text)`` where that is a finite number, else None."""
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def parse_solution(path) -> Tuple[Optional[float], Dict[str, float]]:
     """Read ``<variable> <value>`` lines and an optional
-    ``# Objective value = <x>`` header; raises ``SolverError`` on a
-    malformed line or objective header."""
+    ``# Objective value = <x>`` header; raises ``SolverError`` naming the
+    line on a malformed line, a value or objective that is not a finite
+    number, or a variable given twice."""
     reported = None
     values: Dict[str, float] = {}
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             if line.startswith("#"):
                 if "=" in line and "objective" in line.lower():
-                    try:
-                        reported = float(line.split("=", 1)[1])
-                    except ValueError:
-                        raise SolverError("malformed objective header %r"
-                                          % line)
+                    reported = _finite(line.split("=", 1)[1])
+                    if reported is None:
+                        raise SolverError("%s:%d: malformed objective header "
+                                          "%r" % (path, number, line))
                 continue
             parts = line.split()
-            if len(parts) != 2:
-                raise SolverError("malformed solution line %r" % line)
-            try:
-                values[parts[0]] = float(parts[1])
-            except ValueError:
-                raise SolverError("malformed solution line %r" % line)
+            value = _finite(parts[1]) if len(parts) == 2 else None
+            if value is None:
+                raise SolverError("%s:%d: malformed solution line %r: not a "
+                                  "name and a finite number"
+                                  % (path, number, line))
+            name = parts[0]
+            if name in values:
+                raise SolverError("%s:%d: variable %s given twice"
+                                  % (path, number, name))
+            values[name] = value
     return reported, values
 
 
 def load_solution(model: IlpModel, path
-                  ) -> Tuple[Optional[float], Dict[str, float]]:
+                  ) -> Tuple[Optional[float], List[float]]:
     """Solution file values for every variable of ``model``.
 
     Binary and integer values are rounded after a ``TOL`` integrality check;
     names the model does not declare are ignored.  Returns the reported
-    objective (or None) and the assignment; raises ``SolverError`` on a
-    missing variable or a non-integral value.
+    objective (or None) and the assignment, one value per column; raises
+    ``SolverError`` as ``parse_solution`` does, and on a missing variable
+    or a non-integral value.
     """
     reported, raw = parse_solution(path)
-    assignment = {}
+    assignment = []
     for name, var in model.variables.items():
         if name not in raw:
             raise SolverError("solution file lacks variable %s" % name)
@@ -783,7 +784,7 @@ def load_solution(model: IlpModel, path
                 raise SolverError("non-integral value %r for %s"
                                   % (val, name))
             val = float(rounded)
-        assignment[name] = val
+        assignment.append(val)
     return reported, assignment
 
 

@@ -214,6 +214,33 @@ def test_distance_identity_and_output_file(tmp_path):
     assert table["distance"] == "0"
 
 
+def test_distance_infeasible_linearizable_pair_names_the_caps(tmp_path,
+                                                              capsys):
+    # both inputs have derived genomes, but the caps fit no derived pair
+    pa, pb = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    pa.write_text("A\t1.1_h\tt.1_o\nA\t1.1_t\t2.1_h\nA\t2.1_t\tt.2_o\n")
+    pb.write_text("B\t1.1_h\t2.1_t\nB\t1.1_t\t2.1_h\n"
+                  "B\t1.1_h\tt.1_o\nB\t2.1_h\tt.2_o\n")
+    capsys.readouterr()
+    assert run("distance", str(pa), str(pb)) == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert "ROADMAP item 12" in err and "caps" in err
+    assert "linearize" not in err.replace("linearizable", "")
+
+
+def test_distance_rejects_nonlinearizable(tmp_path, capsys):
+    tri, _ = write_triangle(tmp_path)
+    genomes = io.read_adjacencies(tri)
+    pa, pb = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    io.write_adjacencies({"A": genomes["A"]}, pa)
+    io.write_adjacencies({"B": genomes["B"]}, pb)
+    capsys.readouterr()
+    assert run("distance", str(pa), str(pb)) == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert "genome A is not linearizable" in err
+    assert "run 'spp-dcj linearize' first" in err
+
+
 def write_large_pair(tmp_path, inversions):
     """A 400-marker pair (9622 variables) that differs by ``inversions``
     random inversions; returns the two genome files."""
@@ -536,6 +563,34 @@ def test_extract_rejects_incomplete_solution(tmp_path):
              "--genomes-out", str(tmp_path / "g.tsv"),
              "--distances-out", str(tmp_path / "d.tsv"))
     assert rc == EXIT_SOLVER
+
+
+@pytest.mark.parametrize("change", ["inf", "nan", "repeat"])
+def test_extract_rejects_non_finite_or_repeated_value(tmp_path, capsys,
+                                                      change):
+    pair = write_pair(tmp_path)
+    tree = tmp_path / "tree.tsv"
+    tree.write_text("A\tB\n")
+    lp, sol = tmp_path / "m.lp", tmp_path / "m.sol"
+    assert run("build", str(tree), str(pair), "-o", str(lp)) == EXIT_OK
+    assert run("solve", str(lp), "-o", str(sol), "--internal") == EXIT_OK
+    lines = sol.read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    name, value = lines[first].split()
+    if change == "repeat":  # the copy would win over the first line
+        lines.append("%s %d" % (name, 1 - float(value)))
+    else:
+        lines[first] = "%s %s" % (name, change)
+    sol.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    genomes = tmp_path / "g.tsv"
+    rc = run("extract", str(sol), str(tree), str(pair),
+             "--genomes-out", str(genomes),
+             "--distances-out", str(tmp_path / "d.tsv"))
+    assert rc == EXIT_SOLVER
+    line = len(lines) if change == "repeat" else first + 1
+    assert "%s:%d:" % (sol, line) in capsys.readouterr().err
+    assert not genomes.exists()
 
 
 def test_extract_manifest_records_families(tmp_path):

@@ -48,9 +48,9 @@ def test_audit_rejects_mismatch():
 
 def test_decode_rejects_bad_degree():
     model, _, result = solved_pair()
-    bad = dict(result.assignment)
-    name = next(iter(model.adjacency_vars["A"].values()))
-    bad[name] = 1.0 - bad[name]
+    bad = list(result.assignment)
+    col = next(iter(model.adjacency_vars["A"].values()))
+    bad[col] = 1.0 - bad[col]
     with pytest.raises(DecodeError):
         decode(model, bad)
 

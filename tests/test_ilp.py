@@ -85,18 +85,19 @@ def test_chromosome_counters_declared_after_edge_variables():
     tree = Phylogeny([("A", "B"), ("B", "C")])
     model = build_model(tree, {"A": a, "B": b, "C": c}, FAM,
                         alpha=0.5, beta=0.25)
-    counters = [name for ctx in model.contexts for name in ctx.a_vars.values()]
-    assert counters == list(model.variables)[-len(counters):]
+    counters = [col for ctx in model.contexts for col in ctx.a_vars.values()]
+    count = len(model.variables)
+    assert counters == list(range(count - len(counters), count))
     assert [sorted(ctx.a_vars) for ctx in model.contexts] == [["A", "B"],
                                                               ["A", "B"]]
     rows = model.rows
+    variables = list(model.variables.values())
     for ctx in model.contexts:
-        for side, name in ctx.a_vars.items():
-            assert model.variables[name].kind == INTEGER
+        for side, col in ctx.a_vars.items():
+            assert variables[col].kind == INTEGER
             cols, coefs = rows.terms(
                 rows.names.index("c11_%s_%s" % (ctx.key, side)))
-            assert (coefs[-1], cols[-1]) == (-2,
-                                             list(model.variables).index(name))
+            assert (coefs[-1], cols[-1]) == (-2, col)
     tags = Counter(rows.tags)
     assert tags["C.10"] and tags["C.11"] == len(counters) == 4
 
@@ -114,11 +115,12 @@ def test_variable_kinds_and_shared_adjacencies():
     for ctx in model.contexts:
         used = set(ctx.edge_vars.values())
         assert b_vars <= used
-    kinds = {var.kind for var in model.variables.values()}
+    variables = list(model.variables.values())
+    kinds = {var.kind for var in variables}
     assert BINARY in kinds and CONTINUOUS in kinds
     for ctx in model.contexts:
-        for i, name in ctx.y_vars.items():
-            var = model.variables[name]
+        for i, col in ctx.y_vars.items():
+            var = variables[col]
             assert var.kind == CONTINUOUS and var.ub == i
         for i in ctx.z_vars:
             assert i <= ctx.diagram.num_non_telomeric
@@ -130,17 +132,17 @@ def test_objective_coefficients():
     model = pair_model(a, b, alpha=0.5, beta=0.25)
     ctx = model.contexts[0]
     wcoef = 1 - 0.5 - 0.25
-    for adj, name in model.adjacency_vars["A"].items():
-        assert model.objective[name] == pytest.approx(wcoef * adj.weight)
-    for name in ctx.z_vars.values():
-        assert model.objective[name] == 0.5
-    for name in ctx.t_vars.values():
-        assert model.objective[name] == -0.25
-    for node, name in ctx.o_vars.items():
+    for adj, col in model.adjacency_vars["A"].items():
+        assert model.objective[col] == pytest.approx(wcoef * adj.weight)
+    for col in ctx.z_vars.values():
+        assert model.objective[col] == 0.5
+    for col in ctx.t_vars.values():
+        assert model.objective[col] == -0.25
+    for node, col in ctx.o_vars.items():
         if node.is_telomere:
-            assert model.objective[name] == pytest.approx(-0.25)
+            assert model.objective[col] == pytest.approx(-0.25)
         else:
-            assert name not in model.objective
+            assert col not in model.objective
 
 
 def test_telomere_objective_accumulates_per_context():
@@ -154,8 +156,8 @@ def test_telomere_objective_accumulates_per_context():
                         alpha=0.5, beta=0.25)
     some_b_telo = next(n for n in model.extremity_o_vars["B"]
                        if n.is_telomere)
-    name = model.extremity_o_vars["B"][some_b_telo]
-    assert model.objective[name] == pytest.approx(-0.5)  # -beta twice
+    col = model.extremity_o_vars["B"][some_b_telo]
+    assert model.objective[col] == pytest.approx(-0.5)  # -beta twice
 
 
 def test_lp_write_deterministic(tmp_path):
@@ -219,9 +221,9 @@ def test_declared_model_is_the_built_model_without_rows():
 def test_rows_reference_only_declared_columns(monkeypatch):
     emit = ilp.emit_constraints
 
-    def emit_stray_row(model, ctx, columns):
-        emit(model, ctx, columns)
-        model.rows.add("stray", [len(columns)], [1], "=", 0, "C.01")
+    def emit_stray_row(model, ctx):
+        emit(model, ctx)
+        model.rows.add("stray", [len(model.variables)], [1], "=", 0, "C.01")
 
     monkeypatch.setattr(ilp, "emit_constraints", emit_stray_row)
     a = build_genome("A", [(["1.1"], True)])
@@ -234,6 +236,7 @@ def test_recompute_objective():
     a = build_genome("A", [(["1.1"], True)])
     b = build_genome("B", [(["1.1"], True)])
     model = pair_model(a, b, alpha=0.5, beta=0.0)
-    assignment = {name: 1.0 for name in model.objective}
+    assignment = [float(col in model.objective)
+                  for col in range(len(model.variables))]
     assert recompute_objective(model, assignment) == pytest.approx(
         sum(model.objective.values()))

@@ -164,10 +164,11 @@ def test_write_then_parse_returns_the_model(tmp_path, seed):
 def assert_same_problem(model, problem):
     """``problem`` holds the objective, rows, bounds and integrality of
     ``model``."""
-    assert sorted(problem.variables) == sorted(model.variables)
+    names = list(model.variables)
+    assert sorted(problem.variables) == sorted(names)
     assert {problem.variables[vi]: coef
             for vi, coef in problem.objective.items()} == {
-        name: coef for name, coef in model.objective.items() if coef != 0}
+        names[col]: coef for col, coef in model.objective.items() if coef != 0}
     assert {problem.variables[vi] for vi in problem.integer} == {
         var.name for var in model.variables.values()
         if var.kind in (BINARY, INTEGER)}

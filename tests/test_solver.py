@@ -1,12 +1,14 @@
 import hashlib
 import itertools
 import math
+import re
 import types
 
 import pytest
 
 from spp_dcj import milp_cli, solver
 from spp_dcj.diagram import DiagramError, brute_force_distance
+from spp_dcj.extract import decode
 from spp_dcj.genomes import (TELO, Adjacency, DegenerateGenome, Extremity,
                              FamilyAssignment, Phylogeny)
 from spp_dcj.ilp import Rows, build_model, write_lp
@@ -98,10 +100,10 @@ def test_internal_assignment_is_feasible_and_complete():
     model = pair_model(a, b)
     result = solve_internal(model)
     verify_assignment(model, result.assignment)
-    assert set(result.assignment) >= set(model.variables) - {
-        name for name, v in model.variables.items() if v.kind == "I"}
-    value = complete_assignment(model, dict(result.assignment))
+    completed = list(result.assignment)
+    value = complete_assignment(model, completed)
     assert value == pytest.approx(result.objective)
+    assert completed == result.assignment  # already complete
 
 
 def test_work_budget_hands_model_to_external(tmp_path, monkeypatch):
@@ -171,8 +173,7 @@ def test_internal_reports_infeasible():
     a = build_genome("A", [(["1.1"], True)])
     b = build_genome("B", [(["1.1"], True)])
     model = pair_model(a, b)
-    xvar = next(iter(model.adjacency_vars["A"].values()))
-    col = list(model.variables).index(xvar)
+    col = next(iter(model.adjacency_vars["A"].values()))
     model.rows.add("pin0", [col], [1], "=", 0, "C.01")
     model.rows.add("pin1", [col], [1], "=", 1, "C.01")
     result = solve_internal(model)
@@ -230,9 +231,11 @@ def test_internal_outcomes_pinned():
     digest = hashlib.sha256()
     for i in range(40):
         a, b = random_degenerate_pair(rng)
-        result = solve_internal(pair_model(a, b, *MIXTURES[i % 3]))
+        model = pair_model(a, b, *MIXTURES[i % 3])
+        result = solve_internal(model)
         digest.update(repr((result.status, result.objective,
-                            sorted(result.assignment.items()))).encode())
+                            sorted(zip(model.variables,
+                                       result.assignment)))).encode())
     assert digest.hexdigest() == ("4a08f18ab7f85bc9a9c1a1202a45ff54"
                                   "8d520bc1756376fe989d09a6277e44d8")
 
@@ -276,9 +279,8 @@ def _unpruned_walk(model):
         while k < len(search.value) and search.value[k] != -1:
             k += 1
         if k == len(search.value):
-            leaves.append(({name: float(v) for name, v
-                            in zip(search.names, search.value)},
-                           search.leaf_value()))
+            leaves.append(([0.0 if vi is None else float(search.value[vi])
+                            for vi in search.branch], search.leaf_value()))
             return leaves[-1][1]
         bound = search.upper_bound()
         best = None
@@ -434,14 +436,13 @@ def test_propagator_forces_values():
     search = _Search(model)
     # deselecting A's only adjacency forces its (non-telomeric) endpoints'
     # degree rows into conflict: C.01 pins o=1, C.02 needs one adjacency
-    xvar = next(iter(model.adjacency_vars["A"].values()))
-    ok = search.assign(search.index[xvar], 0)
+    xcol = next(iter(model.adjacency_vars["A"].values()))
+    ok = search.assign(search.branch[xcol], 0)
     if ok:
         # presence variables must then be forced to 0, clashing with C.01
-        over = next(name for name in search.names
-                    if model.variables[name].meaning[0] == "o"
-                    and model.variables[name].meaning[1] == "A")
-        assert search.value[search.index[over]] == 0
+        over = next(col for col, var in enumerate(model.variables.values())
+                    if var.meaning[:2] == ("o", "A"))
+        assert search.value[search.branch[over]] == 0
     else:
         assert not ok  # direct conflict is also acceptable
 
@@ -475,8 +476,8 @@ def test_verify_assignment_catches_violations():
     b = build_genome("B", [(["1.1"], True)])
     model = pair_model(a, b)
     result = solve_internal(model)
-    bad = dict(result.assignment)
-    some_binary = next(name for name, v in model.variables.items()
+    bad = list(result.assignment)
+    some_binary = next(col for col, v in enumerate(model.variables.values())
                        if v.kind == "B")
     bad[some_binary] = 0.5
     with pytest.raises(SolverError):
@@ -484,6 +485,40 @@ def test_verify_assignment_catches_violations():
     bad[some_binary] = 7.0
     with pytest.raises(SolverError):
         verify_assignment(model, bad)
+
+
+def test_verify_assignment_rejects_a_list_of_another_length():
+    a = build_genome("A", [(["1.1"], True)])
+    b = build_genome("B", [(["1.1"], True)])
+    model = pair_model(a, b)
+    result = solve_internal(model)
+    count = len(model.variables)
+    for bad in (result.assignment[:-1], result.assignment + [0.0]):
+        with pytest.raises(SolverError, match="has %d values for %d "
+                           "variables" % (len(bad), count)):
+            verify_assignment(model, bad)
+
+
+def test_solution_file_round_trip_keeps_the_list(tmp_path):
+    # a solution written from solve_internal's list reads back as the
+    # same list, which decodes to the same genomes
+    rng = seeded(89)
+    a, b = random_degenerate_pair(rng, extra_linear=True)
+    model = pair_model(a, b)
+    result = solve_internal(model)
+    path = tmp_path / "model.sol"
+    integer = {name for name, var in model.variables.items()
+               if var.kind in ("B", "I")}
+    write_solution(path, result.objective,
+                   zip(model.variables, result.assignment), integer)
+    reported, assignment = load_solution(model, path)
+    assert reported == pytest.approx(result.objective, abs=1e-9)
+    assert assignment == result.assignment
+    genomes = [{species: genome.adjacencies for species, genome
+                in decode(model, values).genomes.items()}
+               for values in (assignment, result.assignment)]
+    assert genomes[0] == genomes[1]
+    assert any(len(adjacencies) for adjacencies in genomes[0].values())
 
 
 def test_external_bridge_matches_internal(monkeypatch):
@@ -538,13 +573,28 @@ def test_parse_solution(tmp_path):
         parse_solution(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x 1\ny inf\n", ":2: malformed solution line 'y inf'"),
+    ("x -inf\n", ":1: malformed solution line 'x -inf'"),
+    ("x 1\n\ny nan\n", ":3: malformed solution line 'y nan'"),
+    ("x 1e999\n", ":1: malformed solution line 'x 1e999'"),
+    ("x 1\ny 0\nx 0\n", ":3: variable x given twice"),
+    ("# Objective value = nan\nx 1\n", ":1: malformed objective header"),
+])
+def test_parse_solution_rejects_non_finite_and_repeated(tmp_path, text,
+                                                         message):
+    path = tmp_path / "model.sol"
+    path.write_text(text)
+    with pytest.raises(SolverError, match=re.escape(str(path) + message)):
+        parse_solution(path)
+
+
 def test_load_solution(tmp_path):
     a = build_genome("A", [(["1.1"], True)])
     b = build_genome("B", [(["1.1"], True)])
     model = pair_model(a, b)
     result = solve_internal(model)
-    values = {name: result.assignment.get(name, 0.0)
-              for name in model.variables}
+    values = dict(zip(model.variables, result.assignment))
     path = tmp_path / "model.sol"
 
     def write(values, extra=""):
@@ -555,7 +605,7 @@ def test_load_solution(tmp_path):
     write(dict(values, **{binary: values[binary] + 1e-9}), "undeclared 7\n")
     reported, assignment = load_solution(model, path)
     assert reported == result.objective
-    assert assignment == values  # rounded, undeclared name ignored
+    assert assignment == list(values.values())  # rounded, undeclared ignored
     write(dict(values, **{binary: 0.5}))
     with pytest.raises(SolverError):
         load_solution(model, path)
