@@ -9,6 +9,12 @@ header, a value or objective that is not a finite number, a variable given
 twice, missing variable, non-integral value).  A time limit, scale, surfeit
 or family count outside its range is a usage error (1); a mixture, leaf
 count or adversarial fraction outside its range is out-of-scale input (3).
+
+``distance`` prints one ``key<TAB>value`` row each for the distance, its
+breakdown, the used telomeres and the objective, then ``status`` and
+``gap``: ``optimal`` with gap 0 for a proven optimum, or ``feasible`` with
+the relative gap to the search's root bound when ``--time-limit`` stopped
+the search at an incumbent.  Both exit 0.
 """
 
 from __future__ import annotations
@@ -156,7 +162,7 @@ def cmd_extract(args) -> int:
     # decoding, validation, the audit and the idmap check read no row
     model = declare_model(tree, genomes, _load_families(args.families),
                           args.alpha, args.beta)
-    if args.idmap and read_idmap(args.idmap) != set(model.variables):
+    if args.idmap and read_idmap(args.idmap) != set(model.names()):
         raise ModelError("variable map does not match the rebuilt model; "
                          "rerun extract with the inputs and --families used "
                          "for build")
@@ -211,7 +217,8 @@ def cmd_distance(args) -> int:
             ("transitions", bd.transitions),
             ("circular_singletons", bd.circular_singletons),
             ("used_telomeres", pd.used_telomeres),
-            ("objective", "%.6f" % result.objective)]
+            ("objective", "%.6f" % result.objective),
+            ("status", result.status), ("gap", "%.6g" % result.gap)]
     out = sys.stdout if args.output is None else open(
         args.output, "w", encoding="utf-8", newline="\n")
     try:

@@ -42,15 +42,8 @@ class ModelError(ValueError):
     pass
 
 
-@dataclass(slots=True)
-class Variable:
-    name: str
-    kind: str  # BINARY, CONTINUOUS or INTEGER
-    lb: float
-    ub: float
-    meaning: Tuple  # (class, species or edge key, item); see _description
-
-
+# one column as ``IlpModel.variables`` shows it
+Variable = namedtuple("Variable", "name kind lb ub meaning")
 # one row as ``IlpModel.constraints`` shows it; terms are (coefficient,
 # variable name) pairs
 Row = namedtuple("Row", "name terms sense rhs tag")
@@ -59,38 +52,56 @@ Row = namedtuple("Row", "name terms sense rhs tag")
 class Rows:
     """The constraint matrix, row by row in compressed form.
 
-    A column is a variable's position in ``IlpModel.variables``.  Row ``r``
-    has the terms ``cols[k]``, ``coefs[k]`` for ``starts[r] <= k <
-    starts[r + 1]``, and its own name, sense ('<=', '>=' or '='),
-    right-hand side and block tag (C.01 .. C.11).  ``add`` appends to
-    lists, the cheapest to grow; ``pack`` then holds the columns and the
-    starts as int32 arrays and the coefficients and the right-hand sides as
-    float64 arrays, which take a fraction of the lists' memory.
+    A column is a variable's position in the model's per-column arrays.
+    Row ``r`` has the terms ``cols[k]``, ``coefs[k]`` for ``starts[r] <= k
+    < starts[r + 1]``, its sense ('<=', '>=' or '='), right-hand side and
+    block tag (C.01 .. C.11), and the parts of its name: a format, an edge
+    key and up to two integers, which only ``names`` joins.  ``add``
+    appends to lists, the cheapest to grow; ``pack`` then holds the columns
+    and the starts as int32 arrays and the coefficients and the right-hand
+    sides as float64 arrays, which take a fraction of the lists' memory.
     """
 
-    __slots__ = ("cols", "coefs", "starts", "names", "senses", "rhs", "tags")
+    __slots__ = ("cols", "coefs", "starts", "senses", "rhs", "tags", "forms",
+                 "edge_keys", "first", "second")
 
     def __init__(self):
         self.cols: Sequence[int] = []
         self.coefs: Sequence[float] = []
         self.starts: Sequence[int] = [0]
-        self.names: List[str] = []
         self.senses: List[str] = []
         self.rhs: Sequence[float] = []
         self.tags: List[str] = []
+        self.forms: List[str] = []
+        self.edge_keys: List[str] = []
+        self.first = array("i")
+        self.second = array("i")
 
     def __len__(self):
-        return len(self.names)
+        return len(self.tags)
 
-    def add(self, name, cols, coefs, sense, rhs, tag):
-        """Append the row ``sum(coefs[k] * x[cols[k]]) <sense> rhs``."""
+    def add(self, cols, coefs, sense, rhs, tag, form, key="", i=0, j=0):
+        """Append the row ``sum(coefs[k] * x[cols[k]]) <sense> rhs``, named
+        ``form`` filled with ``key``, ``i`` and ``j`` as far as it asks."""
         self.cols.extend(cols)
         self.coefs.extend(coefs)
         self.starts.append(len(self.cols))
-        self.names.append(name)
         self.senses.append(sense)
         self.rhs.append(rhs)
         self.tags.append(tag)
+        self.forms.append(form)
+        self.edge_keys.append(key)
+        self.first.append(i)
+        self.second.append(j)
+
+    def names(self) -> List[str]:
+        """Every row's name, in row order: the text of the LP file and of
+        errors.  A row's format takes its key, then as many of its two
+        integers as it asks for."""
+        arity = _TextCache(operator.methodcaller("count", "%"))
+        return [form % (key, i, j)[:arity[form]] for form, key, i, j
+                in zip(self.forms, self.edge_keys, self.first,
+                       self.second)]
 
     def terms(self, r):
         """The columns and the coefficients of row ``r``."""
@@ -104,7 +115,7 @@ class Rows:
         if cols and (min(cols) < 0 or max(cols) >= count):
             k = next(k for k, col in enumerate(cols) if not 0 <= col < count)
             raise ModelError("row %s references column %d of a model with %d "
-                             "variables" % (self.names[bisect_right(
+                             "variables" % (self.names()[bisect_right(
                                  self.starts, k) - 1], cols[k], count))
         self.cols = array("i", cols)
         self.coefs = array("d", self.coefs)
@@ -131,15 +142,19 @@ class EdgeContext:
 
 
 class IlpModel:
-    """A variable is its column, its position in ``variables``: the edge
-    contexts, the objective, the rows and every assignment (one float per
-    column) refer to it so.  ``variables`` is keyed by name, the text the
-    LP, the idmap and the solution files use."""
+    """A variable is its column: the edge contexts, the objective, the rows
+    and every assignment (one float per column) refer to it so.  Per
+    column the model keeps a kind, a lower and an upper bound and a
+    ``meaning`` (class, species or edge key, item); ``names`` formats the
+    text the LP, the idmap and the solution files use."""
 
     def __init__(self, alpha: float, beta: float):
         self.alpha = alpha
         self.beta = beta
-        self.variables: Dict[str, Variable] = {}
+        self.kinds: List[str] = []  # BINARY, CONTINUOUS or INTEGER
+        self.lbs = array("d")
+        self.ubs = array("d")
+        self.meanings: List[Tuple] = []  # see names and _description
         self.objective: Dict[int, float] = {}  # column -> coefficient
         self.rows = Rows()
         self.contexts: List[EdgeContext] = []
@@ -147,24 +162,58 @@ class IlpModel:
         self.adjacency_vars: Dict[str, Dict[Adjacency, int]] = {}
         self.extremity_o_vars: Dict[str, Dict[Extremity, int]] = {}
 
-    def add_variable(self, name, kind, lb, ub, meaning) -> int:
+    def add_variable(self, kind, lb, ub, meaning) -> int:
         """Declare a variable; returns its column."""
-        if name in self.variables:
-            raise ModelError("duplicate variable %s" % name)
-        self.variables[name] = Variable(name, kind, lb, ub, meaning)
-        return len(self.variables) - 1
+        self.kinds.append(kind)
+        self.lbs.append(lb)
+        self.ubs.append(ub)
+        self.meanings.append(meaning)
+        return len(self.kinds) - 1
 
     def add_objective(self, col: int, coef: float):
         self.objective[col] = self.objective.get(col, 0.0) + coef
 
+    def names(self) -> List[str]:
+        """Every column's name, in column order, formatted from its
+        ``meaning``.  Adjacencies, extremities and caps are numbered from 1
+        in the order their owner declares them."""
+        species = self.species_index
+        count: Dict[Tuple[str, str], int] = {}
+        names = []
+        for what, owner, item in self.meanings:
+            if what in ("adj", "o", "capadj"):
+                n = count[what, owner] = count.get((what, owner), 0) + 1
+                if what == "capadj":
+                    name = "x_%s_cap%d" % (owner, n)
+                else:
+                    name = "%s_s%d_%d" % ("x" if what == "adj" else "o",
+                                          species[owner], n)
+            elif what == "edge":
+                name = "xe_%s_%d" % (owner, item)
+            elif what == "capo":
+                name = "o_%s_%s" % (owner, item.marker.replace(".", ""))
+            elif what == "s":
+                name = "s_%s_%d" % (owner, item + 1)
+            else:  # y, r, z and t by node or edge index, a by side
+                name = "%s_%s_%s" % (what, owner, item)
+            names.append(name)
+        return names
+
+    @property
+    def variables(self) -> Dict[str, Variable]:
+        """A read-only view of every column by name, built anew on each
+        access."""
+        return {name: Variable(name, *column) for name, *column in zip(
+            self.names(), self.kinds, self.lbs, self.ubs, self.meanings)}
+
     @property
     def constraints(self) -> List[Row]:
         """A read-only view of every row, built anew on each access."""
-        names = list(self.variables)
+        names = self.names()
         rows = self.rows
         view = []
         for r, (name, sense, rhs, tag) in enumerate(zip(
-                rows.names, rows.senses, rows.rhs, rows.tags)):
+                rows.names(), rows.senses, rows.rhs, rows.tags)):
             cols, coefs = rows.terms(r)
             view.append(Row(name, [(coef, names[col]) for coef, col
                                    in zip(coefs, cols)], sense, rhs, tag))
@@ -199,7 +248,7 @@ def build_model(tree: Phylogeny, genomes: Dict[str, DegenerateGenome],
                           reduce_telomeres)
     for ctx in model.contexts:
         emit_constraints(model, ctx)
-    model.rows.pack(len(model.variables))
+    model.rows.pack(len(model.kinds))
     return model
 
 
@@ -233,15 +282,12 @@ def declare_model(tree: Phylogeny, genomes: Dict[str, DegenerateGenome],
 
 
 def _declare_genome_vars(model: IlpModel, genome: DegenerateGenome):
-    si = model.species_index[genome.species]
     model.adjacency_vars[genome.species] = {
-        adj: model.add_variable("x_s%d_%d" % (si, i), BINARY, 0, 1,
-                                ("adj", genome.species, adj))
-        for i, adj in enumerate(genome.adjacencies, start=1)}
+        adj: model.add_variable(BINARY, 0, 1, ("adj", genome.species, adj))
+        for adj in genome.adjacencies}
     model.extremity_o_vars[genome.species] = {
-        ext: model.add_variable("o_s%d_%d" % (si, i), BINARY, 0, 1,
-                                ("o", genome.species, ext))
-        for i, ext in enumerate(genome.extremities(), start=1)}
+        ext: model.add_variable(BINARY, 0, 1, ("o", genome.species, ext))
+        for ext in genome.extremities()}
 
 
 def _edge_key(model: IlpModel, a: str, b: str) -> str:
@@ -254,46 +300,34 @@ def _declare_edge_vars(model: IlpModel, a: str, b: str,
     key = _edge_key(model, a, b)
     ctx = EdgeContext(key, a, b, diagram)
 
-    cap_counter = 0
     for edge in diagram.edges:
         if edge.kind == ADJ and not edge.cap:
             ctx.edge_vars[edge.index] = model.adjacency_vars[
                 edge.u.species][edge.adjacency]
-        elif edge.kind == ADJ and edge.cap:
-            cap_counter += 1
-            ctx.edge_vars[edge.index] = model.add_variable(
-                "x_%s_cap%d" % (key, cap_counter), BINARY, 0, 1,
-                ("capadj", key, edge.index))
         else:
             ctx.edge_vars[edge.index] = model.add_variable(
-                "xe_%s_%d" % (key, edge.index), BINARY, 0, 1,
-                ("edge", key, edge.index))
+                BINARY, 0, 1, ("capadj" if edge.kind == ADJ else "edge", key,
+                               edge.index))
 
     for node in diagram.nodes:
         if node.marker.startswith("cap."):
-            ctx.o_vars[node] = model.add_variable(
-                "o_%s_%s" % (key, node.marker.replace(".", "")), BINARY, 0, 1,
-                ("capo", key, node))
+            ctx.o_vars[node] = model.add_variable(BINARY, 0, 1,
+                                                  ("capo", key, node))
         else:
             ctx.o_vars[node] = model.extremity_o_vars[node.species][node]
 
     for i in range(1, len(diagram.nodes) + 1):
-        ctx.y_vars[i] = model.add_variable("y_%s_%d" % (key, i), CONTINUOUS,
-                                           0, i, ("y", key, i))
-        ctx.r_vars[i] = model.add_variable("r_%s_%d" % (key, i), BINARY, 0, 1,
-                                           ("r", key, i))
+        ctx.y_vars[i] = model.add_variable(CONTINUOUS, 0, i, ("y", key, i))
+        ctx.r_vars[i] = model.add_variable(BINARY, 0, 1, ("r", key, i))
         if i <= diagram.num_non_telomeric:
-            ctx.z_vars[i] = model.add_variable("z_%s_%d" % (key, i), BINARY,
-                                               0, 1, ("z", key, i))
+            ctx.z_vars[i] = model.add_variable(BINARY, 0, 1, ("z", key, i))
 
     for edge in diagram.edges:
-        ctx.t_vars[edge.index] = model.add_variable(
-            "t_%s_%d" % (key, edge.index), BINARY, 0, 1,
-            ("t", key, edge.index))
+        ctx.t_vars[edge.index] = model.add_variable(BINARY, 0, 1,
+                                                    ("t", key, edge.index))
 
     ctx.singletons = enumerate_circular_singletons(diagram)
-    ctx.s_vars = [model.add_variable("s_%s_%d" % (key, ci + 1), BINARY, 0, 1,
-                                     ("s", key, ci))
+    ctx.s_vars = [model.add_variable(BINARY, 0, 1, ("s", key, ci))
                   for ci in range(len(ctx.singletons))]
     return ctx
 
@@ -304,8 +338,7 @@ def _declare_counter_vars(model: IlpModel, ctx: EdgeContext):
         telos = ctx.diagram.telomeres_side(side)
         if telos:
             ctx.a_vars[side] = model.add_variable(
-                "a_%s_%s" % (ctx.key, side), INTEGER, 0, len(telos) // 2,
-                ("a", ctx.key, side))
+                INTEGER, 0, len(telos) // 2, ("a", ctx.key, side))
 
 
 def build_objective(model: IlpModel):
@@ -341,8 +374,7 @@ def emit_constraints(model: IlpModel, ctx: EdgeContext):
     # C.01: non-telomeric extremities are always present
     for node in d.nodes:
         if not node.is_telomere:
-            add("c01_%s_%d" % (key, idx[node]), (o[node],), (1,), "=", 1,
-                "C.01")
+            add((o[node],), (1,), "=", 1, "C.01", "c01_%s_%d", key, idx[node])
 
     # C.02: every present node is on exactly one adjacency edge and one
     # extremity-or-indel edge
@@ -352,10 +384,10 @@ def emit_constraints(model: IlpModel, ctx: EdgeContext):
         other = [x[e.index] for e in at if e.kind != ADJ]
         adj.append(o[node])
         other.append(o[node])
-        add("c02a_%s_%d" % (key, idx[node]), adj, [1] * (len(adj) - 1) + [-1],
-            "=", 0, "C.02")
-        add("c02b_%s_%d" % (key, idx[node]), other,
-            [1] * (len(other) - 1) + [-1], "=", 0, "C.02")
+        add(adj, [1] * (len(adj) - 1) + [-1], "=", 0, "C.02", "c02a_%s_%d",
+            key, idx[node])
+        add(other, [1] * (len(other) - 1) + [-1], "=", 0, "C.02",
+            "c02b_%s_%d", key, idx[node])
 
     # C.03: tail-tail and head-head extremity edges of a marker pair are siblings
     siblings: Dict[Tuple[str, str], List[DiagramEdge]] = {}
@@ -366,17 +398,17 @@ def emit_constraints(model: IlpModel, ctx: EdgeContext):
         pair = siblings[skey]
         assert len(pair) == 2, "sibling group %r has %d edges" % (skey, len(pair))
         first, second = pair[0].index, pair[1].index
-        add("c03_%s_%d_%d" % (key, first, second), (x[first], x[second]),
-            (1, -1), "=", 0, "C.03")
+        add((x[first], x[second]), (1, -1), "=", 0, "C.03", "c03_%s_%d_%d",
+            key, first, second)
 
     # C.04: cycle labels are constant along selected edges
     for e in d.edges:
         xe = x[e.index]
         i, j = idx[e.u], idx[e.v]
-        add("c04_%s_%d_f" % (key, e.index), (y[j], y[i], xe), (1, -1, -i),
-            ">=", -i, "C.04")
-        add("c04_%s_%d_b" % (key, e.index), (y[i], y[j], xe), (1, -1, -j),
-            ">=", -j, "C.04")
+        add((y[j], y[i], xe), (1, -1, -i), ">=", -i, "C.04", "c04_%s_%d_f",
+            key, e.index)
+        add((y[i], y[j], xe), (1, -1, -j), ">=", -j, "C.04", "c04_%s_%d_b",
+            key, e.index)
 
     # C.05: selected indel edges zero their cycle label
     for e in d.edges:
@@ -384,12 +416,12 @@ def emit_constraints(model: IlpModel, ctx: EdgeContext):
             continue
         for node in (e.u, e.v):
             i = idx[node]
-            add("c05_%s_%d_%d" % (key, e.index, i), (y[i], x[e.index]),
-                (-1, -i), ">=", -i, "C.05")
+            add((y[i], x[e.index]), (-1, -i), ">=", -i, "C.05",
+                "c05_%s_%d_%d", key, e.index, i)
 
     # C.06: a node may only count a cycle labelled with its own index
     for i, z in ctx.z_vars.items():
-        add("c06_%s_%d" % (key, i), (z, y[i]), (i, -1), "<=", 0, "C.06")
+        add((z, y[i]), (i, -1), "<=", 0, "C.06", "c06_%s_%d", key, i)
 
     # C.07: selected indel edges pin run labels (A runs 0, B runs 1)
     for e in d.edges:
@@ -397,27 +429,25 @@ def emit_constraints(model: IlpModel, ctx: EdgeContext):
             continue
         for node in (e.u, e.v):
             i = idx[node]
-            name = "c07_%s_%d_%d" % (key, e.index, i)
-            if e.side == "A":
-                add(name, (x[e.index], r[i]), (1, 1), "<=", 1, "C.07")
-            else:
-                add(name, (x[e.index], r[i]), (1, -1), "<=", 0, "C.07")
+            coef, rhs = (1, 1) if e.side == "A" else (-1, 0)
+            add((x[e.index], r[i]), (1, coef), "<=", rhs, "C.07",
+                "c07_%s_%d_%d", key, e.index, i)
 
     # C.08: transition indicators catch run-label changes on selected edges
     for e in d.edges:
         xe, te = x[e.index], t[e.index]
         ru, rv = r[idx[e.u]], r[idx[e.v]]
-        add("c08_%s_%d_f" % (key, e.index), (te, rv, ru, xe), (1, -1, 1, -1),
-            ">=", -1, "C.08")
-        add("c08_%s_%d_b" % (key, e.index), (te, ru, rv, xe), (1, -1, 1, -1),
-            ">=", -1, "C.08")
+        add((te, rv, ru, xe), (1, -1, 1, -1), ">=", -1, "C.08",
+            "c08_%s_%d_f", key, e.index)
+        add((te, ru, rv, xe), (1, -1, 1, -1), ">=", -1, "C.08",
+            "c08_%s_%d_b", key, e.index)
 
     # C.09: fully selected singleton candidates must be paid for
     for ci, cand in enumerate(ctx.singletons):
         cols = [x[ei] for ei in cand.edges]
         cols.append(ctx.s_vars[ci])
-        add("c09_%s_%d" % (key, ci + 1), cols, [1] * len(cand.edges) + [-1],
-            "<=", len(cand.edges) - 1, "C.09")
+        add(cols, [1] * len(cand.edges) + [-1], "<=", len(cand.edges) - 1,
+            "C.09", "c09_%s_%d", key, ci + 1)
 
     # C.10: transition edges only on A-adjacency edges next to selected A-indels
     id_a_at: Dict[Extremity, List[DiagramEdge]] = {}
@@ -431,24 +461,24 @@ def emit_constraints(model: IlpModel, ctx: EdgeContext):
                         for ie in id_a_at.get(node, ())}
             cols = [x[ei] for ei in sorted(incident)]
             cols.append(t[e.index])
-            add("c10_%s_%d" % (key, e.index), cols,
-                [1] * len(incident) + [-1], ">=", 0, "C.10")
+            add(cols, [1] * len(incident) + [-1], ">=", 0, "C.10",
+                "c10_%s_%d", key, e.index)
     for e in d.edges:
         if e.kind in (ID, EXT):
-            add("c10z_%s_%d" % (key, e.index), (t[e.index],), (1,), "=", 0,
-                "C.10")
+            add((t[e.index],), (1,), "=", 0, "C.10", "c10z_%s_%d", key,
+                e.index)
 
     # C.11: derived genomes use an even number of telomeres per side
     for side, a in ctx.a_vars.items():
         cols = [o[node] for node in d.telomeres_side(side)]
         coefs = [1] * len(cols) + [-2]
         cols.append(a)
-        add("c11_%s_%s" % (key, side), cols, coefs, "=", 0, "C.11")
+        add(cols, coefs, "=", 0, "C.11", "c11_%s_" + side, key)
 
 
 def write_lp(model: IlpModel, lp_path, idmap_path=None):
     """Serialize to LP text plus a variable-name map."""
-    names = list(model.variables)
+    names = model.names()
     term = _TextCache(_term_text)  # coefficient -> "+ 2 " or "- 2 "
     lines = ["Maximize"]
     obj = [term[coef] + names[col] for col, coef in model.objective.items()
@@ -464,19 +494,19 @@ def write_lp(model: IlpModel, lp_path, idmap_path=None):
                 repeat("+ "))
     number = _TextCache(format_number)
     lines.extend(map(" %s: %s %s %s".__mod__, zip(
-        rows.names, exprs, rows.senses, map(number.__getitem__, rows.rhs))))
+        rows.names(), exprs, rows.senses,
+        map(number.__getitem__, rows.rhs))))
     del terms  # freed before the file's text is joined
     lines.append("Bounds")
-    for var in model.variables.values():
-        if var.kind == BINARY:
-            continue
-        lines.append(" %s <= %s <= %s" % (format_number(var.lb), var.name,
-                                          format_number(var.ub)))
-    for header, kind in (("Binaries", BINARY), ("Generals", INTEGER)):
-        of_kind = [v.name for v in model.variables.values() if v.kind == kind]
-        if of_kind:
+    for name, kind, lb, ub in zip(names, model.kinds, model.lbs, model.ubs):
+        if kind != BINARY:
+            lines.append(" %s <= %s <= %s" % (number[lb], name, number[ub]))
+    for header, of_kind in (("Binaries", BINARY), ("Generals", INTEGER)):
+        listed = [name for name, kind in zip(names, model.kinds)
+                  if kind == of_kind]
+        if listed:
             lines.append(header)
-            lines.extend(" " + name for name in of_kind)
+            lines.extend(" " + name for name in listed)
     lines.append("End")
     with open(lp_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
@@ -484,9 +514,10 @@ def write_lp(model: IlpModel, lp_path, idmap_path=None):
         contexts = {ctx.key: ctx for ctx in model.contexts}
         with open(idmap_path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write("#name\tkind\tdescription\n")
-            for var in model.variables.values():
+            for name, kind, meaning in zip(names, model.kinds,
+                                           model.meanings):
                 handle.write("%s\t%s\t%s\n" % (
-                    var.name, var.kind, _description(var.meaning, contexts)))
+                    name, kind, _description(meaning, contexts)))
 
 
 class _TextCache(dict):

@@ -30,7 +30,7 @@ class LpProblem:
     (row, column, value) lists and one [lower, upper] range per row."""
 
     def __init__(self):
-        self.variables: List[str] = []
+        self.names: List[str] = []
         self.index: Dict[str, int] = {}
         self.objective: Dict[int, float] = {}
         self.rows: List[int] = []
@@ -45,8 +45,8 @@ class LpProblem:
     def var(self, name: str) -> int:
         vi = self.index.get(name)
         if vi is None:
-            vi = self.index[name] = len(self.variables)
-            self.variables.append(name)
+            vi = self.index[name] = len(self.names)
+            self.names.append(name)
         return vi
 
 
@@ -156,7 +156,7 @@ def solve(problem: LpProblem, time_limit: Optional[float] = None):
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csr_matrix
 
-    nvar = len(problem.variables)
+    nvar = len(problem.names)
     c = np.zeros(nvar)
     for vi, coef in problem.objective.items():
         c[vi] = -coef  # HiGHS minimizes
@@ -193,8 +193,8 @@ def solve_file(lp_path, sol_path, time_limit: Optional[float] = None):
     if not result.success:
         raise SolverError("solver status %s: %s"
                           % (result.status, result.message))
-    integer = {problem.variables[vi] for vi in problem.integer}
-    write_solution(sol_path, -result.fun, zip(problem.variables, result.x),
+    integer = {problem.names[vi] for vi in problem.integer}
+    write_solution(sol_path, -result.fun, zip(problem.names, result.x),
                    integer)
 
 

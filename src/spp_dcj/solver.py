@@ -132,15 +132,14 @@ class _Search:
     """
 
     def __init__(self, model: IlpModel):
-        variables = model.variables.values()
         branch = self.branch = []  # per column: its branch variable or None
         count = 0
-        for var in variables:
-            structural = var.kind == BINARY and var.meaning[0] in BRANCH_CLASSES
+        for kind, meaning in zip(model.kinds, model.meanings):
+            structural = kind == BINARY and meaning[0] in BRANCH_CLASSES
             branch.append(count if structural else None)
             count += structural
-        self.one_first = {vi for vi, var in zip(branch, variables)
-                          if var.meaning[0] == "adj"}  # tried at 1 first
+        self.one_first = {vi for vi, meaning in zip(branch, model.meanings)
+                          if meaning[0] == "adj"}  # tried at 1 first
         self.value = [-1] * count  # -1 = free
         self.log: list = []
         self.alpha = model.alpha
@@ -159,7 +158,7 @@ class _Search:
                 continue
             if rows.senses[k] != "=":
                 raise SolverError("row %s of block %s is not an equality"
-                                  % (rows.names[k], tag))
+                                  % (rows.names()[k], tag))
             r = len(self.terms)
             neg = ~r
             terms = []
@@ -178,7 +177,7 @@ class _Search:
                 else:
                     raise SolverError("row %s of block %s has a coefficient "
                                       "other than 1 or -1"
-                                      % (rows.names[k], tag))
+                                      % (rows.names()[k], tag))
             self.terms.append(terms)
             self.lo.append(lo)
             self.hi.append(hi)
@@ -615,15 +614,17 @@ def verify_assignment(model: IlpModel, assignment: List[float]):
     """Numerically check an assignment of one value per column: its length,
     and every constraint, bound and integrality condition to within
     ``TOL``."""
-    if len(assignment) != len(model.variables):
+    if len(assignment) != len(model.kinds):
         raise SolverError("assignment has %d values for %d variables"
-                          % (len(assignment), len(model.variables)))
-    for var, val in zip(model.variables.values(), assignment):
-        if val < var.lb - TOL or val > var.ub + TOL:
+                          % (len(assignment), len(model.kinds)))
+    for col, (kind, lb, ub, val) in enumerate(zip(model.kinds, model.lbs,
+                                                  model.ubs, assignment)):
+        if val < lb - TOL or val > ub + TOL:
             raise SolverError("variable %s=%r out of bounds [%r, %r]"
-                              % (var.name, val, var.lb, var.ub))
-        if var.kind in (BINARY, INTEGER) and abs(val - round(val)) > TOL:
-            raise SolverError("variable %s=%r not integral" % (var.name, val))
+                              % (model.names()[col], val, lb, ub))
+        if kind in (BINARY, INTEGER) and abs(val - round(val)) > TOL:
+            raise SolverError("variable %s=%r not integral"
+                              % (model.names()[col], val))
     rows = model.rows
     cols, coefs = rows.cols, rows.coefs
     start = 0
@@ -641,7 +642,7 @@ def verify_assignment(model: IlpModel, assignment: List[float]):
             ok = abs(lhs - rhs) <= TOL
         if not ok:
             raise SolverError("constraint %s violated: %r %s %r"
-                              % (rows.names[r], lhs, sense, rhs))
+                              % (rows.names()[r], lhs, sense, rhs))
 
 
 # -- external solver bridge --------------------------------------------------
@@ -774,11 +775,11 @@ def load_solution(model: IlpModel, path
     """
     reported, raw = parse_solution(path)
     assignment = []
-    for name, var in model.variables.items():
+    for name, kind in zip(model.names(), model.kinds):
         if name not in raw:
             raise SolverError("solution file lacks variable %s" % name)
         val = raw[name]
-        if var.kind in (BINARY, INTEGER):
+        if kind in (BINARY, INTEGER):
             rounded = round(val)
             if abs(val - rounded) > TOL:
                 raise SolverError("non-integral value %r for %s"

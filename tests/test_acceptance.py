@@ -166,10 +166,12 @@ def test_criterion_4_reduction_soundness():
 def pipeline(workdir, scale, surfeit, adversarial, seed=11):
     """simulate -> build -> solve -> extract -> evaluate.
 
-    The simulated degenerate genomes are already linearizable (build checks
-    and would reject them otherwise), so the linearize step is a no-op here
-    and skipped: conservative augmentation of the large noisy components
-    would only inflate the telomere set."""
+    The linearize step is skipped because build's linearizability check
+    accepts the simulated degenerate genomes as they are.
+    Running it would not be a no-op: ``augment`` gives a telomere to every
+    extremity of each component that is not an even cycle, path or clique,
+    and inflated the benchmark's ``s2-2-1`` model from 41,942 to 1,108,238
+    variables (ROADMAP item 13)."""
     sim = workdir / "sim"
     run("simulate", sim, "--seed", seed, "--families", 100, "--leaves", 10,
         "--scale", scale, "--surfeit", surfeit, "--adversarial", adversarial)

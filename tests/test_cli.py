@@ -1,7 +1,9 @@
 import argparse
 import hashlib
+import itertools
 import json
 import os
+import types
 
 import pytest
 
@@ -13,7 +15,7 @@ from spp_dcj.genomes import FamilyAssignment, Phylogeny, is_genome
 from spp_dcj.ilp import build_model
 from spp_dcj.solver import write_solution
 
-from util import build_genome, invert_segment, seeded
+from util import build_genome, invert_segment, random_degenerate_pair, seeded
 
 def run(*argv):
     return main(list(argv))
@@ -209,9 +211,42 @@ def test_distance_identity_and_output_file(tmp_path):
     assert run("distance", str(pa), str(pb), "-o", str(out)) == EXIT_OK
     table = dict(line.split("\t") for line in out.read_text().splitlines())
     assert table["distance"] == "1"  # single inversion
+    assert (table["status"], table["gap"]) == ("optimal", "0")
     assert run("distance", str(pa), str(pa), "-o", str(out)) == EXIT_OK
     table = dict(line.split("\t") for line in out.read_text().splitlines())
     assert table["distance"] == "0"
+    assert list(table)[-2:] == ["status", "gap"]
+
+
+def test_distance_reports_a_timed_out_incumbent(tmp_path, monkeypatch):
+    # a search stopped by the time limit prints its incumbent as
+    # "feasible", with its gap to the root bound, and exits 0
+    rng = seeded(107)
+    for _ in range(25):
+        a, b = random_degenerate_pair(rng)
+    pa, pb = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    io.write_adjacencies({"A": a}, pa)
+    io.write_adjacencies({"B": b}, pb)
+    out = tmp_path / "dist.tsv"
+    assert run("distance", str(pa), str(pb), "-o", str(out)) == EXIT_OK
+    proven = dict(line.split("\t") for line in out.read_text().splitlines())
+    assert (proven["status"], proven["gap"]) == ("optimal", "0")
+    # a clock that ticks once per reading stops the search after `limit`
+    # nodes; the first limit that leaves an incumbent
+    for limit in range(1, 100):
+        ticks = itertools.count()
+        monkeypatch.setattr(solver, "time", types.SimpleNamespace(
+            monotonic=lambda: next(ticks)))
+        code = run("distance", str(pa), str(pb), "-o", str(out),
+                   "--time-limit", str(limit))
+        if code == EXIT_OK:
+            break
+        assert code == EXIT_SOLVER  # no incumbent yet
+    else:
+        pytest.fail("no incumbent within 100 ticks")
+    table = dict(line.split("\t") for line in out.read_text().splitlines())
+    assert table["status"] == "feasible" and float(table["gap"]) > 0
+    assert float(table["objective"]) < float(proven["objective"])
 
 
 def test_distance_infeasible_linearizable_pair_names_the_caps(tmp_path,
@@ -386,7 +421,7 @@ def test_extract_rejects_nonlinearizable(tmp_path):
     model = build_model(Phylogeny([("A", "B")]), io.read_adjacencies(tri),
                         FamilyAssignment(), 0.5, 0.25)
     sol = tmp_path / "m.sol"
-    write_solution(sol, 0.0, ((name, 0.0) for name in model.variables), ())
+    write_solution(sol, 0.0, ((name, 0.0) for name in model.names()), ())
     genomes = tmp_path / "g.tsv"
     rc = run("extract", str(sol), str(tree), str(tri),
              "--genomes-out", str(genomes),

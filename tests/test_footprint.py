@@ -1,5 +1,5 @@
-"""Memory guards: the size of a built model, and the modules that importing
-the library loads."""
+"""Memory guards: the size of a built model, the peak of building and
+solving it, and the modules that importing the library loads."""
 
 import os
 import subprocess
@@ -9,15 +9,20 @@ from pathlib import Path
 
 from spp_dcj.genomes import FamilyAssignment, Phylogeny
 from spp_dcj.ilp import build_model
+from spp_dcj.solver import solve_internal
 
 from util import build_genome, invert_segment, random_structure, seeded
 
 ROOT = Path(__file__).resolve().parent.parent
 
 # tracemalloc's current size after build_model on the pair below, measured
-# with Python 3.11.7: 6,842,294 bytes with the row store (12,202,521 with a
-# record and a term list per row), plus 10%
-MODEL_BYTES_LIMIT = 7_526_000
+# with Python 3.11.7: 4,854,215 bytes with no name strings and no variable
+# records (7,262,462 with them), plus 10%
+MODEL_BYTES_LIMIT = 5_340_000
+# tracemalloc's peak over build_model and solve_internal on the same pair,
+# the phase that sets the benchmark's peak on its large pairs: 8,262,323
+# bytes (10,670,626 with name strings and variable records), plus 10%
+SOLVE_PEAK_BYTES_LIMIT = 9_089_000
 
 
 def _resolved_pair():
@@ -30,22 +35,39 @@ def _resolved_pair():
     return build_genome("A", a), build_genome("B", b)
 
 
-def test_built_model_size():
+def _builder():
     a, b = _resolved_pair()
 
     def build():
         return build_model(Phylogeny([("A", "B")]), {"A": a, "B": b},
                            FamilyAssignment(), 0.5, 0.25)
 
-    build()  # any lazy set-up happens outside the measurement
+    solve_internal(build())  # any lazy set-up happens outside the measure
+    return build
+
+
+def test_built_model_size():
+    build = _builder()
     tracemalloc.start()
     try:
         model = build()
         size = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert (len(model.variables), len(model.rows)) == (12022, 18029)
+    assert (len(model.kinds), len(model.rows)) == (12022, 18029)
     assert size < MODEL_BYTES_LIMIT, size
+
+
+def test_build_and_solve_peak():
+    build = _builder()
+    tracemalloc.start()
+    try:
+        result = solve_internal(build())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.status == "optimal"
+    assert peak < SOLVE_PEAK_BYTES_LIMIT, peak
 
 
 def test_library_import_leaves_numpy_out():

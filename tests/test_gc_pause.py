@@ -42,7 +42,7 @@ def _build(alpha=0.5):
 
 def test_build_model_restores_collector(collector, monkeypatch):
     seen = _watch(monkeypatch, ilp, "emit_constraints")
-    assert _build().constraints
+    assert _build().rows
     assert seen == [False]
     assert gc.isenabled() is collector
 
@@ -53,7 +53,7 @@ def test_declare_model_restores_collector(collector, monkeypatch):
     a = build_genome("A", [(["1.1", "2.1"], True)])
     b = build_genome("B", [(["1.1", "-2.1"], False)])
     assert ilp.declare_model(Phylogeny([("A", "B")]), {"A": a, "B": b},
-                             FamilyAssignment(), 0.5, 0.25).variables
+                             FamilyAssignment(), 0.5, 0.25).kinds
     assert seen == [False]
     assert gc.isenabled() is collector
 

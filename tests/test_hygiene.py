@@ -2,8 +2,9 @@
 every local a function assigns and every parameter it takes is read
 somewhere in it, every function is referenced somewhere in the project,
 no two functions have the same body, every command-line option is read by
-the CLI, only ``ilp._gc_paused`` switches the garbage collector and only
-``solver.solver_environment`` reads ``os.environ``."""
+the CLI, only ``ilp._gc_paused`` switches the garbage collector, only
+``solver.solver_environment`` reads ``os.environ`` and no module reads a
+model's ``variables`` or ``constraints`` view."""
 
 import argparse
 import ast
@@ -406,3 +407,34 @@ def test_environment_has_one_reader():
                            _is_environ_read)
     assert not found, ("os.environ outside solver.solver_environment: %s"
                        % ", ".join(found))
+
+
+def _is_view_read(node):
+    """A read of an ``IlpModel.variables`` or ``IlpModel.constraints``
+    view, which builds a record per column or per row."""
+    return (isinstance(node, ast.Attribute)
+            and node.attr in ("variables", "constraints")
+            and isinstance(node.ctx, ast.Load))
+
+
+def test_view_check_catches_a_read_in_solver():
+    source = (PACKAGE / "solver.py").read_text(encoding="utf-8")
+    tree = ast.parse(source + "def _count(model):\n"
+                     "    return len(model.variables), model.constraints\n")
+    line = source.count("\n") + 2
+    assert _owned_elsewhere(tree, None, _is_view_read) == [
+        ("_count", line), ("_count", line)]
+    tree = ast.parse("class IlpModel:\n"
+                     "    @property\n"
+                     "    def variables(self):\n"
+                     "        return dict(self.variables)\n")
+    assert _owned_elsewhere(tree, None, _is_view_read) == [("variables", 4)]
+    assert not _owned_elsewhere(tree, "variables", _is_view_read)
+
+
+def test_model_views_have_no_reader_in_the_package():
+    # the views are for the benchmark's tracer, the demos and the tests;
+    # the solve path reads the column and row arrays
+    found = _outside_owner("ilp.py", None, _is_view_read)
+    assert not found, ("model.variables or model.constraints read in the "
+                       "package: %s" % ", ".join(found))

@@ -8,6 +8,8 @@ from spp_dcj.genomes import FamilyAssignment, Phylogeny
 from spp_dcj.ilp import (BINARY, CONTINUOUS, INTEGER, ModelError, build_model,
                          declare_model, recompute_objective, write_lp)
 
+from spp_dcj.sim import SimConfig, add_noise, evolve
+
 from util import build_genome, random_degenerate_pair, seeded
 
 FAM = FamilyAssignment()
@@ -76,6 +78,37 @@ def test_constraint_counts_match_diagram():
         assert dict(got) == want
 
 
+def _assert_names_distinct(model):
+    names, rows = model.names(), model.rows.names()
+    assert len(set(names)) == len(names) == len(model.kinds)
+    assert len(set(rows)) == len(rows) == len(model.rows)
+
+
+def test_names_are_distinct():
+    # names are formatted from each column's meaning and each row's name
+    # parts, and no declaration checks them: pair models spanning every
+    # variable class and every row block, then a simulated tree
+    classes, blocks = set(), set()
+    for seed in (83, 84, 85, 86):
+        for extra_linear in (False, True):
+            a, b = random_degenerate_pair(seeded(seed),
+                                         extra_linear=extra_linear)
+            model = pair_model(a, b)
+            _assert_names_distinct(model)
+            classes.update(meaning[0] for meaning in model.meanings)
+            blocks.update(model.rows.tags)
+    assert len(classes) == 11 and len(blocks) == 11
+    rng = seeded(131)
+    truth = evolve(SimConfig(families=10, leaves=4, seed=3))
+    leaves = set(truth.tree.leaves())
+    genomes = {node: genome if node in leaves
+               else add_noise(genome, 1.5, rng)[0]
+               for node, genome in sorted(truth.genomes.items())}
+    model = build_model(truth.tree, genomes, FAM, alpha=0.5, beta=0.25)
+    assert len(model.contexts) == 6
+    _assert_names_distinct(model)
+
+
 def test_chromosome_counters_declared_after_edge_variables():
     # C.11's counters are declared in one pass after every edge's other
     # variables, in edge order, and each C.11 row uses its side's counter
@@ -86,17 +119,16 @@ def test_chromosome_counters_declared_after_edge_variables():
     model = build_model(tree, {"A": a, "B": b, "C": c}, FAM,
                         alpha=0.5, beta=0.25)
     counters = [col for ctx in model.contexts for col in ctx.a_vars.values()]
-    count = len(model.variables)
+    count = len(model.kinds)
     assert counters == list(range(count - len(counters), count))
     assert [sorted(ctx.a_vars) for ctx in model.contexts] == [["A", "B"],
                                                               ["A", "B"]]
     rows = model.rows
-    variables = list(model.variables.values())
+    names = rows.names()
     for ctx in model.contexts:
         for side, col in ctx.a_vars.items():
-            assert variables[col].kind == INTEGER
-            cols, coefs = rows.terms(
-                rows.names.index("c11_%s_%s" % (ctx.key, side)))
+            assert model.kinds[col] == INTEGER
+            cols, coefs = rows.terms(names.index("c11_%s_%s" % (ctx.key, side)))
             assert (coefs[-1], cols[-1]) == (-2, col)
     tags = Counter(rows.tags)
     assert tags["C.10"] and tags["C.11"] == len(counters) == 4
@@ -115,13 +147,10 @@ def test_variable_kinds_and_shared_adjacencies():
     for ctx in model.contexts:
         used = set(ctx.edge_vars.values())
         assert b_vars <= used
-    variables = list(model.variables.values())
-    kinds = {var.kind for var in variables}
-    assert BINARY in kinds and CONTINUOUS in kinds
+    assert BINARY in model.kinds and CONTINUOUS in model.kinds
     for ctx in model.contexts:
         for i, col in ctx.y_vars.items():
-            var = variables[col]
-            assert var.kind == CONTINUOUS and var.ub == i
+            assert model.kinds[col] == CONTINUOUS and model.ubs[col] == i
         for i in ctx.z_vars:
             assert i <= ctx.diagram.num_non_telomeric
 
@@ -176,7 +205,7 @@ def test_lp_write_deterministic(tmp_path):
     declared = [line.split("\t")[0] for line in i1.read_text().splitlines()
                 if not line.startswith("#")]
     model = pair_model(a, b)
-    assert declared == list(model.variables)
+    assert declared == model.names()
 
 
 def test_idmap_describes_every_variable_class(tmp_path):
@@ -223,7 +252,7 @@ def test_rows_reference_only_declared_columns(monkeypatch):
 
     def emit_stray_row(model, ctx):
         emit(model, ctx)
-        model.rows.add("stray", [len(model.variables)], [1], "=", 0, "C.01")
+        model.rows.add([len(model.kinds)], [1], "=", 0, "C.01", "stray")
 
     monkeypatch.setattr(ilp, "emit_constraints", emit_stray_row)
     a = build_genome("A", [(["1.1"], True)])
@@ -237,6 +266,6 @@ def test_recompute_objective():
     b = build_genome("B", [(["1.1"], True)])
     model = pair_model(a, b, alpha=0.5, beta=0.0)
     assignment = [float(col in model.objective)
-                  for col in range(len(model.variables))]
+                  for col in range(len(model.kinds))]
     assert recompute_objective(model, assignment) == pytest.approx(
         sum(model.objective.values()))

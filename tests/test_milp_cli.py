@@ -32,7 +32,7 @@ def test_parse_lp(tmp_path):
     path = tmp_path / "m.lp"
     path.write_text(SMALL_LP)
     problem = milp_cli.parse_lp(path)
-    assert problem.variables == ["x", "y", "z"]
+    assert problem.names == ["x", "y", "z"]
     assert problem.objective == {0: 3.0, 1: 2.0, 2: -1.0}
     # c1: x + y <= 1, c2: y + z >= 1, as (row, column, value) entries
     assert problem.rows == [0, 0, 1, 1]
@@ -145,7 +145,7 @@ def _rows_of(problem):
     """Per row: ({variable: coefficient}, lower, upper)."""
     terms = [{} for _ in problem.row_lower]
     for row, col, value in zip(problem.rows, problem.cols, problem.values):
-        name = problem.variables[col]
+        name = problem.names[col]
         terms[row][name] = terms[row].get(name, 0.0) + value
     return list(zip(terms, problem.row_lower, problem.row_upper))
 
@@ -164,17 +164,17 @@ def test_write_then_parse_returns_the_model(tmp_path, seed):
 def assert_same_problem(model, problem):
     """``problem`` holds the objective, rows, bounds and integrality of
     ``model``."""
-    names = list(model.variables)
-    assert sorted(problem.variables) == sorted(names)
-    assert {problem.variables[vi]: coef
+    names = model.names()
+    assert sorted(problem.names) == sorted(names)
+    assert {problem.names[vi]: coef
             for vi, coef in problem.objective.items()} == {
         names[col]: coef for col, coef in model.objective.items() if coef != 0}
-    assert {problem.variables[vi] for vi in problem.integer} == {
-        var.name for var in model.variables.values()
-        if var.kind in (BINARY, INTEGER)}
-    for var in model.variables.values():
-        vi = problem.index[var.name]
-        assert (problem.lower[vi], problem.upper[vi]) == (var.lb, var.ub)
+    assert {problem.names[vi] for vi in problem.integer} == {
+        name for name, kind in zip(names, model.kinds)
+        if kind in (BINARY, INTEGER)}
+    for name, lb, ub in zip(names, model.lbs, model.ubs):
+        vi = problem.index[name]
+        assert (problem.lower[vi], problem.upper[vi]) == (lb, ub)
 
     rows = _rows_of(problem)
     assert len(rows) == len(model.constraints)

@@ -174,8 +174,8 @@ def test_internal_reports_infeasible():
     b = build_genome("B", [(["1.1"], True)])
     model = pair_model(a, b)
     col = next(iter(model.adjacency_vars["A"].values()))
-    model.rows.add("pin0", [col], [1], "=", 0, "C.01")
-    model.rows.add("pin1", [col], [1], "=", 1, "C.01")
+    model.rows.add([col], [1], "=", 0, "C.01", "pin0")
+    model.rows.add([col], [1], "=", 1, "C.01", "pin1")
     result = solve_internal(model)
     assert result.status == "infeasible"
 
@@ -321,11 +321,11 @@ def _without_telomere_degree_rows(model):
     degrees, all-telomere cycles and odd telomere usage appear."""
     (ctx,) = model.contexts
     rows, kept = model.rows, Rows()
-    for r, (name, sense, rhs, tag) in enumerate(zip(
-            rows.names, rows.senses, rows.rhs, rows.tags)):
-        if tag != "C.02" or int(name.rsplit("_", 1)[1]) \
-                <= ctx.diagram.num_non_telomeric:
-            kept.add(name, *rows.terms(r), sense, rhs, tag)
+    for r, (sense, rhs, tag, node) in enumerate(zip(
+            rows.senses, rows.rhs, rows.tags, rows.first)):
+        if tag != "C.02" or node <= ctx.diagram.num_non_telomeric:
+            kept.add(*rows.terms(r), sense, rhs, tag, rows.forms[r],
+                     rows.edge_keys[r], node, rows.second[r])
     model.rows = kept
     return model
 
@@ -440,8 +440,8 @@ def test_propagator_forces_values():
     ok = search.assign(search.branch[xcol], 0)
     if ok:
         # presence variables must then be forced to 0, clashing with C.01
-        over = next(col for col, var in enumerate(model.variables.values())
-                    if var.meaning[:2] == ("o", "A"))
+        over = next(col for col, meaning in enumerate(model.meanings)
+                    if meaning[:2] == ("o", "A"))
         assert search.value[search.branch[over]] == 0
     else:
         assert not ok  # direct conflict is also acceptable
@@ -477,8 +477,7 @@ def test_verify_assignment_catches_violations():
     model = pair_model(a, b)
     result = solve_internal(model)
     bad = list(result.assignment)
-    some_binary = next(col for col, v in enumerate(model.variables.values())
-                       if v.kind == "B")
+    some_binary = model.kinds.index("B")
     bad[some_binary] = 0.5
     with pytest.raises(SolverError):
         verify_assignment(model, bad)
@@ -492,7 +491,7 @@ def test_verify_assignment_rejects_a_list_of_another_length():
     b = build_genome("B", [(["1.1"], True)])
     model = pair_model(a, b)
     result = solve_internal(model)
-    count = len(model.variables)
+    count = len(model.kinds)
     for bad in (result.assignment[:-1], result.assignment + [0.0]):
         with pytest.raises(SolverError, match="has %d values for %d "
                            "variables" % (len(bad), count)):
@@ -507,10 +506,11 @@ def test_solution_file_round_trip_keeps_the_list(tmp_path):
     model = pair_model(a, b)
     result = solve_internal(model)
     path = tmp_path / "model.sol"
-    integer = {name for name, var in model.variables.items()
-               if var.kind in ("B", "I")}
-    write_solution(path, result.objective,
-                   zip(model.variables, result.assignment), integer)
+    names = model.names()
+    integer = {name for name, kind in zip(names, model.kinds)
+               if kind in ("B", "I")}
+    write_solution(path, result.objective, zip(names, result.assignment),
+                   integer)
     reported, assignment = load_solution(model, path)
     assert reported == pytest.approx(result.objective, abs=1e-9)
     assert assignment == result.assignment
@@ -594,14 +594,15 @@ def test_load_solution(tmp_path):
     b = build_genome("B", [(["1.1"], True)])
     model = pair_model(a, b)
     result = solve_internal(model)
-    values = dict(zip(model.variables, result.assignment))
+    names = model.names()
+    values = dict(zip(names, result.assignment))
     path = tmp_path / "model.sol"
 
     def write(values, extra=""):
         path.write_text("# Objective value = %r\n%s" % (result.objective, extra)
                         + "".join("%s %r\n" % kv for kv in values.items()))
 
-    binary = next(name for name, v in model.variables.items() if v.kind == "B")
+    binary = names[model.kinds.index("B")]
     write(dict(values, **{binary: values[binary] + 1e-9}), "undeclared 7\n")
     reported, assignment = load_solution(model, path)
     assert reported == result.objective
