@@ -162,11 +162,12 @@ def cmd_extract(args) -> int:
     # decoding, validation, the audit and the idmap check read no row
     model = declare_model(tree, genomes, _load_families(args.families),
                           args.alpha, args.beta)
-    if args.idmap and read_idmap(args.idmap) != set(model.names()):
+    names = model.names()
+    if args.idmap and read_idmap(args.idmap) != set(names):
         raise ModelError("variable map does not match the rebuilt model; "
                          "rerun extract with the inputs and --families used "
                          "for build")
-    reported, assignment = load_solution(model, args.solution)
+    reported, assignment = load_solution(model, args.solution, names)
     decoded = decode(model, assignment)
     validate(decoded, genomes)
     if reported is not None:

@@ -6,6 +6,15 @@ when empty), named one-line rows, ``lb <= name <= ub`` bounds and one name
 per line under Binaries and Generals; any other line is an
 ``LpFormatError``.  The solution is written with ``solver.write_solution``,
 the format the external-solver bridge reads.
+
+HiGHS sees only the free columns.  ``solve`` first fixes every column that
+the bounds and the equality rows over integer columns imply (C.01's
+``o = 1``, the 0/1 sums of C.02, the C.03 siblings and C.10's ``t = 0``
+fix about a third of the model's columns), folds the fixed columns into
+the row bounds and an objective constant, and hands HiGHS the rest.  Its
+result still holds a value for every parsed column and the objective of
+the whole model.  The LP file, the idmap and external solvers see the
+whole model.
 """
 
 from __future__ import annotations
@@ -17,7 +26,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .io import ParseError
-from .solver import SolverError, check_time_limit, write_solution
+from .solver import (SolverError, _relative_gap, check_time_limit,
+                     write_solution)
 
 
 class LpFormatError(ParseError):
@@ -151,35 +161,149 @@ def _parse_line(problem: LpProblem, section: Optional[str], line: str):
 
 def solve(problem: LpProblem, time_limit: Optional[float] = None):
     """Solve ``problem`` with HiGHS to a zero gap, within ``time_limit``
-    unless it is None; raises ``ValueError`` as ``check_time_limit`` does."""
+    unless it is None; raises ``ValueError`` as ``check_time_limit`` does.
+
+    HiGHS gets only the columns that ``_implied_fixings`` leaves free, in
+    their parsed order.  The fixed columns are folded into the row bounds
+    and into an objective constant, and a row left with no free column is
+    checked and dropped.  Every fixing is implied by the rows and the
+    bounds, so the feasible set and the optimum are those of the whole
+    problem, and a conflict is the infeasibility HiGHS would report.  The
+    result holds one ``x`` per parsed column, and ``fun``,
+    ``mip_dual_bound`` and ``mip_gap`` on the whole problem's scale.
+    """
     check_time_limit(time_limit)
-    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, milp
     from scipy.sparse import csr_matrix
 
     nvar = len(problem.names)
-    c = np.zeros(nvar)
-    for vi, coef in problem.objective.items():
-        c[vi] = -coef  # HiGHS minimizes
+    c = np.zeros(nvar)  # HiGHS minimizes: the objective negated
+    c[_keys(problem.objective)] = -_values(problem.objective)
     lb = np.zeros(nvar)
+    lb[_keys(problem.lower)] = _values(problem.lower)
     ub = np.full(nvar, np.inf)
-    for vi, val in problem.lower.items():
-        lb[vi] = val
-    for vi, val in problem.upper.items():
-        ub[vi] = val
-    integrality = np.zeros(nvar)
-    for vi in problem.integer:
-        integrality[vi] = 1
-
+    ub[_keys(problem.upper)] = _values(problem.upper)
+    integer = np.zeros(nvar, dtype=bool)
+    integer[_keys(problem.integer)] = True
     matrix = csr_matrix((problem.values, (problem.rows, problem.cols)),
                         shape=(len(problem.row_lower), nvar))
+    matrix.eliminate_zeros()  # 0 * inf would make an activity NaN
+    row_lower = np.array(problem.row_lower, dtype=float)
+    row_upper = np.array(problem.row_upper, dtype=float)
+
+    fixed = _implied_fixings(matrix, row_lower, row_upper, lb, ub, integer)
+    if fixed is None:
+        return _unsolved("the equality rows admit no value of a column")
+    free = np.isnan(fixed)
+    value = np.where(free, 0.0, fixed)
+    shift = matrix @ value
+    reduced = matrix[:, free]
+    row_lower -= shift
+    row_upper -= shift
+    empty = np.diff(reduced.indptr) == 0
+    if (np.any(row_lower[empty] > _FEASIBILITY_TOL)
+            or np.any(row_upper[empty] < -_FEASIBILITY_TOL)):
+        return _unsolved("a row's fixed columns violate its bounds")
+    offset = float(c @ value)
+    if not free.any():
+        return OptimizeResult(
+            x=value, fun=offset, success=True, status=0,
+            message="Optimization terminated successfully. "
+                    "(the rows and bounds fix every column)",
+            mip_node_count=0, mip_dual_bound=offset, mip_gap=0.0)
+
+    kept = ~empty
     options = {"mip_rel_gap": 0.0}
     if time_limit is not None:
         options["time_limit"] = time_limit
-    result = milp(c, constraints=LinearConstraint(matrix, problem.row_lower,
-                                                  problem.row_upper),
-                  integrality=integrality, bounds=Bounds(lb, ub),
+    result = milp(c[free],
+                  constraints=LinearConstraint(reduced[kept], row_lower[kept],
+                                               row_upper[kept]),
+                  integrality=integer[free], bounds=Bounds(lb[free], ub[free]),
                   options=options)
+    if result.x is not None:
+        value[free] = result.x
+        result.x = value
+        result.fun += offset
+    if result.mip_dual_bound is not None:
+        result.mip_dual_bound += offset
+        if result.fun is not None:
+            result.mip_gap = _relative_gap(result.fun, result.mip_dual_bound)
     return result
+
+
+# HiGHS's default primal feasibility tolerance, for the rows whose every
+# column is fixed
+_FEASIBILITY_TOL = 1e-7
+
+
+def _keys(entries) -> np.ndarray:
+    return np.fromiter(entries, np.intp, len(entries))
+
+
+def _values(entries: Dict[int, float]) -> np.ndarray:
+    return np.fromiter(entries.values(), float, len(entries))
+
+
+def _unsolved(reason: str):
+    """The result HiGHS gives an infeasible problem."""
+    from scipy.optimize import OptimizeResult
+    return OptimizeResult(x=None, fun=None, success=False, status=2,
+                          message="The problem is infeasible: " + reason,
+                          mip_node_count=None, mip_dual_bound=None,
+                          mip_gap=None)
+
+
+def _implied_fixings(matrix, row_lower, row_upper, lb, ub, integer):
+    """Per column the value the rows and bounds fix it to, NaN where it
+    stays free; None when they admit no value.
+
+    A column is fixed by equal bounds, or by an equality row whose columns
+    are all integer with integral bounds and whose coefficients are
+    integral, so that its activities are summed exactly.  Such a row at its
+    least activity holds only if each of its columns sits at the bound that
+    gives that activity (the lower one under a positive coefficient, the
+    upper one under a negative one); at its greatest activity, at the other
+    bound.  Every fixing is thus implied by the rows and the bounds, and
+    removes no feasible point.  Fixings tighten the activities of other
+    rows, so the rounds repeat until one fixes nothing.  A row whose least
+    activity is above its right-hand side, or greatest below, and a column
+    that two rows fix to different bounds admit no feasible point.
+    """
+    nrow = matrix.shape[0]
+    rows = np.repeat(np.arange(nrow), np.diff(matrix.indptr))
+    cols, coefs = matrix.indices, matrix.data
+    integral = integer & (np.floor(lb) == lb) & (np.floor(ub) == ub)
+    foldable = integral | ~integer  # an integer column only at an integer
+    inexact = ~integral[cols] | (np.floor(coefs) != coefs)
+    exact_rows = ((row_lower == row_upper) & np.isfinite(row_lower)
+                  & (np.bincount(rows, inexact, nrow) == 0))
+    take = exact_rows[rows]
+    rows, cols, coefs = rows[take], cols[take], coefs[take]
+    positive = coefs > 0
+    rhs = row_lower
+    lo, hi = lb.copy(), ub.copy()
+    nfixed = -1
+    while True:
+        if np.any(lo > hi):
+            return None
+        fixed = (lo == hi) & foldable
+        if fixed.sum() == nfixed:
+            return np.where(fixed, lo, np.nan)
+        nfixed = fixed.sum()
+        at_lo, at_hi = coefs * lo[cols], coefs * hi[cols]
+        least = np.bincount(rows, np.where(positive, at_lo, at_hi), nrow)
+        most = np.bincount(rows, np.where(positive, at_hi, at_lo), nrow)
+        if np.any(least[exact_rows] > rhs[exact_rows]) or np.any(
+                most[exact_rows] < rhs[exact_rows]):
+            return None
+        tight_least, tight_most = (least == rhs)[rows], (most == rhs)[rows]
+        to_lower = cols[np.where(positive, tight_least, tight_most)]
+        to_upper = cols[np.where(positive, tight_most, tight_least)]
+        lo_next = lo.copy()
+        lo_next[to_upper] = hi[to_upper]
+        hi[to_lower] = lo[to_lower]
+        lo = lo_next
 
 
 def solve_file(lp_path, sol_path, time_limit: Optional[float] = None):

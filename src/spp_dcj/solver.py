@@ -763,19 +763,23 @@ def parse_solution(path) -> Tuple[Optional[float], Dict[str, float]]:
     return reported, values
 
 
-def load_solution(model: IlpModel, path
+def load_solution(model: IlpModel, path,
+                  names: Optional[List[str]] = None
                   ) -> Tuple[Optional[float], List[float]]:
     """Solution file values for every variable of ``model``.
 
-    Binary and integer values are rounded after a ``TOL`` integrality check;
-    names the model does not declare are ignored.  Returns the reported
-    objective (or None) and the assignment, one value per column; raises
-    ``SolverError`` as ``parse_solution`` does, and on a missing variable
-    or a non-integral value.
+    ``names`` is ``model.names()``, for a caller that has formatted them
+    already.  Binary and integer values are rounded after a ``TOL``
+    integrality check; names the model does not declare are ignored.
+    Returns the reported objective (or None) and the assignment, one value
+    per column; raises ``SolverError`` as ``parse_solution`` does, and on a
+    missing variable or a non-integral value.
     """
     reported, raw = parse_solution(path)
     assignment = []
-    for name, kind in zip(model.names(), model.kinds):
+    if names is None:
+        names = model.names()
+    for name, kind in zip(names, model.kinds):
         if name not in raw:
             raise SolverError("solution file lacks variable %s" % name)
         val = raw[name]

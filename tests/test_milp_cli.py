@@ -98,6 +98,101 @@ def test_main_exit_codes(tmp_path):
     assert not (tmp_path / "o.sol").exists()
 
 
+# c1 fixes x = 1 and c3 fixes v = 1, w = 0 in the first round; then c2
+# fixes y = 0, and HiGHS sees only z
+FORCED_LP = """Maximize
+ obj: 2 x + 3 y + 1 z + 1 v - 1 w
+Subject To
+ c1: 1 x = 1
+ c2: 1 x + 1 y = 1
+ c3: 1 v - 1 w = 1
+ c4: 1 z + 1 y <= 1
+Binaries
+ x
+ y
+ z
+ v
+ w
+End
+"""
+
+
+@pytest.fixture
+def highs_columns(monkeypatch):
+    """The number of columns of every problem handed to HiGHS."""
+    import scipy.optimize
+    seen = []
+    milp = scipy.optimize.milp
+
+    def counting(c, **kwargs):
+        seen.append(len(c))
+        return milp(c, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", counting)
+    return seen
+
+
+def test_highs_solves_only_the_free_columns(tmp_path, highs_columns):
+    lp, sol = tmp_path / "m.lp", tmp_path / "m.sol"
+    lp.write_text(FORCED_LP)
+    problem = milp_cli.parse_lp(lp)
+    result = milp_cli.solve(problem)
+    assert highs_columns == [1]
+    assert result.success
+    assert list(result.x) == [1.0, 0.0, 1.0, 1.0, 0.0]  # x y z v w
+    # the fixed columns contribute 2 + 1 of the optimum 4
+    assert -result.fun == pytest.approx(4.0)
+    assert -result.mip_dual_bound == pytest.approx(4.0)
+    assert result.mip_gap == 0
+    assert milp_cli.main([str(lp), str(sol)]) == 0
+    reported, values = parse_solution(sol)
+    assert reported == pytest.approx(4.0)
+    assert values == {"x": 1.0, "y": 0.0, "z": 1.0, "v": 1.0, "w": 0.0}
+
+
+def test_nothing_fixed_hands_highs_the_whole_problem(tmp_path,
+                                                      highs_columns):
+    lp = tmp_path / "m.lp"
+    lp.write_text(SMALL_LP)
+    assert milp_cli.solve(milp_cli.parse_lp(lp)).success
+    assert highs_columns == [3]
+
+
+def test_every_column_fixed_needs_no_highs(tmp_path, highs_columns):
+    lp = tmp_path / "m.lp"
+    lp.write_text("Maximize\n obj: 2 x - 1 y\nSubject To\n c1: 1 x = 1\n"
+                  " c2: 1 x + 1 y <= 1\n c3: 1 x + 1 y = 1\n"
+                  "Binaries\n x\n y\nEnd\n")
+    result = milp_cli.solve(milp_cli.parse_lp(lp))
+    assert highs_columns == []
+    assert result.success and list(result.x) == [1.0, 0.0]
+    assert -result.fun == -result.mip_dual_bound == 2.0
+
+
+@pytest.mark.parametrize("rows", [
+    # two equality rows fix x to two values
+    " c1: 1 x = 1\n c2: 1 x = 0\n",
+    # every column of c3 is fixed, and its bound does not hold
+    " c1: 1 x = 1\n c2: 1 y = 0\n c3: 1 x + 1 y <= 0\n",
+    # once x and y are fixed, c3's least activity is above its right-hand
+    # side
+    " c1: 1 x = 1\n c2: 1 y = 1\n c3: 1 x + 1 y - 1 z = 0\n",
+])
+def test_fixings_that_contradict_are_infeasible(tmp_path, highs_columns,
+                                                rows):
+    lp, sol = tmp_path / "m.lp", tmp_path / "m.sol"
+    lp.write_text("Maximize\n obj: 1 x + 1 y + 1 z\nSubject To\n" + rows
+                  + " c9: 1 z <= 1\nBinaries\n x\n y\n z\nEnd\n")
+    result = milp_cli.solve(milp_cli.parse_lp(lp))
+    assert highs_columns == []
+    assert (result.success, result.status, result.x) == (False, 2, None)
+    assert result.message.startswith("The problem is infeasible")
+    assert milp_cli.main([str(lp), str(sol)]) == 1
+    with pytest.raises(SolverError, match="infeasible"):
+        milp_cli.solve_file(lp, sol)
+    assert not sol.exists()
+
+
 def test_time_limit_zero_is_none_and_negative_is_bad_input(tmp_path):
     # a command template's {time_limit} reads 0 when no limit is set
     lp, sol = tmp_path / "m.lp", tmp_path / "m.sol"
