@@ -48,7 +48,7 @@ print("shared marker count n =", diagram.n)
 tree = Phylogeny([("A", "B")])
 model = build_model(tree, {"A": a, "B": b}, FAM, alpha=0.5, beta=0.25)
 print("\nILP: %d variables, %d constraints"
-      % (len(model.variables), len(model.rows)))
+      % (len(model.kinds), len(model.rows)))
 tmp = tempfile.gettempdir()
 write_lp(model, os.path.join(tmp, "demo_model.lp"),
          os.path.join(tmp, "demo_idmap.tsv"))

@@ -45,7 +45,7 @@ for node, genome in sorted(truth.genomes.items()):
 #    model to the bundled HiGHS backend (leaves 0: HiGHS answered)
 model = build_model(truth.tree, inputs, FAM, alpha=0.5, beta=0.25)
 print("\nILP: %d variables, %d constraints"
-      % (len(model.variables), len(model.rows)))
+      % (len(model.kinds), len(model.rows)))
 result = solve(model)
 print("status %s, objective %.4f, branch-and-bound leaves %d"
       % (result.status, result.objective, result.leaves))

@@ -16,7 +16,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from .diagram import (ADJ, DistanceBreakdown, breakdown_from_components,
                       decompose)
 from .genomes import DegenerateGenome, FamilyAssignment, is_derived
-from .ilp import EdgeContext, IlpModel, _gc_paused
+from .ilp import EdgeContext, IlpModel
 from .solver import TOL
 
 
@@ -44,7 +44,6 @@ class DecodedSolution:
     objective: float  # structural recomputation
 
 
-@_gc_paused()
 def decode(model: IlpModel, assignment: Sequence[float]) -> DecodedSolution:
     """Derive one genome per species and per-edge distances from a solution
     (one value per column)."""

@@ -226,8 +226,9 @@ def _gc_paused():
     usable as a decorator.
 
     The model builders allocate hundreds of thousands of acyclic records
-    (variables, diagram nodes and edges, extremities) that stay alive;
-    every automatic collection would rescan all of them and free nothing.
+    (diagram nodes and edges, extremities, column meanings) that stay
+    alive; every automatic collection would rescan all of them and free
+    nothing.
     """
     enabled = gc.isenabled()
     gc.disable()

@@ -7,6 +7,9 @@ per line under Binaries and Generals; any other line is an
 ``LpFormatError``.  The solution is written with ``solver.write_solution``,
 the format the external-solver bridge reads.
 
+``parse_lp`` reads the text straight into the layout HiGHS takes
+(``LpProblem``), its rows in ``ilp.Rows``' compressed form.
+
 HiGHS sees only the free columns.  ``solve`` first fixes every column that
 the bounds and the equality rows over integer columns imply (C.01's
 ``o = 1``, the 0/1 sums of C.02, the C.03 siblings and C.10's ``t = 0``
@@ -36,27 +39,33 @@ class LpFormatError(ParseError):
 
 class LpProblem:
     """An LP model in the form the HiGHS call takes: columns numbered in
-    order of first appearance, the constraint matrix as parallel
-    (row, column, value) lists and one [lower, upper] range per row."""
+    order of first appearance, with one objective coefficient and one
+    [lower, upper] range each; the rows in ``ilp.Rows``' compressed form,
+    row ``r`` holding the terms ``cols[k]``, ``values[k]`` for
+    ``starts[r] <= k < starts[r + 1]``, and one [lower, upper] range per
+    row."""
 
     def __init__(self):
         self.names: List[str] = []
         self.index: Dict[str, int] = {}
-        self.objective: Dict[int, float] = {}
-        self.rows: List[int] = []
+        self.objective: List[float] = []
+        self.lower: List[float] = []
+        self.upper: List[float] = []
+        self.integer: set = set()
+        self.starts: List[int] = [0]
         self.cols: List[int] = []
         self.values: List[float] = []
         self.row_lower: List[float] = []
         self.row_upper: List[float] = []
-        self.lower: Dict[int, float] = {}
-        self.upper: Dict[int, float] = {}
-        self.integer: set = set()
 
     def var(self, name: str) -> int:
         vi = self.index.get(name)
         if vi is None:
             vi = self.index[name] = len(self.names)
             self.names.append(name)
+            self.objective.append(0.0)
+            self.lower.append(0.0)
+            self.upper.append(np.inf)
         return vi
 
 
@@ -119,11 +128,9 @@ def _parse_line(problem: LpProblem, section: Optional[str], line: str):
         if (len(tokens) < 2 or tokens[-2] not in _SENSES
                 or not _SENSES.isdisjoint(tokens[:-2])):
             raise ValueError("malformed constraint: %r" % line)
-        start = len(problem.cols)
         _parse_terms(problem, tokens[:-2], problem.cols, problem.values)
+        problem.starts.append(len(problem.cols))
         sense, rhs = tokens[-2], float(tokens[-1])
-        problem.rows.extend([len(problem.row_lower)]
-                            * (len(problem.cols) - start))
         problem.row_lower.append(-np.inf if sense == "<=" else rhs)
         problem.row_upper.append(np.inf if sense == ">=" else rhs)
     elif section == "Maximize":
@@ -137,7 +144,7 @@ def _parse_line(problem: LpProblem, section: Optional[str], line: str):
         values: List[float] = []
         _parse_terms(problem, tokens, cols, values)
         for vi, coef in zip(cols, values):
-            problem.objective[vi] = problem.objective.get(vi, 0.0) + coef
+            problem.objective[vi] += coef
     elif section == "Bounds":
         parts = line.split()
         if len(parts) != 5 or parts[1] != "<=" or parts[3] != "<=":
@@ -150,9 +157,8 @@ def _parse_line(problem: LpProblem, section: Optional[str], line: str):
             raise ValueError("expected one variable name: %r" % line)
         vi = problem.var(line)
         problem.integer.add(vi)
-        if section == "Binaries":
-            problem.lower.setdefault(vi, 0.0)
-            problem.upper.setdefault(vi, 1.0)
+        if section == "Binaries" and problem.upper[vi] == np.inf:
+            problem.upper[vi] = 1.0  # [0, 1] unless Bounds set a finite range
     elif section == "End":
         raise ValueError("content after End: %r" % line)
     else:
@@ -177,16 +183,14 @@ def solve(problem: LpProblem, time_limit: Optional[float] = None):
     from scipy.sparse import csr_matrix
 
     nvar = len(problem.names)
-    c = np.zeros(nvar)  # HiGHS minimizes: the objective negated
-    c[_keys(problem.objective)] = -_values(problem.objective)
-    lb = np.zeros(nvar)
-    lb[_keys(problem.lower)] = _values(problem.lower)
-    ub = np.full(nvar, np.inf)
-    ub[_keys(problem.upper)] = _values(problem.upper)
+    c = -np.array(problem.objective)  # HiGHS minimizes: the objective negated
+    lb = np.array(problem.lower)
+    ub = np.array(problem.upper)
     integer = np.zeros(nvar, dtype=bool)
-    integer[_keys(problem.integer)] = True
-    matrix = csr_matrix((problem.values, (problem.rows, problem.cols)),
+    integer[np.fromiter(problem.integer, np.intp, len(problem.integer))] = True
+    matrix = csr_matrix((problem.values, problem.cols, problem.starts),
                         shape=(len(problem.row_lower), nvar))
+    matrix.sum_duplicates()  # one entry per column of a row, in column order
     matrix.eliminate_zeros()  # 0 * inf would make an activity NaN
     row_lower = np.array(problem.row_lower, dtype=float)
     row_upper = np.array(problem.row_upper, dtype=float)
@@ -235,14 +239,6 @@ def solve(problem: LpProblem, time_limit: Optional[float] = None):
 # HiGHS's default primal feasibility tolerance, for the rows whose every
 # column is fixed
 _FEASIBILITY_TOL = 1e-7
-
-
-def _keys(entries) -> np.ndarray:
-    return np.fromiter(entries, np.intp, len(entries))
-
-
-def _values(entries: Dict[int, float]) -> np.ndarray:
-    return np.fromiter(entries.values(), float, len(entries))
 
 
 def _unsolved(reason: str):

@@ -663,9 +663,11 @@ def run_solver_command(command: Optional[str], lp_path, sol_path,
     """Solve an LP file into a solution file: in this process with the
     bundled HiGHS when ``command`` is None, else with a command template
     holding ``{lp}``, ``{sol}`` and optionally ``{time_limit}`` (0 for no
-    limit).  A stale file at ``sol_path`` is removed first.  Raises
-    ``ValueError`` as ``check_time_limit`` does, and ``SolverError`` when
-    the solver fails or writes no solution file."""
+    limit), with ``{{`` and ``}}`` for literal braces.  A stale file at
+    ``sol_path`` is removed first.  Raises ``ValueError`` as
+    ``check_time_limit`` does, and ``SolverError`` for a template that
+    names another placeholder or when the solver fails or writes no
+    solution file."""
     check_time_limit(time_limit)
     with contextlib.suppress(FileNotFoundError):
         os.remove(sol_path)
@@ -676,9 +678,14 @@ def run_solver_command(command: Optional[str], lp_path, sol_path,
     if "{lp}" not in command or "{sol}" not in command:
         raise SolverError("solver command must contain {lp} and {sol}: %r"
                           % command)
-    proc = subprocess.run(command.format(lp=lp_path, sol=sol_path,
-                                         time_limit=time_limit or 0),
-                          shell=True, capture_output=True, text=True,
+    try:
+        line = command.format(lp=lp_path, sol=sol_path,
+                              time_limit=time_limit or 0)
+    except (AttributeError, IndexError, KeyError, ValueError) as exc:
+        raise SolverError("solver command template %r: %s; it may hold "
+                          "only {lp}, {sol} and {time_limit}, with {{ and }} "
+                          "for a literal brace" % (command, exc))
+    proc = subprocess.run(line, shell=True, capture_output=True, text=True,
                           env=solver_environment()[1])
     if proc.returncode != 0:
         raise SolverError("external solver failed (%d): %s"

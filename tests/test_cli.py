@@ -491,6 +491,30 @@ def test_solver_failure_exit_code(tmp_path):
                "--solver-cmd", "false {lp} {sol}") == EXIT_SOLVER
 
 
+@pytest.mark.parametrize("command", [
+    "true {lp} {sol} {threads}",  # a placeholder no solve fills
+    "true {0} {lp} {sol}",  # a positional one
+    'awk "{print}" {lp} {sol}',  # literal braces not doubled
+])
+def test_bad_solver_template_is_solver_error(tmp_path, capsys, command):
+    pair = write_pair(tmp_path)
+    tree = tmp_path / "tree.tsv"
+    tree.write_text("A\tB\n")
+    lp, sol = tmp_path / "m.lp", tmp_path / "m.sol"
+    assert run("build", str(tree), str(pair), "-o", str(lp)) == EXIT_OK
+    capsys.readouterr()
+    assert run("solve", str(lp), "-o", str(sol),
+               "--solver-cmd", command) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert repr(command) in err and "{lp}, {sol} and {time_limit}" in err
+    assert not sol.exists()
+    # a doubled brace reaches the shell as one brace
+    assert run("solve", str(lp), "-o", str(sol), "--solver-cmd",
+               "test '{{}}' = \"$(printf '\\173\\175')\" "
+               "&& true {lp} {sol}") == EXIT_SOLVER
+    assert "produced no solution file" in capsys.readouterr().err
+
+
 def test_solve_internal_bad_model_is_parse_error(tmp_path, capsys):
     sol = tmp_path / "m.sol"
     assert run("solve", str(tmp_path / "nope.lp"), "-o", str(sol),

@@ -1,12 +1,12 @@
-"""``build_model``, ``declare_model``, ``solver.solve_internal`` and
-``extract.decode`` pause the cyclic garbage collector while they run and
-leave it as they found it, also when they raise."""
+"""``build_model``, ``declare_model`` and ``solver.solve_internal`` pause the
+cyclic garbage collector while they run and leave it as they found it, also
+when they raise."""
 
 import gc
 
 import pytest
 
-from spp_dcj import extract, ilp, solver
+from spp_dcj import ilp, solver
 from spp_dcj.genomes import FamilyAssignment, Phylogeny
 
 from util import build_genome
@@ -78,14 +78,5 @@ def test_solve_internal_restores_collector_on_budget(collector, monkeypatch):
     monkeypatch.setattr(solver, "WORK_BUDGET", 1)
     with pytest.raises(solver.BudgetExhausted):
         solver.solve_internal(model)
-    assert seen == [False]
-    assert gc.isenabled() is collector
-
-
-def test_decode_restores_collector(collector, monkeypatch):
-    model = _build()
-    assignment = solver.solve_internal(model).assignment
-    seen = _watch(monkeypatch, extract, "_decode_context")
-    assert extract.decode(model, assignment).genomes
     assert seen == [False]
     assert gc.isenabled() is collector

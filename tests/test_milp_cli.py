@@ -33,15 +33,17 @@ def test_parse_lp(tmp_path):
     path.write_text(SMALL_LP)
     problem = milp_cli.parse_lp(path)
     assert problem.names == ["x", "y", "z"]
-    assert problem.objective == {0: 3.0, 1: 2.0, 2: -1.0}
-    # c1: x + y <= 1, c2: y + z >= 1, as (row, column, value) entries
-    assert problem.rows == [0, 0, 1, 1]
+    assert problem.objective == [3.0, 2.0, -1.0]
+    # c1: x + y <= 1, c2: y + z >= 1; row r's terms are the entries
+    # starts[r] to starts[r + 1] of cols and values
+    assert problem.starts == [0, 2, 4]
     assert problem.cols == [0, 1, 1, 2]
     assert problem.values == [1.0, 1.0, 1.0, 1.0]
     assert problem.row_lower == [-math.inf, 1.0]
     assert problem.row_upper == [1.0, math.inf]
     assert problem.integer == {0, 1, 2}
-    assert problem.upper[0] == 1.0 and problem.upper[2] == 2.0
+    assert problem.lower == [0.0, 0.0, 0.0]
+    assert problem.upper == [1.0, 1.0, 2.0]
 
 
 BAD_LP = {  # text -> number of the first malformed line
@@ -81,6 +83,23 @@ def test_solve_small(tmp_path):
     # optimum: x=1, y=0, z=1 -> 3 - 1 = 2
     assert reported == pytest.approx(2.0)
     assert values["x"] == 1.0 and values["y"] == 0.0 and values["z"] == 1.0
+
+
+def test_column_named_twice_in_a_row_is_summed(tmp_path):
+    # c1 names x twice: the row is 2 x <= 1, which leaves x = 0; with
+    # either term alone it would be x <= 1, and x = 1
+    text = ("Maximize\n obj: 1 x\nSubject To\n c1: %s <= 1\n"
+            "Binaries\n x\nEnd\n")
+    results = []
+    for terms, cols in (("1 x + 1 x", [0, 0]), ("2 x", [0])):
+        lp = tmp_path / "m.lp"
+        lp.write_text(text % terms)
+        problem = milp_cli.parse_lp(lp)
+        assert problem.cols == cols
+        result = milp_cli.solve(problem)
+        assert result.success
+        results.append((list(result.x), -result.fun))
+    assert results == [([0.0], 0.0), ([0.0], 0.0)]
 
 
 def test_main_exit_codes(tmp_path):
@@ -239,9 +258,12 @@ def test_round_trip_with_model(tmp_path):
 def _rows_of(problem):
     """Per row: ({variable: coefficient}, lower, upper)."""
     terms = [{} for _ in problem.row_lower]
-    for row, col, value in zip(problem.rows, problem.cols, problem.values):
-        name = problem.names[col]
-        terms[row][name] = terms[row].get(name, 0.0) + value
+    for row, (start, end) in enumerate(zip(problem.starts,
+                                           problem.starts[1:])):
+        for col, value in zip(problem.cols[start:end],
+                              problem.values[start:end]):
+            name = problem.names[col]
+            terms[row][name] = terms[row].get(name, 0.0) + value
     return list(zip(terms, problem.row_lower, problem.row_upper))
 
 
@@ -261,9 +283,8 @@ def assert_same_problem(model, problem):
     ``model``."""
     names = model.names()
     assert sorted(problem.names) == sorted(names)
-    assert {problem.names[vi]: coef
-            for vi, coef in problem.objective.items()} == {
-        names[col]: coef for col, coef in model.objective.items() if coef != 0}
+    assert [problem.objective[problem.index[name]] for name in names] == [
+        model.objective.get(col, 0.0) for col in range(len(names))]
     assert {problem.names[vi] for vi in problem.integer} == {
         name for name, kind in zip(names, model.kinds)
         if kind in (BINARY, INTEGER)}
