@@ -76,10 +76,13 @@ _non_negative_float = _bounded(float, lambda v: 0 <= v < math.inf,
 _positive_int = _bounded(int, lambda v: v >= 1, "an integer >= 1")
 
 
-def _manifest(path, subcommand, args: Dict, stages: Dict[str, float]):
+def _manifest(path, args, stages: Dict[str, float]):
+    """Write a run's manifest: every parsed argument of its subcommand, the
+    version and the stage wall times."""
     payload = {
-        "subcommand": subcommand,
-        "arguments": {k: v for k, v in sorted(args.items())},
+        "subcommand": args.command,
+        "arguments": {k: v for k, v in sorted(vars(args).items())
+                      if k not in ("command", "func")},
         "version": __version__,
         "wall_times": {k: round(v, 6) for k, v in stages.items()},
     }
@@ -136,22 +139,20 @@ def cmd_build(args) -> int:
     model = _build(args, tree, genomes)
     built = time.monotonic()
     write_lp(model, args.output, args.idmap)
-    _manifest(args.output + ".manifest.json", "build", {
-        "tree": args.tree, "adjacencies": args.adjacencies,
-        "alpha": args.alpha, "beta": args.beta, "families": args.families,
-    }, {"build": built - start, "write": time.monotonic() - built})
+    _manifest(args.output + ".manifest.json", args,
+              {"build": built - start, "write": time.monotonic() - built})
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
     start = time.monotonic()
-    command = None if args.internal else (args.solver_cmd
-                                          or solver_environment()[0])
-    run_solver_command(command, args.model, args.output, args.time_limit)
-    _manifest(args.output + ".manifest.json", "solve", {
-        "model": args.model, "internal": args.internal,
-        "solver_cmd": command, "time_limit": args.time_limit,
-    }, {"solve": time.monotonic() - start})
+    # the manifest records the command that ran: None for the bundled HiGHS
+    args.solver_cmd = None if args.internal else (args.solver_cmd
+                                                  or solver_environment()[0])
+    run_solver_command(args.solver_cmd, args.model, args.output,
+                       args.time_limit)
+    _manifest(args.output + ".manifest.json", args,
+              {"solve": time.monotonic() - start})
     return EXIT_OK
 
 
@@ -174,11 +175,8 @@ def cmd_extract(args) -> int:
         audit(model, decoded, reported)
     io.write_adjacencies(decoded.genomes, args.genomes_out)
     io.write_tsv(args.distances_out, DISTANCE_HEADER, distance_rows(decoded))
-    _manifest(args.genomes_out + ".manifest.json", "extract", {
-        "solution": args.solution, "idmap": args.idmap, "tree": args.tree,
-        "adjacencies": args.adjacencies, "alpha": args.alpha,
-        "beta": args.beta, "families": args.families,
-    }, {"extract": time.monotonic() - start})
+    _manifest(args.genomes_out + ".manifest.json", args,
+              {"extract": time.monotonic() - start})
     return EXIT_OK
 
 
@@ -233,7 +231,7 @@ def cmd_distance(args) -> int:
 
 def cmd_simulate(args) -> int:
     start = time.monotonic()
-    config = SimConfig(families=args.families_count, leaves=args.leaves,
+    config = SimConfig(families=args.families, leaves=args.leaves,
                        scale=args.scale, seed=args.seed)
     result = evolve(config)
     # the noise is drawn before anything is written, so a bad value leaves
@@ -256,11 +254,8 @@ def cmd_simulate(args) -> int:
     io.write_tsv(os.path.join(args.out_dir, "events.tsv"), EVENT_HEADER,
                  event_rows(result.events))
     io.write_adjacencies(noisy, os.path.join(args.out_dir, "degenerate.tsv"))
-    _manifest(os.path.join(args.out_dir, "manifest.json"), "simulate", {
-        "families": args.families_count, "leaves": args.leaves,
-        "scale": args.scale, "seed": args.seed, "surfeit": args.surfeit,
-        "adversarial": args.adversarial, "out_dir": args.out_dir,
-    }, {"simulate": time.monotonic() - start})
+    _manifest(os.path.join(args.out_dir, "manifest.json"), args,
+              {"simulate": time.monotonic() - start})
     return EXIT_OK
 
 
@@ -329,8 +324,7 @@ def make_parser() -> _Parser:
                        "degenerate ancestors")
     p.add_argument("out_dir")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--families", dest="families_count", type=_positive_int,
-                   default=100)
+    p.add_argument("--families", type=_positive_int, default=100)
     p.add_argument("--leaves", type=int, default=10)
     p.add_argument("--scale", type=_non_negative_float, default=1.0)
     p.add_argument("--surfeit", type=_non_negative_float, default=1.2)

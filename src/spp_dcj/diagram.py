@@ -18,8 +18,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .genomes import (Adjacency, DegenerateGenome, Extremity, FamilyAssignment,
-                      HEAD, TAIL, TELO, check_family_consistency,
+from .genomes import (CAP_PREFIX, Adjacency, DegenerateGenome, Extremity,
+                      FamilyAssignment, HEAD, TAIL, TELO,
                       connected_components, enumerate_derived)
 
 ADJ = "adj"
@@ -97,6 +97,13 @@ class DistanceBreakdown:
         return rounded
 
 
+def _caps(species: str, deficit: int) -> List[Extremity]:
+    """``deficit`` capping telomeres of ``species``, rounded down to pairs
+    (none unless ``deficit`` > 1)."""
+    return [Extremity(species, "%s%d" % (CAP_PREFIX, i), TELO)
+            for i in range(1, 2 * (deficit // 2) + 1)]
+
+
 class MultiRelationalDiagram:
     """Capped multi-relational diagram of one phylogeny edge."""
 
@@ -107,19 +114,17 @@ class MultiRelationalDiagram:
         self.genome_a = genome_a
         self.genome_b = genome_b
         self.families = families
-        counts_a = check_family_consistency(genome_a, families)
-        counts_b = check_family_consistency(genome_b, families)
-        fams = {fam for fam, _ in counts_a} | {fam for fam, _ in counts_b}
-        self.n = sum(min(counts_a.get((fam, TAIL), 0), counts_b.get((fam, TAIL), 0))
-                     for fam in fams)
+        # each marker is one copy of its family (the mate rule)
+        by_family_a = self._markers_by_family(genome_a)
+        by_family_b = self._markers_by_family(genome_b)
+        self.n = sum(min(len(markers), len(by_family_b.get(fam, ())))
+                     for fam, markers in by_family_a.items())
 
         telo_a = genome_a.telomeres()
         telo_b = genome_b.telomeres()
         l = len(telo_b) - len(telo_a)
-        self.caps_a = [Extremity(genome_a.species, "cap.%d" % i, TELO)
-                       for i in range(1, max(0, 2 * (l // 2)) + 1)] if l > 0 else []
-        self.caps_b = [Extremity(genome_b.species, "cap.%d" % i, TELO)
-                       for i in range(1, max(0, 2 * (-l // 2)) + 1)] if l < 0 else []
+        self.caps_a = _caps(genome_a.species, l)
+        self.caps_b = _caps(genome_b.species, -l)
 
         non_telo = sorted(genome_a.non_telomeric_extremities()
                           + genome_b.non_telomeric_extremities())
@@ -131,7 +136,7 @@ class MultiRelationalDiagram:
 
         self.edges: List[DiagramEdge] = []
         self._edges_at: Dict[Extremity, List[DiagramEdge]] = {}
-        self._build_edges(counts_a, counts_b, reduce_telomeres)
+        self._build_edges(by_family_a, by_family_b, reduce_telomeres)
 
     # -- construction -----------------------------------------------------
 
@@ -144,17 +149,18 @@ class MultiRelationalDiagram:
         self._edges_at.setdefault(v, []).append(edge)
         return edge
 
-    def _build_edges(self, counts_a, counts_b, reduce_telomeres):
+    def _build_edges(self, by_family_a, by_family_b, reduce_telomeres):
         """Adjacency, marker extremity, telomeric extremity and indel
         edges, in that order.  With ``reduce_telomeres`` only the telomere
         pairs ``classify_interior_components`` keeps become edges."""
         fam = self.families
         indels = []  # (side, tail, head) of copies that may be deleted
-        for side, genome, own, other in (("A", self.genome_a, counts_a, counts_b),
-                                         ("B", self.genome_b, counts_b, counts_a)):
+        for side, genome, own, other in (
+                ("A", self.genome_a, by_family_a, by_family_b),
+                ("B", self.genome_b, by_family_b, by_family_a)):
             for marker in genome.markers():
                 family = fam.family(marker)
-                if own.get((family, TAIL), 0) > other.get((family, TAIL), 0):
+                if len(own[family]) > len(other.get(family, ())):
                     indels.append((side,
                                    Extremity(genome.species, marker, TAIL),
                                    Extremity(genome.species, marker, HEAD)))
@@ -166,8 +172,6 @@ class MultiRelationalDiagram:
             for i in range(0, len(caps), 2):
                 self._add_edge(ADJ, side, caps[i], caps[i + 1], cap=True)
 
-        by_family_a = self._markers_by_family(self.genome_a)
-        by_family_b = self._markers_by_family(self.genome_b)
         for family in sorted(set(by_family_a) & set(by_family_b)):
             for ma in by_family_a[family]:
                 for mb in by_family_b[family]:
@@ -407,9 +411,9 @@ def _family_matchings(diagram: MultiRelationalDiagram):
 
 def _cap_partner(cap: Extremity) -> Extremity:
     """The capping telomere sharing a capping adjacency with this one."""
-    k = int(cap.marker.split(".", 1)[1])
+    k = int(cap.marker[len(CAP_PREFIX):])
     partner = k + 1 if k % 2 == 1 else k - 1
-    return Extremity(cap.species, "cap.%d" % partner, TELO)
+    return Extremity(cap.species, "%s%d" % (CAP_PREFIX, partner), TELO)
 
 
 def _telomere_matchings(ta: List[Extremity], tb: List[Extremity],
@@ -430,7 +434,8 @@ def _telomere_matchings(ta: List[Extremity], tb: List[Extremity],
     seen_reprs = set()
     first = ta[0]
     for i, cand in enumerate(tb):
-        if cand.marker.startswith("cap.") and _cap_partner(cand) not in matched:
+        if (cand.marker.startswith(CAP_PREFIX)
+                and _cap_partner(cand) not in matched):
             key = "free-cap"
         else:
             key = cand.name

@@ -4,6 +4,11 @@ A genome is modelled purely as a set of adjacencies between marker
 extremities.  Degenerate genomes relax the "each extremity used once"
 condition for non-telomeric extremities and therefore represent a
 superposition of candidate gene orders.
+
+Markers named ``t.<n>`` (telomeres) and ``cap.<n>`` (the capping telomeres
+a diagram adds) are telomeric: their one extremity has kind TELO, and they
+belong to no family.  Every other extremity's mate is in its genome, so a
+genome holds as many tails as heads of each family, one of each per marker.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ TELO = "o"
 KINDS = (TAIL, HEAD, TELO)
 
 TELOMERE_PREFIX = "t."
+CAP_PREFIX = "cap."  # the capping telomeres a diagram adds
+TELOMERIC_PREFIXES = (TELOMERE_PREFIX, CAP_PREFIX)
 
 
 class GenomeError(ValueError):
@@ -42,9 +49,7 @@ class Extremity(namedtuple("Extremity", "species marker kind")):
     def __new__(cls, species: str, marker: str, kind: str):
         if kind not in KINDS:
             raise GenomeError("invalid extremity kind %r" % (kind,))
-        is_telomere = (marker.startswith(TELOMERE_PREFIX)
-                       or marker.startswith("cap."))
-        if is_telomere != (kind == TELO):
+        if marker.startswith(TELOMERIC_PREFIXES) != (kind == TELO):
             raise GenomeError(
                 "telomere naming mismatch for %s_%s" % (marker, kind))
         return tuple.__new__(cls, (species, marker, kind))
@@ -89,7 +94,7 @@ class FamilyAssignment:
         self.explicit: Dict[str, str] = dict(explicit or {})
 
     def family(self, marker: str) -> str:
-        if marker.startswith(TELOMERE_PREFIX) or marker.startswith("cap."):
+        if marker.startswith(TELOMERIC_PREFIXES):
             raise GenomeError("telomere %s has no family" % marker)
         if marker in self.explicit:
             return self.explicit[marker]
@@ -224,29 +229,6 @@ class DegenerateGenome:
                 if tail.isdigit():
                     best = max(best, int(tail))
         return best
-
-
-def family_multiplicities(genome: DegenerateGenome,
-                          f: FamilyAssignment) -> Dict[Tuple[str, str], int]:
-    """Per (family, kind) extremity counts of a genome."""
-    counts: Dict[Tuple[str, str], int] = {}
-    for ext in genome.non_telomeric_extremities():
-        key = (f.family(ext.marker), ext.kind)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def check_family_consistency(genome: DegenerateGenome, f: FamilyAssignment
-                             ) -> Dict[Tuple[str, str], int]:
-    """Tail and head counts of every family must agree; returns the
-    ``family_multiplicities`` of the genome."""
-    counts = family_multiplicities(genome, f)
-    fams = {fam for fam, _ in counts}
-    for fam in fams:
-        if counts.get((fam, TAIL), 0) != counts.get((fam, HEAD), 0):
-            raise GenomeError("inconsistent family %s in genome %s"
-                              % (fam, genome.species))
-    return counts
 
 
 def format_number(value: float) -> str:

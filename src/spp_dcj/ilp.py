@@ -30,7 +30,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 from .diagram import (ADJ, EXT, ID, DiagramEdge, MultiRelationalDiagram,
                       enumerate_circular_singletons)
-from .genomes import (Adjacency, DegenerateGenome, Extremity,
+from .genomes import (CAP_PREFIX, Adjacency, DegenerateGenome, Extremity,
                       FamilyAssignment, Phylogeny, format_number)
 
 BINARY = "B"
@@ -311,7 +311,7 @@ def _declare_edge_vars(model: IlpModel, a: str, b: str,
                                edge.index))
 
     for node in diagram.nodes:
-        if node.marker.startswith("cap."):
+        if node.marker.startswith(CAP_PREFIX):
             ctx.o_vars[node] = model.add_variable(BINARY, 0, 1,
                                                   ("capo", key, node))
         else:

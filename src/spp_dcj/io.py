@@ -2,13 +2,13 @@
 
 Adjacency file: ``species<TAB>ext1<TAB>ext2<TAB>weight`` with extremity
 syntax ``<marker>_h``, ``<marker>_t``, ``t.<n>_o`` and a finite weight
-(default 1).  Lines starting with ``#`` are comments.  Canonical sort is
-lexicographic by ``(species, ext1, ext2)``.
+(default 1), which ``Adjacency`` checks.  Every ``GenomeError`` is
+reported as a ``ParseError`` with its line.  Lines starting with ``#`` are
+comments.  Canonical sort is lexicographic by ``(species, ext1, ext2)``.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .genomes import (Adjacency, DegenerateGenome, FamilyAssignment,
@@ -47,8 +47,6 @@ def read_adjacencies(path) -> Dict[str, DegenerateGenome]:
             try:
                 weight = float(cols[3])
             except ValueError:
-                weight = math.nan
-            if not math.isfinite(weight):
                 raise ParseError(path, lineno, "bad weight %r: need a finite "
                                  "number" % cols[3])
         try:

@@ -3,9 +3,10 @@
 Reads exactly the LP dialect ``ilp.write_lp`` writes (README, File formats):
 the six section headers as written, one labelled objective line (``obj: 0``
 when empty), named one-line rows, ``lb <= name <= ub`` bounds and one name
-per line under Binaries and Generals; any other line is an
-``LpFormatError``.  The solution is written with ``solver.write_solution``,
-the format the external-solver bridge reads.
+per line under Binaries and Generals, with finite numbers and a
+coefficient after every sign; any other line is an ``LpFormatError``.
+The solution is written with ``solver.write_solution``, the format the
+external-solver bridge reads.
 
 ``parse_lp`` reads the text straight into the layout HiGHS takes
 (``LpProblem``), its rows in ``ilp.Rows``' compressed form.
@@ -29,7 +30,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .io import ParseError
-from .solver import (SolverError, _relative_gap, check_time_limit,
+from .solver import (SolverError, _finite, _relative_gap, check_time_limit,
                      write_solution)
 
 
@@ -77,26 +78,30 @@ _HEADERS = frozenset(("Maximize", "Subject To", "Bounds", "Binaries",
 def _parse_terms(problem: LpProblem, tokens: List[str], cols: List[int],
                  values: List[float]):
     """Append the column and signed coefficient of every ``[+|-] coef name``
-    term to ``cols`` and ``values``."""
-    sign = 1.0
+    term to ``cols`` and ``values``: each sign is followed by a coefficient,
+    and each coefficient is a finite number."""
+    sign = 0.0  # the factor of a sign read before a coefficient, else 0
     tokens = iter(tokens)
     for tok in tokens:
-        if tok == "+":
-            sign = 1.0
-            continue
-        if tok == "-":
-            sign = -1.0
+        if tok == "+" or tok == "-":
+            if sign:
+                raise ValueError("sign %r follows a sign" % tok)
+            sign = 1.0 if tok == "+" else -1.0
             continue
         try:
             coef = float(tok)
         except ValueError:
             raise ValueError("expected coefficient, got %r" % tok)
+        if coef - coef:  # NaN for an infinite or NaN coefficient
+            raise ValueError("coefficient %r is not a finite number" % tok)
         name = next(tokens, None)
         if name is None:
             raise ValueError("dangling coefficient %r" % tok)
         cols.append(problem.var(name))
-        values.append(sign * coef)
-        sign = 1.0
+        values.append(-coef if sign < 0 else coef)
+        sign = 0.0
+    if sign:
+        raise ValueError("a sign is not followed by a coefficient")
 
 
 def parse_lp(path) -> LpProblem:
@@ -130,7 +135,10 @@ def _parse_line(problem: LpProblem, section: Optional[str], line: str):
             raise ValueError("malformed constraint: %r" % line)
         _parse_terms(problem, tokens[:-2], problem.cols, problem.values)
         problem.starts.append(len(problem.cols))
-        sense, rhs = tokens[-2], float(tokens[-1])
+        sense, rhs = tokens[-2], _finite(tokens[-1])
+        if rhs is None:
+            raise ValueError("right-hand side %r is not a finite number"
+                             % tokens[-1])
         problem.row_lower.append(-np.inf if sense == "<=" else rhs)
         problem.row_upper.append(np.inf if sense == ">=" else rhs)
     elif section == "Maximize":
@@ -149,9 +157,12 @@ def _parse_line(problem: LpProblem, section: Optional[str], line: str):
         parts = line.split()
         if len(parts) != 5 or parts[1] != "<=" or parts[3] != "<=":
             raise ValueError("malformed bound: %r" % line)
+        lower, upper = _finite(parts[0]), _finite(parts[4])
+        if lower is None or upper is None:
+            raise ValueError("bound that is not a finite number: %r" % line)
         vi = problem.var(parts[2])
-        problem.lower[vi] = float(parts[0])
-        problem.upper[vi] = float(parts[4])
+        problem.lower[vi] = lower
+        problem.upper[vi] = upper
     elif section in ("Binaries", "Generals"):
         if len(line.split()) != 1:
             raise ValueError("expected one variable name: %r" % line)

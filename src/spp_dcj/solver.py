@@ -16,6 +16,7 @@ import contextlib
 import math
 import os
 import shlex
+import string
 import subprocess
 import sys
 import tempfile
@@ -661,12 +662,12 @@ def solver_environment() -> Tuple[Optional[str], Dict[str, str]]:
 def run_solver_command(command: Optional[str], lp_path, sol_path,
                        time_limit: Optional[float] = None):
     """Solve an LP file into a solution file: in this process with the
-    bundled HiGHS when ``command`` is None, else with a command template
-    holding ``{lp}``, ``{sol}`` and optionally ``{time_limit}`` (0 for no
-    limit), with ``{{`` and ``}}`` for literal braces.  A stale file at
-    ``sol_path`` is removed first.  Raises ``ValueError`` as
-    ``check_time_limit`` does, and ``SolverError`` for a template that
-    names another placeholder or when the solver fails or writes no
+    bundled HiGHS when ``command`` is None, else with a ``str.format``
+    template whose fields are ``{lp}``, ``{sol}`` and optionally
+    ``{time_limit}`` (0 for no limit), with ``{{`` and ``}}`` for literal
+    braces.  A stale file at ``sol_path`` is removed first.  Raises
+    ``ValueError`` as ``check_time_limit`` does, and ``SolverError`` naming
+    a template that breaks this rule, or when the solver fails or writes no
     solution file."""
     check_time_limit(time_limit)
     with contextlib.suppress(FileNotFoundError):
@@ -675,16 +676,19 @@ def run_solver_command(command: Optional[str], lp_path, sol_path,
         from . import milp_cli  # numpy and scipy load only when used
         milp_cli.solve_file(lp_path, sol_path, time_limit)
         return
-    if "{lp}" not in command or "{sol}" not in command:
-        raise SolverError("solver command must contain {lp} and {sol}: %r"
-                          % command)
     try:
+        fields = {field for _, field, _, _ in string.Formatter().parse(command)
+                  if field is not None}
+        if not {"lp", "sol"} <= fields <= {"lp", "sol", "time_limit"}:
+            raise ValueError("its fields are %s" % sorted(fields))
         line = command.format(lp=lp_path, sol=sol_path,
                               time_limit=time_limit or 0)
-    except (AttributeError, IndexError, KeyError, ValueError) as exc:
-        raise SolverError("solver command template %r: %s; it may hold "
-                          "only {lp}, {sol} and {time_limit}, with {{ and }} "
-                          "for a literal brace" % (command, exc))
+    # str.format looks up the fields nested in a format spec itself
+    except (AttributeError, LookupError, ValueError) as exc:
+        raise SolverError("solver command template %r: %s; it must hold "
+                          "{lp} and {sol}, and may hold only {lp}, {sol} and "
+                          "{time_limit}, with {{ and }} for a literal brace"
+                          % (command, exc))
     proc = subprocess.run(line, shell=True, capture_output=True, text=True,
                           env=solver_environment()[1])
     if proc.returncode != 0:

@@ -495,6 +495,7 @@ def test_solver_failure_exit_code(tmp_path):
     "true {lp} {sol} {threads}",  # a placeholder no solve fills
     "true {0} {lp} {sol}",  # a positional one
     'awk "{print}" {lp} {sol}',  # literal braces not doubled
+    "touch {sol} # {{lp}}",  # a literal brace pair, no {lp} field
 ])
 def test_bad_solver_template_is_solver_error(tmp_path, capsys, command):
     pair = write_pair(tmp_path)
@@ -513,6 +514,19 @@ def test_bad_solver_template_is_solver_error(tmp_path, capsys, command):
                "test '{{}}' = \"$(printf '\\173\\175')\" "
                "&& true {lp} {sol}") == EXIT_SOLVER
     assert "produced no solution file" in capsys.readouterr().err
+
+
+def test_solver_template_fields_take_conversions(tmp_path):
+    pair = write_pair(tmp_path)
+    tree = tmp_path / "tree.tsv"
+    tree.write_text("A\tB\n")
+    lp, sol = tmp_path / "m.lp", tmp_path / "m.sol"
+    assert run("build", str(tree), str(pair), "-o", str(lp)) == EXIT_OK
+    # str.format fills {lp!r} with the quoted path
+    command = solver.DEFAULT_COMMAND.replace("{lp}", "{lp!r}")
+    assert run("solve", str(lp), "-o", str(sol),
+               "--solver-cmd", command) == EXIT_OK
+    assert sol.exists()
 
 
 def test_solve_internal_bad_model_is_parse_error(tmp_path, capsys):
@@ -650,6 +664,33 @@ def test_extract_rejects_non_finite_or_repeated_value(tmp_path, capsys,
     line = len(lines) if change == "repeat" else first + 1
     assert "%s:%d:" % (sol, line) in capsys.readouterr().err
     assert not genomes.exists()
+
+
+def test_manifests_record_every_argument(tmp_path):
+    pair = write_pair(tmp_path)
+    tree = tmp_path / "tree.tsv"
+    tree.write_text("A\tB\n")
+    lp, idmap, sol = tmp_path / "m.lp", tmp_path / "m.tsv", tmp_path / "m.sol"
+    genomes_out, sim = tmp_path / "g.tsv", tmp_path / "sim"
+    runs = [
+        (["build", str(tree), str(pair), "-o", str(lp), "--idmap",
+          str(idmap), "--beta", "0.5"], str(lp) + ".manifest.json"),
+        (["solve", str(lp), "-o", str(sol), "--internal", "--time-limit",
+          "60"], str(sol) + ".manifest.json"),
+        (["extract", str(sol), str(tree), str(pair), "--idmap", str(idmap),
+          "--beta", "0.5", "--genomes-out", str(genomes_out),
+          "--distances-out", str(tmp_path / "d.tsv")],
+         str(genomes_out) + ".manifest.json"),
+        (["simulate", str(sim), "--families", "5", "--leaves", "3"],
+         str(sim / "manifest.json")),
+    ]
+    for argv, manifest_path in runs:
+        assert main(argv) == EXIT_OK
+        parsed = vars(cli.make_parser().parse_args(argv))
+        manifest = json.loads(open(manifest_path).read())
+        assert manifest["subcommand"] == parsed.pop("command")
+        del parsed["func"]
+        assert manifest["arguments"] == parsed, argv[0]
 
 
 def test_extract_manifest_records_families(tmp_path):

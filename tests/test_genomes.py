@@ -3,11 +3,11 @@ import pickle
 
 import pytest
 
+from spp_dcj.diagram import ID, MultiRelationalDiagram
 from spp_dcj.genomes import (Adjacency, DegenerateGenome, Extremity,
                              FamilyAssignment, GenomeError, HEAD, Phylogeny,
-                             TAIL, TELO, check_family_consistency,
-                             connected_components, family_multiplicities,
-                             is_derived, is_genome, parse_extremity, surfeit)
+                             TAIL, TELO, connected_components, is_derived,
+                             is_genome, parse_extremity, surfeit)
 
 from util import build_genome, random_structure, seeded
 
@@ -177,12 +177,18 @@ def test_degenerate_deduplication():
 
 
 def test_multiplicity_and_consistency():
-    fam = FamilyAssignment()
+    # the mate rule makes a family's tail and head counts equal, so the
+    # diagram counts a family's copies by its markers
     g = build_genome("A", [(["1.1", "1.2", "2.1"], True)])
-    counts = family_multiplicities(g, fam)
-    assert counts == {("1", TAIL): 2, ("1", HEAD): 2,
-                      ("2", TAIL): 1, ("2", HEAD): 1}
-    assert check_family_consistency(g, fam) == counts
+    other = build_genome("B", [(["1.1", "3.1"], True)])
+    d = MultiRelationalDiagram(g, other, FamilyAssignment())
+    assert d.n == 1
+    # a family with more copies on one side may lose them there
+    assert sorted((e.side, e.u.marker) for e in d.edges if e.kind == ID) == [
+        ("A", "1.1"), ("A", "1.2"), ("A", "2.1"), ("B", "3.1")]
+    with pytest.raises(GenomeError, match="missing mate"):
+        DegenerateGenome("A", [Adjacency((ext("1.1", TAIL),
+                                          ext("2.1", HEAD)))])
 
 
 def test_surfeit():

@@ -61,6 +61,17 @@ BAD_LP = {  # text -> number of the first malformed line
     "Maximize\n obj: 1 x\n 1 y\nEnd\n": 3,  # second objective line
     "Maximize\n obj: 1 x\nbinary\n x\nEnd\n": 3,  # alias
     "Maximize\n obj: 1 x\nBinaries\n x y\nEnd\n": 4,  # two names
+    # every number is finite: HiGHS would answer "Model error"
+    "Maximize\n obj: 1 x\nSubject To\n c: nan x <= 1\nEnd\n": 4,
+    "Maximize\n obj: 1 x\nSubject To\n c: 1 x <= nan\nEnd\n": 4,
+    "Maximize\n obj: 1 x\nSubject To\n c: inf x <= 1\nEnd\n": 4,
+    "Maximize\n obj: 1e999 x\nEnd\n": 2,
+    "Maximize\n obj: 1 x\nBounds\n -inf <= x <= 1\nEnd\n": 4,
+    "Maximize\n obj: 1 x\nBounds\n 0 <= x <= nan\nEnd\n": 4,
+    # each sign is followed by a coefficient
+    "Maximize\n obj: 1 x\nSubject To\n c: - - 1 x <= 1\nEnd\n": 4,
+    "Maximize\n obj: 1 x\nSubject To\n c: 1 x + <= 1\nEnd\n": 4,
+    "Maximize\n obj: 1 x -\nEnd\n": 2,
 }
 
 
