@@ -73,12 +73,19 @@ class Extremity(namedtuple("Extremity", "species marker kind")):
 
 
 def parse_extremity(species: str, text: str) -> Extremity:
-    """Parse an extremity token of the form ``<marker>_h``/``_t``/``t.<n>_o``."""
+    """Parse an extremity token of the form ``<marker>_h``/``_t``/``t.<n>_o``.
+
+    The ``cap.`` names belong to the capping telomeres a diagram adds, so
+    an input extremity that takes one is refused."""
     if "_" not in text:
         raise GenomeError("malformed extremity %r" % (text,))
     marker, _, kind = text.rpartition("_")
     if kind not in KINDS or not marker:
         raise GenomeError("malformed extremity %r" % (text,))
+    if marker.startswith(CAP_PREFIX):
+        raise GenomeError("extremity %r: the prefix %r is kept for the "
+                          "capping telomeres; name input telomeres %s<n>"
+                          % (text, CAP_PREFIX, TELOMERE_PREFIX))
     return Extremity(species, marker, kind)
 
 

@@ -8,7 +8,7 @@ coefficient after every sign; any other line is an ``LpFormatError``.
 The solution is written with ``solver.write_solution``, the format the
 external-solver bridge reads.
 
-``parse_lp`` reads the text straight into the layout HiGHS takes
+``parse_lp`` reads the text straight into the typed arrays HiGHS takes
 (``LpProblem``), its rows in ``ilp.Rows``' compressed form.
 
 HiGHS sees only the free columns.  ``solve`` first fixes every column that
@@ -24,7 +24,9 @@ whole model.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from array import array
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -39,35 +41,37 @@ class LpFormatError(ParseError):
 
 
 class LpProblem:
-    """An LP model in the form the HiGHS call takes: columns numbered in
-    order of first appearance, with one objective coefficient and one
-    [lower, upper] range each; the rows in ``ilp.Rows``' compressed form,
-    row ``r`` holding the terms ``cols[k]``, ``values[k]`` for
-    ``starts[r] <= k < starts[r + 1]``, and one [lower, upper] range per
-    row."""
+    """An LP model in the form the HiGHS call takes, in typed arrays:
+    columns numbered in order of first appearance, with one float64
+    objective coefficient and one [lower, upper] range each, and the int32
+    indices of the integer columns; the rows in ``ilp.Rows``' compressed
+    form, row ``r`` holding the terms ``cols[k]``, ``values[k]`` for
+    ``starts[r] <= k < starts[r + 1]`` (int32 ``starts`` and ``cols``,
+    float64 ``values``), and one float64 [lower, upper] range per row."""
 
     def __init__(self):
         self.names: List[str] = []
-        self.index: Dict[str, int] = {}
-        self.objective: List[float] = []
-        self.lower: List[float] = []
-        self.upper: List[float] = []
-        self.integer: set = set()
-        self.starts: List[int] = [0]
-        self.cols: List[int] = []
-        self.values: List[float] = []
-        self.row_lower: List[float] = []
-        self.row_upper: List[float] = []
+        self.objective = array("d")
+        self.lower = array("d")
+        self.upper = array("d")
+        self.integer = array("i")
+        self.starts = array("i", [0])
+        self.cols = array("i")
+        self.values = array("d")
+        self.row_lower = array("d")
+        self.row_upper = array("d")
 
-    def var(self, name: str) -> int:
-        vi = self.index.get(name)
-        if vi is None:
-            vi = self.index[name] = len(self.names)
-            self.names.append(name)
-            self.objective.append(0.0)
-            self.lower.append(0.0)
-            self.upper.append(np.inf)
-        return vi
+
+def _column(problem: LpProblem, index: Dict[str, int], name: str) -> int:
+    """The column of ``name``, a new one at its first appearance."""
+    vi = index.get(name)
+    if vi is None:
+        vi = index[name] = len(problem.names)
+        problem.names.append(name)
+        problem.objective.append(0.0)
+        problem.lower.append(0.0)
+        problem.upper.append(math.inf)
+    return vi
 
 
 _SENSES = frozenset(("<=", ">=", "="))
@@ -75,8 +79,8 @@ _HEADERS = frozenset(("Maximize", "Subject To", "Bounds", "Binaries",
                       "Generals", "End"))
 
 
-def _parse_terms(problem: LpProblem, tokens: List[str], cols: List[int],
-                 values: List[float]):
+def _parse_terms(problem: LpProblem, index: Dict[str, int],
+                 tokens: List[str], cols, values):
     """Append the column and signed coefficient of every ``[+|-] coef name``
     term to ``cols`` and ``values``: each sign is followed by a coefficient,
     and each coefficient is a finite number."""
@@ -97,7 +101,8 @@ def _parse_terms(problem: LpProblem, tokens: List[str], cols: List[int],
         name = next(tokens, None)
         if name is None:
             raise ValueError("dangling coefficient %r" % tok)
-        cols.append(problem.var(name))
+        vi = index.get(name)
+        cols.append(_column(problem, index, name) if vi is None else vi)
         values.append(-coef if sign < 0 else coef)
         sign = 0.0
     if sign:
@@ -108,6 +113,7 @@ def parse_lp(path) -> LpProblem:
     """Read an LP file; raises ``LpFormatError`` with the path and line
     number of the first malformed line."""
     problem = LpProblem()
+    index: Dict[str, int] = {}  # name -> column, for the parse only
     section = None
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -116,7 +122,7 @@ def parse_lp(path) -> LpProblem:
                 section = line
                 continue
             try:
-                _parse_line(problem, section, line)
+                _parse_line(problem, index, section, line)
             except ValueError as exc:
                 raise LpFormatError(path, lineno, str(exc))
             if section == "Maximize":
@@ -124,7 +130,8 @@ def parse_lp(path) -> LpProblem:
     return problem
 
 
-def _parse_line(problem: LpProblem, section: Optional[str], line: str):
+def _parse_line(problem: LpProblem, index: Dict[str, int],
+                section: Optional[str], line: str):
     if section == "Subject To":
         name, colon, body = line.partition(":")
         if not colon or not name:
@@ -133,14 +140,15 @@ def _parse_line(problem: LpProblem, section: Optional[str], line: str):
         if (len(tokens) < 2 or tokens[-2] not in _SENSES
                 or not _SENSES.isdisjoint(tokens[:-2])):
             raise ValueError("malformed constraint: %r" % line)
-        _parse_terms(problem, tokens[:-2], problem.cols, problem.values)
+        _parse_terms(problem, index, tokens[:-2], problem.cols,
+                     problem.values)
         problem.starts.append(len(problem.cols))
         sense, rhs = tokens[-2], _finite(tokens[-1])
         if rhs is None:
             raise ValueError("right-hand side %r is not a finite number"
                              % tokens[-1])
-        problem.row_lower.append(-np.inf if sense == "<=" else rhs)
-        problem.row_upper.append(np.inf if sense == ">=" else rhs)
+        problem.row_lower.append(-math.inf if sense == "<=" else rhs)
+        problem.row_upper.append(math.inf if sense == ">=" else rhs)
     elif section == "Maximize":
         label, colon, body = line.partition(":")
         if not colon or not label:
@@ -150,7 +158,7 @@ def _parse_line(problem: LpProblem, section: Optional[str], line: str):
             return  # the empty objective
         cols: List[int] = []
         values: List[float] = []
-        _parse_terms(problem, tokens, cols, values)
+        _parse_terms(problem, index, tokens, cols, values)
         for vi, coef in zip(cols, values):
             problem.objective[vi] += coef
     elif section == "Bounds":
@@ -160,15 +168,15 @@ def _parse_line(problem: LpProblem, section: Optional[str], line: str):
         lower, upper = _finite(parts[0]), _finite(parts[4])
         if lower is None or upper is None:
             raise ValueError("bound that is not a finite number: %r" % line)
-        vi = problem.var(parts[2])
+        vi = _column(problem, index, parts[2])
         problem.lower[vi] = lower
         problem.upper[vi] = upper
     elif section in ("Binaries", "Generals"):
         if len(line.split()) != 1:
             raise ValueError("expected one variable name: %r" % line)
-        vi = problem.var(line)
-        problem.integer.add(vi)
-        if section == "Binaries" and problem.upper[vi] == np.inf:
+        vi = _column(problem, index, line)
+        problem.integer.append(vi)
+        if section == "Binaries" and problem.upper[vi] == math.inf:
             problem.upper[vi] = 1.0  # [0, 1] unless Bounds set a finite range
     elif section == "End":
         raise ValueError("content after End: %r" % line)
@@ -188,23 +196,32 @@ def solve(problem: LpProblem, time_limit: Optional[float] = None):
     problem, and a conflict is the infeasibility HiGHS would report.  The
     result holds one ``x`` per parsed column, and ``fun``,
     ``mip_dual_bound`` and ``mip_gap`` on the whole problem's scale.
+
+    ``problem`` is read and never changed; its ``integer`` may be any
+    iterable of column indices.  ``solve`` copies what it needs, then
+    drops its reference to ``problem``, the full matrix and the matrix of
+    the free columns before HiGHS runs, keeping only what HiGHS is given.
     """
     check_time_limit(time_limit)
     from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, milp
     from scipy.sparse import csr_matrix
 
     nvar = len(problem.names)
-    c = -np.array(problem.objective)  # HiGHS minimizes: the objective negated
-    lb = np.array(problem.lower)
-    ub = np.array(problem.upper)
+    c = -np.asarray(problem.objective, dtype=float)  # HiGHS minimizes
+    lb = np.array(problem.lower, dtype=float)
+    ub = np.array(problem.upper, dtype=float)
     integer = np.zeros(nvar, dtype=bool)
-    integer[np.fromiter(problem.integer, np.intp, len(problem.integer))] = True
-    matrix = csr_matrix((problem.values, problem.cols, problem.starts),
+    integer[np.fromiter(problem.integer, np.intp)] = True
+    # copies of the row buffers, which the two calls below rewrite in place
+    matrix = csr_matrix((np.array(problem.values, dtype=float),
+                         np.array(problem.cols, dtype=np.int32),
+                         np.array(problem.starts, dtype=np.int32)),
                         shape=(len(problem.row_lower), nvar))
     matrix.sum_duplicates()  # one entry per column of a row, in column order
     matrix.eliminate_zeros()  # 0 * inf would make an activity NaN
     row_lower = np.array(problem.row_lower, dtype=float)
     row_upper = np.array(problem.row_upper, dtype=float)
+    del problem  # solve reads only its own copies from here on
 
     fixed = _implied_fixings(matrix, row_lower, row_upper, lb, ub, integer)
     if fixed is None:
@@ -213,6 +230,7 @@ def solve(problem: LpProblem, time_limit: Optional[float] = None):
     value = np.where(free, 0.0, fixed)
     shift = matrix @ value
     reduced = matrix[:, free]
+    del matrix
     row_lower -= shift
     row_upper -= shift
     empty = np.diff(reduced.indptr) == 0
@@ -228,12 +246,13 @@ def solve(problem: LpProblem, time_limit: Optional[float] = None):
             mip_node_count=0, mip_dual_bound=offset, mip_gap=0.0)
 
     kept = ~empty
+    constraints = LinearConstraint(reduced[kept], row_lower[kept],
+                                   row_upper[kept])
+    del reduced
     options = {"mip_rel_gap": 0.0}
     if time_limit is not None:
         options["time_limit"] = time_limit
-    result = milp(c[free],
-                  constraints=LinearConstraint(reduced[kept], row_lower[kept],
-                                               row_upper[kept]),
+    result = milp(c[free], constraints=constraints,
                   integrality=integer[free], bounds=Bounds(lb[free], ub[free]),
                   options=options)
     if result.x is not None:
@@ -320,13 +339,20 @@ def solve_file(lp_path, sol_path, time_limit: Optional[float] = None):
     LP and ``SolverError`` when HiGHS ends without an optimal solution.
     """
     problem = parse_lp(lp_path)
-    result = solve(problem, time_limit=time_limit)
+    names = problem.names
+    integer = np.zeros(len(names), dtype=bool)
+    integer[np.asarray(problem.integer, dtype=np.intp)] = True
+    # solve gets the only reference to the parsed arrays, and drops it
+    # before HiGHS runs (CPython 3.11 and later hand a callee its
+    # arguments' references)
+    handover = [problem]
+    del problem
+    result = solve(handover.pop(), time_limit=time_limit)
     if not result.success:
         raise SolverError("solver status %s: %s"
                           % (result.status, result.message))
-    integer = {problem.names[vi] for vi in problem.integer}
-    write_solution(sol_path, -result.fun, zip(problem.names, result.x),
-                   integer)
+    write_solution(sol_path, -result.fun, names, result.x.tolist(),
+                   integer.tolist())
 
 
 def main(argv=None) -> int:

@@ -39,9 +39,10 @@ TOL = 1e-6  # feasibility, integrality and objective tolerance
 BRANCH_CLASSES = ("adj", "capadj", "edge", "o", "capo")
 
 # the bundled HiGHS run by this interpreter, in a child process so that the
-# caller never holds scipy (its import adds about 60 MB of resident memory)
-DEFAULT_COMMAND = ("%s -m spp_dcj.milp_cli {lp} {sol}"
-                   % shlex.quote(sys.executable))
+# caller never holds scipy (its import adds about 60 MB of resident memory);
+# the braces of the interpreter's path are doubled to stay literal
+DEFAULT_COMMAND = "%s -m spp_dcj.milp_cli {lp} {sol}" % (
+    shlex.quote(sys.executable).replace("{", "{{").replace("}", "}}"))
 _NO_SOLUTION_IN_TIME = "time limit reached without a feasible solution"
 
 
@@ -720,16 +721,17 @@ def solve_external(model: IlpModel, time_limit: Optional[float] = None
                        wall_time=time.monotonic() - start)
 
 
-def write_solution(path, objective: float, values, integer):
-    """Write ``(name, value)`` pairs under an objective header, rounding
-    the values of the names in ``integer``; the format ``parse_solution``
-    reads."""
+def write_solution(path, objective: float, names, values, integer):
+    """Write one ``name value`` line per column under an objective header,
+    rounding the values whose ``integer`` flag is set; the format
+    ``parse_solution`` reads.  ``names``, ``values`` and ``integer`` hold
+    one entry per column, and the file is written in one call."""
+    lines = ["# Objective value = %.12g\n" % objective]
+    lines += ["%s %.12g\n" % (name, round(value) if flag else value)
+              for name, value, flag in zip(names, values, integer,
+                                           strict=True)]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("# Objective value = %.12g\n" % objective)
-        for name, value in values:
-            if name in integer:
-                value = round(value)
-            handle.write("%s %.12g\n" % (name, value))
+        handle.write("".join(lines))
 
 
 def _finite(text: str) -> Optional[float]:

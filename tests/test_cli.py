@@ -3,7 +3,10 @@ import hashlib
 import itertools
 import json
 import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -356,6 +359,28 @@ def test_build_rejects_repeated_adjacency(tmp_path):
     assert not (tmp_path / "m.lp").exists()
 
 
+def test_build_refuses_input_telomeres_named_like_caps(tmp_path):
+    # cap.<n> names the capping telomeres a diagram adds: A's telomeres
+    # cap.1 and cap.2 would repeat the caps added against B's six
+    # telomeres, which ended build in an IndexError traceback
+    adjs = tmp_path / "adj.tsv"
+    adjs.write_text("A\tcap.1_o\t1.1_t\nA\t1.1_h\t2.1_t\nA\t2.1_h\tcap.2_o\n"
+                    + "".join("B\tt.%d_o\t%d.1_t\nB\t%d.1_h\tt.%d_o\n"
+                              % (2 * k - 1, k, k, 2 * k) for k in (1, 2, 3)))
+    tree = tmp_path / "tree.tsv"
+    tree.write_text("A\tB\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "spp_dcj.cli", "build", str(tree), str(adjs),
+         "-o", str(tmp_path / "m.lp")],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=60)
+    assert proc.returncode == EXIT_PARSE, proc.stderr
+    assert "adj.tsv:1:" in proc.stderr and "cap.1_o" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "m.lp").exists()
+
+
 @pytest.mark.parametrize("weight", ["inf", "nan"])
 def test_build_rejects_non_finite_weight(tmp_path, capsys, weight):
     pair = write_pair(tmp_path)
@@ -421,7 +446,8 @@ def test_extract_rejects_nonlinearizable(tmp_path):
     model = build_model(Phylogeny([("A", "B")]), io.read_adjacencies(tri),
                         FamilyAssignment(), 0.5, 0.25)
     sol = tmp_path / "m.sol"
-    write_solution(sol, 0.0, ((name, 0.0) for name in model.names()), ())
+    ncol = len(model.kinds)
+    write_solution(sol, 0.0, model.names(), [0.0] * ncol, [False] * ncol)
     genomes = tmp_path / "g.tsv"
     rc = run("extract", str(sol), str(tree), str(tri),
              "--genomes-out", str(genomes),

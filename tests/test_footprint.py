@@ -2,13 +2,16 @@
 solving it, and the modules that importing the library loads."""
 
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
+from spp_dcj import milp_cli
 from spp_dcj.genomes import FamilyAssignment, Phylogeny
-from spp_dcj.ilp import build_model
+from spp_dcj.ilp import build_model, write_lp
+from spp_dcj.sim import SimConfig, add_noise, evolve
 from spp_dcj.solver import solve_internal
 
 from util import build_genome, invert_segment, random_structure, seeded
@@ -23,6 +26,12 @@ MODEL_BYTES_LIMIT = 5_340_000
 # the phase that sets the benchmark's peak on its large pairs: 8,262,323
 # bytes (10,670,626 with name strings and variable records), plus 10%
 SOLVE_PEAK_BYTES_LIMIT = 9_089_000
+# tracemalloc's peak over milp_cli.parse_lp and milp_cli.solve on the
+# simulated tree model below, with Python 3.11.7 and numpy 2.4: 1,393,496
+# bytes with the problem in typed arrays and the full matrix freed before
+# HiGHS runs (3,859,615 with Python lists and the full matrix kept), plus
+# 10%
+BUNDLED_PEAK_BYTES_LIMIT = 1_533_000
 
 
 def _resolved_pair():
@@ -68,6 +77,37 @@ def test_build_and_solve_peak():
         tracemalloc.stop()
     assert result.status == "optimal"
     assert peak < SOLVE_PEAK_BYTES_LIMIT, peak
+
+
+def _tree_lp(tmp_path):
+    """The LP of a simulated 30-family, 4-leaf tree, its ancestors noisy at
+    surfeit 1.2, as ``spp-dcj simulate`` and ``build`` make it."""
+    sim = evolve(SimConfig(families=30, leaves=4, seed=11))
+    rng = random.Random(12)
+    leaves = set(sim.tree.leaves())
+    genomes = {species: sim.genomes[species] if species in leaves
+               else add_noise(sim.genomes[species], 1.2, rng)[0]
+               for species in sorted(sim.genomes)}
+    lp = tmp_path / "model.lp"
+    write_lp(build_model(sim.tree, genomes, FamilyAssignment(), 0.5, 0.25),
+             lp)
+    return lp
+
+
+def test_bundled_parse_and_solve_peak(tmp_path):
+    lp = _tree_lp(tmp_path)
+    milp_cli.solve(milp_cli.parse_lp(lp))  # scipy loads outside the measure
+    tracemalloc.start()
+    try:
+        # solve holds the only reference to the parsed problem, as in
+        # milp_cli.solve_file
+        result = milp_cli.solve(milp_cli.parse_lp(lp))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.success
+    assert len(result.x) == 4088
+    assert peak < BUNDLED_PEAK_BYTES_LIMIT, peak
 
 
 def test_library_import_leaves_numpy_out():

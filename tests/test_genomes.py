@@ -81,7 +81,8 @@ def test_extremity_is_immutable():
 def test_parse_extremity():
     assert parse_extremity("A", "12.3_h") == ext("12.3", HEAD)
     assert parse_extremity("A", "t.4_o") == ext("t.4", TELO)
-    for bad in ("12.3", "12.3_x", "_h", "plain"):
+    # cap.<n> names only the capping telomeres a diagram adds
+    for bad in ("12.3", "12.3_x", "_h", "plain", "cap.1_o"):
         with pytest.raises(GenomeError):
             parse_extremity("A", bad)
 

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import pytest
@@ -32,18 +33,25 @@ def test_parse_lp(tmp_path):
     path = tmp_path / "m.lp"
     path.write_text(SMALL_LP)
     problem = milp_cli.parse_lp(path)
+    # float64 numbers and int32 indices, and no name index past the parse
+    typecodes = {"objective": "d", "lower": "d", "upper": "d",
+                 "integer": "i", "starts": "i", "cols": "i", "values": "d",
+                 "row_lower": "d", "row_upper": "d"}
+    assert {field: getattr(problem, field).typecode
+            for field in typecodes} == typecodes
+    assert vars(problem).keys() == {"names"} | typecodes.keys()
     assert problem.names == ["x", "y", "z"]
-    assert problem.objective == [3.0, 2.0, -1.0]
+    assert problem.objective.tolist() == [3.0, 2.0, -1.0]
     # c1: x + y <= 1, c2: y + z >= 1; row r's terms are the entries
     # starts[r] to starts[r + 1] of cols and values
-    assert problem.starts == [0, 2, 4]
-    assert problem.cols == [0, 1, 1, 2]
-    assert problem.values == [1.0, 1.0, 1.0, 1.0]
-    assert problem.row_lower == [-math.inf, 1.0]
-    assert problem.row_upper == [1.0, math.inf]
-    assert problem.integer == {0, 1, 2}
-    assert problem.lower == [0.0, 0.0, 0.0]
-    assert problem.upper == [1.0, 1.0, 2.0]
+    assert problem.starts.tolist() == [0, 2, 4]
+    assert problem.cols.tolist() == [0, 1, 1, 2]
+    assert problem.values.tolist() == [1.0, 1.0, 1.0, 1.0]
+    assert problem.row_lower.tolist() == [-math.inf, 1.0]
+    assert problem.row_upper.tolist() == [1.0, math.inf]
+    assert problem.integer.tolist() == [0, 1, 2]
+    assert problem.lower.tolist() == [0.0, 0.0, 0.0]
+    assert problem.upper.tolist() == [1.0, 1.0, 2.0]
 
 
 BAD_LP = {  # text -> number of the first malformed line
@@ -106,11 +114,30 @@ def test_column_named_twice_in_a_row_is_summed(tmp_path):
         lp = tmp_path / "m.lp"
         lp.write_text(text % terms)
         problem = milp_cli.parse_lp(lp)
-        assert problem.cols == cols
+        assert problem.cols.tolist() == cols
         result = milp_cli.solve(problem)
         assert result.success
         results.append((list(result.x), -result.fun))
     assert results == [([0.0], 0.0), ([0.0], 0.0)]
+
+
+def test_solve_leaves_its_problem_unchanged(tmp_path):
+    # c1 names x twice, out of column order, and z with a zero coefficient,
+    # so the matrix is summed, sorted and pruned; the benchmark's tracer
+    # solves a shallow copy of a solved problem with integer = set()
+    lp = tmp_path / "m.lp"
+    lp.write_text("Maximize\n obj: 1 x + 2 y + 1 z\nSubject To\n"
+                  " c1: 1 y + 1 x + 1 x + 0 z <= 2\n c2: 1 x + 1 z = 1\n"
+                  "Binaries\n x\n y\n z\nEnd\n")
+    problem = milp_cli.parse_lp(lp)
+    before = {field: list(value) for field, value in vars(problem).items()}
+    assert -milp_cli.solve(problem).fun == pytest.approx(3.0)
+    relaxed = copy.copy(problem)
+    relaxed.integer = set()
+    assert -milp_cli.solve(relaxed).fun == pytest.approx(3.0)
+    assert {field: list(value)
+            for field, value in vars(problem).items()} == before
+    assert relaxed.integer == set()
 
 
 def test_main_exit_codes(tmp_path):
@@ -294,13 +321,14 @@ def assert_same_problem(model, problem):
     ``model``."""
     names = model.names()
     assert sorted(problem.names) == sorted(names)
-    assert [problem.objective[problem.index[name]] for name in names] == [
+    index = {name: vi for vi, name in enumerate(problem.names)}
+    assert [problem.objective[index[name]] for name in names] == [
         model.objective.get(col, 0.0) for col in range(len(names))]
     assert {problem.names[vi] for vi in problem.integer} == {
         name for name, kind in zip(names, model.kinds)
         if kind in (BINARY, INTEGER)}
     for name, lb, ub in zip(names, model.lbs, model.ubs):
-        vi = problem.index[name]
+        vi = index[name]
         assert (problem.lower[vi], problem.upper[vi]) == (lb, ub)
 
     rows = _rows_of(problem)

@@ -1,8 +1,12 @@
 import hashlib
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +125,27 @@ def test_work_budget_hands_model_to_external(tmp_path, monkeypatch):
     result = solve(model)
     assert result.leaves == 0  # the external solver answered
     assert result.objective == pytest.approx(full.objective, abs=1e-6)
+
+
+def test_default_command_keeps_braces_of_interpreter_path(tmp_path):
+    # DEFAULT_COMMAND is a template, so a brace in the interpreter's path
+    # is doubled there; py{3} would otherwise read as the field {3}
+    link = tmp_path / "py{3}" / "python"
+    link.parent.mkdir()
+    link.symlink_to(sys.executable)
+    lp, sol = tmp_path / "m.lp", tmp_path / "m.sol"
+    lp.write_text("Maximize\n obj: 1 x\nSubject To\n c1: 1 x <= 1\n"
+                  "Binaries\n x\nEnd\n")
+    code = ("import sys\n"
+            "from spp_dcj import solver\n"
+            "assert 'py{3}' in sys.executable, sys.executable\n"
+            "solver.run_solver_command(solver.DEFAULT_COMMAND, *sys.argv[1:])\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([str(link), "-c", code, str(lp), str(sol)],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert parse_solution(sol) == (1.0, {"x": 1.0})
 
 
 def test_budget_fallback_gets_remaining_time(tmp_path, monkeypatch):
@@ -506,10 +531,8 @@ def test_solution_file_round_trip_keeps_the_list(tmp_path):
     model = pair_model(a, b)
     result = solve_internal(model)
     path = tmp_path / "model.sol"
-    names = model.names()
-    integer = {name for name, kind in zip(names, model.kinds)
-               if kind in ("B", "I")}
-    write_solution(path, result.objective, zip(names, result.assignment),
+    integer = [kind in ("B", "I") for kind in model.kinds]
+    write_solution(path, result.objective, model.names(), result.assignment,
                    integer)
     reported, assignment = load_solution(model, path)
     assert reported == pytest.approx(result.objective, abs=1e-9)
@@ -548,8 +571,8 @@ def test_external_bridge_bad_command(monkeypatch):
 
 def test_write_solution_format(tmp_path):
     path = tmp_path / "model.sol"
-    write_solution(path, 2.0, [("x", 0.9999999999996), ("y", 1 / 3),
-                               ("z", 7.0)], {"x", "z"})
+    write_solution(path, 2.0, ["x", "y", "z"], [0.9999999999996, 1 / 3, 7.0],
+                   [True, False, True])
     assert path.read_text() == ("# Objective value = 2\nx 1\n"
                                 "y 0.333333333333\nz 7\n")
     assert parse_solution(path) == (2.0, {"x": 1.0, "y": 0.333333333333,
