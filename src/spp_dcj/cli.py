@@ -34,8 +34,8 @@ from .diagram import DiagramError, SingletonExplosion
 from .extract import (DISTANCE_HEADER, METRICS_HEADER, DecodeError, audit,
                       decode, distance_rows, evaluate, metrics_rows, validate)
 from .genomes import FamilyAssignment, GenomeError, Phylogeny
-from .ilp import (ModelError, build_model, declare_model, read_idmap,
-                  write_lp)
+from .ilp import (ModelError, build_model, declare_model, model_size,
+                  read_idmap, write_lp)
 from .linearize import augment, find_nonlinearizable_component
 from .sim import EVENT_HEADER, SimConfig, add_noise, event_rows, evolve
 from .solver import (SolverError, load_solution, run_solver_command, solve,
@@ -76,9 +76,9 @@ _non_negative_float = _bounded(float, lambda v: 0 <= v < math.inf,
 _positive_int = _bounded(int, lambda v: v >= 1, "an integer >= 1")
 
 
-def _manifest(path, args, stages: Dict[str, float]):
+def _manifest(path, args, stages: Dict[str, float], model=None):
     """Write a run's manifest: every parsed argument of its subcommand, the
-    version and the stage wall times."""
+    version, the stage wall times and, when given, the model's size."""
     payload = {
         "subcommand": args.command,
         "arguments": {k: v for k, v in sorted(vars(args).items())
@@ -86,6 +86,8 @@ def _manifest(path, args, stages: Dict[str, float]):
         "version": __version__,
         "wall_times": {k: round(v, 6) for k, v in stages.items()},
     }
+    if model is not None:
+        payload["model"] = model
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -140,7 +142,8 @@ def cmd_build(args) -> int:
     built = time.monotonic()
     write_lp(model, args.output, args.idmap)
     _manifest(args.output + ".manifest.json", args,
-              {"build": built - start, "write": time.monotonic() - built})
+              {"build": built - start, "write": time.monotonic() - built},
+              dict(model_size(model), lp_bytes=os.path.getsize(args.output)))
     return EXIT_OK
 
 

@@ -22,10 +22,10 @@ import gc
 import operator
 from array import array
 from bisect import bisect_right
-from collections import namedtuple
+from collections import Counter, namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Dict, List, Sequence, Set, Tuple
 
 from .diagram import (ADJ, EXT, ID, DiagramEdge, MultiRelationalDiagram,
@@ -477,48 +477,66 @@ def emit_constraints(model: IlpModel, ctx: EdgeContext):
         add(cols, coefs, "=", 0, "C.11", "c11_%s_" + side, key)
 
 
+# lines per write of ``write_lp``'s files, a row each under Subject To
+_CHUNK_ROWS = 1024
+
+
 def write_lp(model: IlpModel, lp_path, idmap_path=None):
-    """Serialize to LP text plus a variable-name map."""
+    """Serialize to LP text plus a variable-name map.
+
+    Both files are streamed: their lines are formatted and written in
+    chunks of ``_CHUNK_ROWS``, one write per chunk, so that only one
+    chunk's text is held at a time.  The bytes do not depend on the chunk
+    size."""
     names = model.names()
     term = _TextCache(_term_text)  # coefficient -> "+ 2 " or "- 2 "
-    lines = ["Maximize"]
-    obj = [term[coef] + names[col] for col, coef in model.objective.items()
-           if coef != 0]
-    lines.append(" obj: " + (" ".join(obj).removeprefix("+ ") or "0"))
-    lines.append("Subject To")
-    rows = model.rows
-    # every term's text in one pass, then each row's slice of them
-    terms = list(map(operator.add, map(term.__getitem__, rows.coefs),
-                     map(names.__getitem__, rows.cols)))
-    spans = map(slice, rows.starts, rows.starts[1:])
-    exprs = map(str.removeprefix, map(" ".join, map(terms.__getitem__, spans)),
-                repeat("+ "))
     number = _TextCache(format_number)
-    lines.extend(map(" %s: %s %s %s".__mod__, zip(
-        rows.names(), exprs, rows.senses,
-        map(number.__getitem__, rows.rhs))))
-    del terms  # freed before the file's text is joined
-    lines.append("Bounds")
-    for name, kind, lb, ub in zip(names, model.kinds, model.lbs, model.ubs):
-        if kind != BINARY:
-            lines.append(" %s <= %s <= %s" % (number[lb], name, number[ub]))
-    for header, of_kind in (("Binaries", BINARY), ("Generals", INTEGER)):
-        listed = [name for name, kind in zip(names, model.kinds)
-                  if kind == of_kind]
-        if listed:
-            lines.append(header)
-            lines.extend(" " + name for name in listed)
-    lines.append("End")
+    rows = model.rows
     with open(lp_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        obj = [term[coef] + names[col]
+               for col, coef in model.objective.items() if coef != 0]
+        handle.write("Maximize\n obj: %s\nSubject To\n"
+                     % (" ".join(obj).removeprefix("+ ") or "0"))
+        del obj
+        # each row joins the text of its next count of terms, in order
+        terms = map(operator.add, map(term.__getitem__, rows.coefs),
+                    map(names.__getitem__, rows.cols))
+        counts = map(operator.sub, rows.starts[1:], rows.starts)
+        exprs = map(str.removeprefix, map(" ".join, map(
+            islice, repeat(terms), counts)), repeat("+ "))
+        _write_chunked(handle, map(" %s: %s %s %s\n".__mod__, zip(
+            rows.names(), exprs, rows.senses,
+            map(number.__getitem__, rows.rhs))))
+        handle.write("Bounds\n")
+        _write_chunked(handle, (
+            " %s <= %s <= %s\n" % (number[lb], name, number[ub])
+            for name, kind, lb, ub in zip(names, model.kinds, model.lbs,
+                                          model.ubs) if kind != BINARY))
+        for header, of_kind in (("Binaries", BINARY), ("Generals", INTEGER)):
+            if of_kind in model.kinds:
+                handle.write(header + "\n")
+                _write_chunked(handle, (
+                    " %s\n" % name for name, kind in zip(names, model.kinds)
+                    if kind == of_kind))
+        handle.write("End\n")
     if idmap_path is not None:
         contexts = {ctx.key: ctx for ctx in model.contexts}
         with open(idmap_path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write("#name\tkind\tdescription\n")
-            for name, kind, meaning in zip(names, model.kinds,
-                                           model.meanings):
-                handle.write("%s\t%s\t%s\n" % (
-                    name, kind, _description(meaning, contexts)))
+            _write_chunked(handle, (
+                "%s\t%s\t%s\n" % (name, kind, _description(meaning, contexts))
+                for name, kind, meaning in zip(names, model.kinds,
+                                               model.meanings)))
+
+
+def _write_chunked(handle, lines):
+    """Write the text ``lines``, ``_CHUNK_ROWS`` of them per write."""
+    lines = iter(lines)
+    while True:
+        chunk = "".join(islice(lines, _CHUNK_ROWS))
+        if not chunk:
+            return
+        handle.write(chunk)
 
 
 class _TextCache(dict):
@@ -572,6 +590,14 @@ def _description(meaning: Tuple, contexts: Dict[str, EdgeContext]) -> str:
     if what == "edge":
         return "%s edge %s" % ({EXT: "extremity", ID: "indel"}[edge.kind], ends)
     return "transition indicator of edge " + ends  # "t"
+
+
+def model_size(model: IlpModel) -> Dict[str, Dict[str, int]]:
+    """The model's columns per variable class and rows per constraint
+    block (C.01 .. C.11), for a run's manifest."""
+    return {"columns": dict(Counter(meaning[0]
+                                    for meaning in model.meanings)),
+            "rows": dict(Counter(model.rows.tags))}
 
 
 def read_idmap(path) -> Set[str]:

@@ -4,7 +4,8 @@ Reads exactly the LP dialect ``ilp.write_lp`` writes (README, File formats):
 the six section headers as written, one labelled objective line (``obj: 0``
 when empty), named one-line rows, ``lb <= name <= ub`` bounds and one name
 per line under Binaries and Generals, with finite numbers and a
-coefficient after every sign; any other line is an ``LpFormatError``.
+coefficient after every sign, and the ``End`` line last; any other line,
+and a file that ends before ``End``, is an ``LpFormatError``.
 The solution is written with ``solver.write_solution``, the format the
 external-solver bridge reads.
 
@@ -111,10 +112,13 @@ def _parse_terms(problem: LpProblem, index: Dict[str, int],
 
 def parse_lp(path) -> LpProblem:
     """Read an LP file; raises ``LpFormatError`` with the path and line
-    number of the first malformed line."""
+    number of the first malformed line, or of the last line when the file
+    ends without its ``End`` line (a truncated file, which would otherwise
+    be solved without its missing rows or integrality)."""
     problem = LpProblem()
     index: Dict[str, int] = {}  # name -> column, for the parse only
     section = None
+    lineno = 0
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -127,6 +131,9 @@ def parse_lp(path) -> LpProblem:
                 raise LpFormatError(path, lineno, str(exc))
             if section == "Maximize":
                 section = None  # the objective is a single line
+    if section != "End":
+        raise LpFormatError(path, max(lineno, 1),
+                            "the file ends without an End line")
     return problem
 
 

@@ -719,6 +719,25 @@ def test_manifests_record_every_argument(tmp_path):
         assert manifest["arguments"] == parsed, argv[0]
 
 
+def test_build_manifest_records_the_model_size(tmp_path):
+    a, b = random_degenerate_pair(seeded(85), extra_linear=True)
+    pair, tree = tmp_path / "pair.tsv", tmp_path / "tree.tsv"
+    io.write_adjacencies({"A": a, "B": b}, pair)
+    tree.write_text("A\tB\n")
+    lp = tmp_path / "m.lp"
+    assert run("build", str(tree), str(pair), "-o", str(lp)) == EXIT_OK
+    size = json.loads((tmp_path / "m.lp.manifest.json").read_text())["model"]
+    model = build_model(Phylogeny([("A", "B")]), io.read_adjacencies(pair),
+                        FamilyAssignment(), 0.5, 0.25)
+    # columns per variable class, rows per block: this pair has C.11's
+    # counters and rows, and no singleton (C.09)
+    assert sum(size["columns"].values()) == len(model.kinds)
+    assert sum(size["rows"].values()) == len(model.rows)
+    assert size["columns"]["a"] == size["rows"]["C.11"] == 2
+    assert "s" not in size["columns"] and "C.09" not in size["rows"]
+    assert size["lp_bytes"] == lp.stat().st_size
+
+
 def test_extract_manifest_records_families(tmp_path):
     # the family map changes the rebuilt model, so a rerun needs it
     pair = write_pair(tmp_path)

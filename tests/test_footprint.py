@@ -1,5 +1,6 @@
 """Memory guards: the size of a built model, the peak of building and
-solving it, and the modules that importing the library loads."""
+solving it, of writing its LP and of the bundled solve, and the modules
+that importing the library loads."""
 
 import os
 import random
@@ -26,6 +27,11 @@ MODEL_BYTES_LIMIT = 5_340_000
 # the phase that sets the benchmark's peak on its large pairs: 8,262,323
 # bytes (10,670,626 with name strings and variable records), plus 10%
 SOLVE_PEAK_BYTES_LIMIT = 9_089_000
+# tracemalloc's peak over write_lp, LP and idmap, on the pair's model,
+# measured with Python 3.11.7: 3,350,597 bytes with both files streamed in
+# chunks of 1024 lines (11,013,479 with every line held, then joined into
+# the file's text), plus 10%
+WRITE_PEAK_BYTES_LIMIT = 3_686_000
 # tracemalloc's peak over milp_cli.parse_lp and milp_cli.solve on the
 # simulated tree model below, with Python 3.11.7 and numpy 2.4: 1,393,496
 # bytes with the problem in typed arrays and the full matrix freed before
@@ -77,6 +83,19 @@ def test_build_and_solve_peak():
         tracemalloc.stop()
     assert result.status == "optimal"
     assert peak < SOLVE_PEAK_BYTES_LIMIT, peak
+
+
+def test_write_lp_peak(tmp_path):
+    model = _builder()()
+    lp, idmap = tmp_path / "m.lp", tmp_path / "m.tsv"
+    write_lp(model, lp, idmap)  # any lazy set-up happens outside the measure
+    tracemalloc.start()
+    try:
+        write_lp(model, lp, idmap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < WRITE_PEAK_BYTES_LIMIT, peak
 
 
 def _tree_lp(tmp_path):

@@ -208,6 +208,25 @@ def test_lp_write_deterministic(tmp_path):
     assert declared == model.names()
 
 
+def test_lp_bytes_do_not_depend_on_chunk_size(tmp_path, monkeypatch):
+    # write_lp streams its files in chunks of _CHUNK_ROWS lines; a pair
+    # with telomeres ends in a C.11 row, so the last block is covered
+    a, b = random_degenerate_pair(seeded(85), extra_linear=True)
+    model = pair_model(a, b)
+    assert model.rows.tags[-1] == "C.11" and INTEGER in model.kinds
+
+    def written(stem):
+        lp, idmap = tmp_path / (stem + ".lp"), tmp_path / (stem + ".tsv")
+        write_lp(model, lp, idmap)
+        return lp.read_bytes(), idmap.read_bytes()
+
+    default = written("default")
+    count = len(model.rows)
+    for size in (1, 2, count - 1, count, count + 1):
+        monkeypatch.setattr(ilp, "_CHUNK_ROWS", size)
+        assert written(str(size)) == default, size
+
+
 def test_idmap_describes_every_variable_class(tmp_path):
     # the first line of each class; caps, counters and singletons included
     a = build_genome("A", [(["1.1", "-2.1"], False)])

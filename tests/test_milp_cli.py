@@ -80,6 +80,10 @@ BAD_LP = {  # text -> number of the first malformed line
     "Maximize\n obj: 1 x\nSubject To\n c: - - 1 x <= 1\nEnd\n": 4,
     "Maximize\n obj: 1 x\nSubject To\n c: 1 x + <= 1\nEnd\n": 4,
     "Maximize\n obj: 1 x -\nEnd\n": 2,
+    # a file cut before its End line is refused at its last line: it would
+    # otherwise be solved without its lost rows and integrality
+    "Maximize\n obj: 1 x\nSubject To\n c: 1 x <= 1\nBinaries\n x\n": 6,
+    "": 1,
 }
 
 
