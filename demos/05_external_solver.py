@@ -5,7 +5,8 @@ Models serialize to LP files, so any MILP solver can do the heavy lifting.
 The bridge runs a command template with {lp}/{sol} placeholders and reads a
 solution file of "<variable> <value>" lines; the template comes from the
 SPP_DCJ_SOLVER environment variable.  Unset, it is `solver.DEFAULT_COMMAND`:
-the bundled LP-to-HiGHS adapter run by this interpreter.
+`spp-dcj solve --internal {lp} -o {sol}`, the bundled HiGHS, run by this
+interpreter in a child process.
 """
 
 from spp_dcj.diagram import brute_force_distance

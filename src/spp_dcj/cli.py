@@ -7,8 +7,9 @@ Exit codes: 0 ok, 1 usage, 2 parse error, 3 infeasible or out-of-scale
 input, 4 solver failure or a bad solution file (malformed line or objective
 header, a value or objective that is not a finite number, a variable given
 twice, missing variable, non-integral value).  A time limit, scale, surfeit
-or family count outside its range is a usage error (1); a mixture, leaf
-count or adversarial fraction outside its range is out-of-scale input (3).
+or family count outside its range is a usage error (1), and a time limit
+of 0 sets none; a mixture, leaf count or adversarial fraction outside its
+range is out-of-scale input (3).
 
 ``distance`` prints one ``key<TAB>value`` row each for the distance, its
 breakdown, the used telomeres and the objective, then ``status`` and
@@ -26,7 +27,7 @@ import os
 import random
 import sys
 import time
-from typing import Dict
+from typing import Dict, Optional
 
 from . import __version__
 from . import io
@@ -69,11 +70,15 @@ def _bounded(convert, ok, rule: str):
 
 
 # written so that NaN fails
-_positive_float = _bounded(float, lambda v: 0 < v < math.inf,
-                           "a finite number > 0")
 _non_negative_float = _bounded(float, lambda v: 0 <= v < math.inf,
                                "a finite number >= 0")
 _positive_int = _bounded(int, lambda v: v >= 1, "an integer >= 1")
+
+
+def _time_limit(text: str) -> Optional[float]:
+    """Seconds, with 0 for no limit (None), as a template's
+    ``{time_limit}`` spells it."""
+    return _non_negative_float(text) or None
 
 
 def _manifest(path, args, stages: Dict[str, float], model=None):
@@ -298,7 +303,8 @@ def make_parser() -> _Parser:
                          "ignoring SPP_DCJ_SOLVER")
     backend.add_argument("--solver-cmd", default=None,
                          help="external command template with {lp}/{sol}")
-    p.add_argument("--time-limit", type=_positive_float, default=None)
+    p.add_argument("--time-limit", type=_time_limit, default=None,
+                   help="seconds, 0 for no limit (the default)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("extract", help="decode a solution into genomes and "
@@ -319,7 +325,8 @@ def make_parser() -> _Parser:
     p.add_argument("genome_a")
     p.add_argument("genome_b")
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--time-limit", type=_positive_float, default=None)
+    p.add_argument("--time-limit", type=_time_limit, default=None,
+                   help="seconds, 0 for no limit (the default)")
     _model_flags(p)
     p.set_defaults(func=cmd_distance, alpha=1.0, beta=0.0)
 

@@ -7,7 +7,8 @@ per line under Binaries and Generals, with finite numbers and a
 coefficient after every sign, and the ``End`` line last; any other line,
 and a file that ends before ``End``, is an ``LpFormatError``.
 The solution is written with ``solver.write_solution``, the format the
-external-solver bridge reads.
+external-solver bridge reads.  ``spp-dcj solve --internal`` is this
+module's command line, with ``spp-dcj``'s exit codes.
 
 ``parse_lp`` reads the text straight into the typed arrays HiGHS takes
 (``LpProblem``), its rows in ``ilp.Rows``' compressed form.
@@ -24,9 +25,7 @@ whole model.
 
 from __future__ import annotations
 
-import argparse
 import math
-import sys
 from array import array
 from typing import Dict, List, Optional
 
@@ -360,27 +359,3 @@ def solve_file(lp_path, sol_path, time_limit: Optional[float] = None):
                           % (result.status, result.message))
     write_solution(sol_path, -result.fun, names, result.x.tolist(),
                    integer.tolist())
-
-
-def main(argv=None) -> int:
-    """``spp-dcj-milp``: exit 0 solved, 1 no optimal solution, 2 bad input."""
-    parser = argparse.ArgumentParser(
-        description="Solve an LP-format MILP with HiGHS (via scipy)")
-    parser.add_argument("lp", help="input model in LP format")
-    parser.add_argument("sol", help="output solution file")
-    parser.add_argument("--time-limit", type=float, default=None,
-                        help="solver time limit in seconds, 0 for none")
-    args = parser.parse_args(argv)
-    try:
-        solve_file(args.lp, args.sol, time_limit=args.time_limit or None)
-    except (OSError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except SolverError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

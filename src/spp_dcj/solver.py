@@ -41,7 +41,7 @@ BRANCH_CLASSES = ("adj", "capadj", "edge", "o", "capo")
 # the bundled HiGHS run by this interpreter, in a child process so that the
 # caller never holds scipy (its import adds about 60 MB of resident memory);
 # the braces of the interpreter's path are doubled to stay literal
-DEFAULT_COMMAND = "%s -m spp_dcj.milp_cli {lp} {sol}" % (
+DEFAULT_COMMAND = "%s -m spp_dcj.cli solve --internal {lp} -o {sol}" % (
     shlex.quote(sys.executable).replace("{", "{{").replace("}", "}}"))
 _NO_SOLUTION_IN_TIME = "time limit reached without a feasible solution"
 

@@ -138,8 +138,8 @@ NUMBER_RULES = {
     ("extract", "--beta"): MIXTURE,
     ("distance", "--alpha"): MIXTURE,
     ("distance", "--beta"): MIXTURE,
-    ("solve", "--time-limit"): _rejects(EXIT_USAGE, BAD_NUMBERS),
-    ("distance", "--time-limit"): _rejects(EXIT_USAGE, BAD_NUMBERS),
+    ("solve", "--time-limit"): _rejects(EXIT_USAGE),
+    ("distance", "--time-limit"): _rejects(EXIT_USAGE),
     ("simulate", "--seed"): NOT_AN_INT,
     ("simulate", "--families"): _rejects(EXIT_USAGE, BAD_NUMBERS),
     ("simulate", "--leaves"): dict(NOT_AN_INT,
@@ -219,6 +219,27 @@ def test_distance_identity_and_output_file(tmp_path):
     table = dict(line.split("\t") for line in out.read_text().splitlines())
     assert table["distance"] == "0"
     assert list(table)[-2:] == ["status", "gap"]
+
+
+def test_time_limit_zero_sets_no_limit(tmp_path):
+    # 0 is what a command template's {time_limit} reads when no limit is set
+    pair = write_pair(tmp_path)
+    tree = tmp_path / "tree.tsv"
+    tree.write_text("A\tB\n")
+    lp, sol = tmp_path / "m.lp", tmp_path / "m.sol"
+    assert run("build", str(tree), str(pair), "-o", str(lp)) == EXIT_OK
+    assert run("solve", str(lp), "-o", str(sol), "--internal",
+               "--time-limit", "0") == EXIT_OK
+    manifest = json.loads((tmp_path / "m.sol.manifest.json").read_text())
+    assert manifest["arguments"]["time_limit"] is None
+    genomes = io.read_adjacencies(pair)
+    for species in ("A", "B"):
+        io.write_adjacencies({species: genomes[species]},
+                             tmp_path / ("%s.tsv" % species))
+    out = tmp_path / "d.tsv"
+    assert run("distance", str(tmp_path / "A.tsv"), str(tmp_path / "B.tsv"),
+               "-o", str(out), "--time-limit", "0") == EXIT_OK
+    assert "status\toptimal\n" in out.read_text()
 
 
 def test_distance_reports_a_timed_out_incumbent(tmp_path, monkeypatch):

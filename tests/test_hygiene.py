@@ -2,13 +2,15 @@
 every local a function assigns and every parameter it takes is read
 somewhere in it, every function is referenced somewhere in the project,
 no two functions have the same body, every command-line option is read by
-the CLI, only ``ilp._gc_paused`` switches the garbage collector, only
-``solver.solver_environment`` reads ``os.environ`` and no module reads a
-model's ``variables`` or ``constraints`` view."""
+the CLI, every console script names a callable, only ``ilp._gc_paused``
+switches the garbage collector, only ``solver.solver_environment`` reads
+``os.environ`` and no module reads a model's ``variables`` or
+``constraints`` view."""
 
 import argparse
 import ast
 import copy
+import importlib
 import pathlib
 import re
 
@@ -324,6 +326,31 @@ def test_every_cli_option_is_read():
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     unread = _unread_options(cli.make_parser(), tree)
     assert not unread, "cli.py never reads options: %s" % ", ".join(unread)
+
+
+def _script_target(target):
+    """What a ``module:attr`` console-script target names, or None."""
+    module, _, attr = target.partition(":")
+    found = importlib.import_module(module)
+    for part in attr.split("."):
+        found = getattr(found, part, None)
+    return found
+
+
+def test_script_check_catches_a_deleted_function():
+    assert _script_target("spp_dcj.cli:main") is cli.main
+    assert _script_target("spp_dcj.cli:deleted") is None
+
+
+def test_every_console_script_names_a_callable():
+    # the tests run the sources without an install, so a script left naming
+    # a deleted function would otherwise fail only where it is installed
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    assert scripts
+    for name, target in sorted(scripts.items()):
+        assert callable(_script_target(target)), (name, target)
 
 
 def _is_collector_switch(node):

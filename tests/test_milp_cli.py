@@ -3,11 +3,13 @@ import math
 
 import pytest
 
-from spp_dcj import milp_cli
+from spp_dcj import cli, milp_cli
+from spp_dcj.cli import EXIT_OK, EXIT_PARSE, EXIT_SOLVER, EXIT_USAGE
 from spp_dcj.genomes import FamilyAssignment, Phylogeny
 from spp_dcj.ilp import BINARY, INTEGER, build_model, write_lp
 from spp_dcj.io import ParseError
-from spp_dcj.solver import SolverError, parse_solution, solve_internal
+from spp_dcj.solver import (DEFAULT_COMMAND, SolverError, parse_solution,
+                            run_solver_command, solve_internal)
 
 from util import build_genome, random_degenerate_pair, seeded
 
@@ -27,6 +29,18 @@ Generals
  z
 End
 """
+# x is binary, so c1 holds for no value
+INFEASIBLE_LP = ("Maximize\n obj: 1 x\nSubject To\n c1: 1 x >= 2\n"
+                 "Binaries\n x\nEnd\n")
+
+
+def solve_lp(lp, sol, *flags):
+    """The exit code of ``spp-dcj solve LP -o SOL --internal FLAGS``."""
+    try:
+        return cli.main(["solve", str(lp), "-o", str(sol), "--internal",
+                         *flags])
+    except SystemExit as exc:  # a usage error
+        return exc.code
 
 
 def test_parse_lp(tmp_path):
@@ -101,7 +115,7 @@ def test_solve_small(tmp_path):
     lp = tmp_path / "m.lp"
     sol = tmp_path / "m.sol"
     lp.write_text(SMALL_LP)
-    assert milp_cli.main([str(lp), str(sol)]) == 0
+    assert solve_lp(lp, sol) == EXIT_OK
     reported, values = parse_solution(sol)
     # optimum: x=1, y=0, z=1 -> 3 - 1 = 2
     assert reported == pytest.approx(2.0)
@@ -146,17 +160,27 @@ def test_solve_leaves_its_problem_unchanged(tmp_path):
 
 def test_main_exit_codes(tmp_path):
     missing = tmp_path / "nope.lp"
-    assert milp_cli.main([str(missing), str(tmp_path / "o.sol")]) == 2
+    assert solve_lp(missing, tmp_path / "o.sol") == EXIT_PARSE
     bad = tmp_path / "bad.lp"
     bad.write_text("Maximize\n obj: x\nEnd\n")
-    assert milp_cli.main([str(bad), str(tmp_path / "o.sol")]) == 2
+    assert solve_lp(bad, tmp_path / "o.sol") == EXIT_PARSE
     infeasible = tmp_path / "inf.lp"
-    infeasible.write_text("Maximize\n obj: 1 x\nSubject To\n"
-                          " c1: 1 x >= 2\nBinaries\n x\nEnd\n")
-    assert milp_cli.main([str(infeasible), str(tmp_path / "o.sol")]) == 1
+    infeasible.write_text(INFEASIBLE_LP)
+    assert solve_lp(infeasible, tmp_path / "o.sol") == EXIT_SOLVER
     with pytest.raises(SolverError):
         milp_cli.solve_file(infeasible, tmp_path / "o.sol")
     assert not (tmp_path / "o.sol").exists()
+
+
+def test_default_command_passes_on_the_solver_exit_code(tmp_path):
+    # the default command's child is spp-dcj solve --internal, whose exit
+    # code for a model without an optimal solution is 4
+    lp, sol = tmp_path / "inf.lp", tmp_path / "inf.sol"
+    lp.write_text(INFEASIBLE_LP)
+    with pytest.raises(SolverError, match=r"external solver failed \(%d\)"
+                       % EXIT_SOLVER):
+        run_solver_command(DEFAULT_COMMAND, lp, sol)
+    assert not sol.exists()
 
 
 # c1 fixes x = 1 and c3 fixes v = 1, w = 0 in the first round; then c2
@@ -205,7 +229,7 @@ def test_highs_solves_only_the_free_columns(tmp_path, highs_columns):
     assert -result.fun == pytest.approx(4.0)
     assert -result.mip_dual_bound == pytest.approx(4.0)
     assert result.mip_gap == 0
-    assert milp_cli.main([str(lp), str(sol)]) == 0
+    assert solve_lp(lp, sol) == EXIT_OK
     reported, values = parse_solution(sol)
     assert reported == pytest.approx(4.0)
     assert values == {"x": 1.0, "y": 0.0, "z": 1.0, "v": 1.0, "w": 0.0}
@@ -248,7 +272,7 @@ def test_fixings_that_contradict_are_infeasible(tmp_path, highs_columns,
     assert highs_columns == []
     assert (result.success, result.status, result.x) == (False, 2, None)
     assert result.message.startswith("The problem is infeasible")
-    assert milp_cli.main([str(lp), str(sol)]) == 1
+    assert solve_lp(lp, sol) == EXIT_SOLVER
     with pytest.raises(SolverError, match="infeasible"):
         milp_cli.solve_file(lp, sol)
     assert not sol.exists()
@@ -258,9 +282,9 @@ def test_time_limit_zero_is_none_and_negative_is_bad_input(tmp_path):
     # a command template's {time_limit} reads 0 when no limit is set
     lp, sol = tmp_path / "m.lp", tmp_path / "m.sol"
     lp.write_text(SMALL_LP)
-    assert milp_cli.main([str(lp), str(sol), "--time-limit", "0"]) == 0
+    assert solve_lp(lp, sol, "--time-limit", "0") == EXIT_OK
     sol.unlink()
-    assert milp_cli.main([str(lp), str(sol), "--time-limit", "-1"]) == 2
+    assert solve_lp(lp, sol, "--time-limit", "-1") == EXIT_USAGE
     assert not sol.exists()
     with pytest.raises(ValueError, match="time limit"):
         milp_cli.solve(milp_cli.parse_lp(lp), time_limit=math.nan)
@@ -288,7 +312,7 @@ def test_round_trip_with_model(tmp_path):
         write_lp(model, lp)
         assert_same_problem(model, milp_cli.parse_lp(lp))
         counters.append(sum(len(ctx.a_vars) for ctx in model.contexts))
-        assert milp_cli.main([str(lp), str(sol)]) == 0
+        assert solve_lp(lp, sol) == EXIT_OK
         reported, _ = parse_solution(sol)
         internal = solve_internal(model)
         assert reported == pytest.approx(internal.objective, abs=1e-6)

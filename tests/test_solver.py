@@ -121,7 +121,7 @@ def test_work_budget_hands_model_to_external(tmp_path, monkeypatch):
     # the default command needs neither an install nor PYTHONPATH
     monkeypatch.delenv("SPP_DCJ_SOLVER", raising=False)
     monkeypatch.delenv("PYTHONPATH", raising=False)
-    monkeypatch.setenv("PATH", str(tmp_path))  # no spp-dcj-milp on it
+    monkeypatch.setenv("PATH", str(tmp_path))  # no spp-dcj on it
     result = solve(model)
     assert result.leaves == 0  # the external solver answered
     assert result.objective == pytest.approx(full.objective, abs=1e-6)
